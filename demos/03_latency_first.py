@@ -2,10 +2,11 @@
 
 No structure can beat the best uniform replicated tree on latency, so
 the latency-first synthesizer optimizes over level fan-in sequences.
-When n - 1 factors over the allowed fan-ins the answer is exact; when
-it does not (say 7 inputs per output at fan-in <= 3), the synthesizer
-over-provisions to the next workable size and prunes the surplus
-inputs and outputs away without losing a tick.
+A ceiling DP picks the fastest shape for any n; when n - 1 does not
+factor over the allowed fan-ins (say 7 inputs per output at fan-in
+<= 3), or when a larger shape is faster, it builds that shape at a
+workable size n' > n and prunes the surplus inputs and outputs away
+without losing a tick.  The exact-size DP is shown for comparison.
 """
 
 from mpsynth import (
@@ -20,7 +21,7 @@ from mpsynth import (
 
 cm = CostModel.from_factors(3, c=[1, 2], l=[1, 1])
 
-print("exact sizes:")
+print("exact sizes, no over-provisioning:")
 for n in (3, 5, 7, 9, 13):
     result = min_uniform_latency(n, cm)
     print(f"  n={n:3d}: latency {result.value}, level profiles {result.type_vectors}")
@@ -34,6 +35,10 @@ print(f"  built at n'={result.n_prime} with profile {result.w},"
 for action in result.actions[:6]:
     print(f"    {action}")
 print(f"    ... {len(result.actions)} cleanup actions total")
+
+nine = synthesize_min_latency(9, cm)
+print(f"\nn=9 fits exactly at latency {min_uniform_latency(9, cm).value}, but"
+      f" pruning from n'={nine.n_prime} reaches latency {nine.latency}")
 
 print("\nshrinking a 7-input structure to 6 keeps the latency:")
 seven = synthesize_min_latency(7, cm)

@@ -3,16 +3,18 @@
 Subcommands:
 
 * ``synthesize {star|isom} N --costs FILE`` - run a synthesizer and
-  emit the structure (JSON and/or DOT) plus a summary table,
+  emit the structure (JSON and/or DOT) plus a summary table; ``isom``
+  builds the latency-optimal uniform tree at a workable size
+  ``n' >= N`` and prunes it back to ``N`` (``--prune`` is accepted and
+  changes nothing),
 * ``validate FILE`` - check a structure file against the defining
   properties,
 * ``eval FILE --costs FILE`` - exact complexity and latency,
 * ``export FILE --format dot|json`` - re-serialize a structure,
 * ``verify N --costs FILE`` - run the optimizer-versus-oracle report.
 
-Exit codes: 0 success, 1 usage or config error, 2 infeasible request
-(e.g. no uniform tree for this size without ``--prune``), 3 validation
-or verification failure.  All numbers print as exact rationals.
+Exit codes: 0 success, 1 usage or config error, 3 validation or
+verification failure.  All numbers print as exact rationals.
 Identical invocations write byte-identical artifacts.
 """
 
@@ -29,15 +31,9 @@ from .costs import CostModel, CostModelError, format_rational, load_cost_model
 from .oracles import DEFAULT_BUDGET, EnumerationBudget, verify_report
 from .staropt import synthesize_star
 from .structure import Dag, complexity, dumps, latency, loads, to_dot, validate
-from .uniform import (
-    consecutive_labeling,
-    min_uniform_latency,
-    structure_from_uniform_tree,
-    synthesize_min_latency,
-    uniform_tree_from_type_vector,
-)
+from .uniform import synthesize_min_latency
 
-USAGE_ERROR, INFEASIBLE, MISMATCH = 1, 2, 3
+USAGE_ERROR, MISMATCH = 1, 3
 
 
 def _fail(code: int, message: str) -> int:
@@ -103,51 +99,26 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             rows.append(("all_q", [list(q) for q in result.all_q]))
         extra = {"q": list(result.q)}
     else:
-        if args.prune:
-            pruned = synthesize_min_latency(args.n, cm)
-            dag = pruned.structure
-            rows = [
-                ("mode", "isom"),
-                ("n", args.n),
-                ("n_prime", pruned.n_prime),
-                ("complexity", format_rational(complexity(dag, cm))),
-                ("latency", format_rational(pruned.latency)),
-                ("w", list(pruned.w)),
-            ]
-            extra = {"w": list(pruned.w), "n_prime": pruned.n_prime}
-        else:
-            try:
-                latopt = min_uniform_latency(args.n, cm)
-            except ValueError as exc:
-                return _fail(INFEASIBLE, f"{exc} (hint: pass --prune)")
-            # several optimal type vectors: cheapest by the cyclic formula wins
-            def formula_cost(w):
-                return sum(args.n * wi * cm.c[i + 2] for i, wi in enumerate(w))
-
-            best_w = min(latopt.type_vectors, key=lambda w: (formula_cost(w), w))
-            tree = uniform_tree_from_type_vector(best_w)
-            dag = structure_from_uniform_tree(
-                tree, consecutive_labeling(tree, args.n), args.n, cm.m
-            )
-            rows = [
-                ("mode", "isom"),
-                ("n", args.n),
-                ("complexity", format_rational(complexity(dag, cm))),
-                ("latency", format_rational(latopt.value)),
-                ("w", list(best_w)),
-            ]
-            if args.all_optima:
-                rows.append(("all_w", [list(w) for w in latopt.type_vectors]))
-            extra = {"w": list(best_w)}
+        latopt = synthesize_min_latency(args.n, cm)
+        dag = latopt.structure
+        rows = [
+            ("mode", "isom"),
+            ("n", args.n),
+            ("n_prime", latopt.n_prime),
+            ("complexity", format_rational(complexity(dag, cm))),
+            ("latency", format_rational(latopt.latency)),
+            ("w", list(latopt.w)),
+        ]
+        if args.all_optima:
+            rows.append(("all_w", [list(w) for w in latopt.all_w]))
+        extra = {"w": list(latopt.w), "n_prime": latopt.n_prime}
 
     manifest = {
         "command": "synthesize",
         "parameters": {
             "mode": args.mode,
             "n": args.n,
-            "prune": bool(args.prune),
             "all_optima": bool(args.all_optima),
-            "seed_policy": args.seed_policy,
         },
         "cost_model_digest": cm.digest(),
         "tool_version": __version__,
@@ -243,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--out", default=None, help="directory for artifacts")
     syn.add_argument("--format", choices=["json", "dot", "all"], default="all")
     syn.add_argument("--all-optima", action="store_true", dest="all_optima")
-    syn.add_argument("--prune", action="store_true")
     syn.add_argument(
-        "--seed-policy", choices=["chain", "bushy"], default="chain", dest="seed_policy"
+        "--prune",
+        action="store_true",
+        help="accepted for compatibility; isom always over-provisions and prunes",
     )
     syn.set_defaults(func=_cmd_synthesize)
 

@@ -15,6 +15,7 @@ there are no tolerances anywhere.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,8 +277,6 @@ def star_tree_shape_codes_via_labeled_skeletons(q: Sequence[int]) -> set[str]:
             for s in seq:
                 count[s] += 1
             adj: dict[int, list[int]] = {v: [] for v in range(k)}
-            import heapq
-
             heap = [v for v in range(k) if count[v] == 1]
             heapq.heapify(heap)
             for s in seq:
@@ -293,9 +292,14 @@ def star_tree_shape_codes_via_labeled_skeletons(q: Sequence[int]) -> set[str]:
             adj[b].append(a)
             skeletons.append(adj)
 
+    # distinct orderings of the degree multiset, grown by insertion so
+    # repeated degrees never multiply the count
+    perms: set[tuple[int, ...]] = {()}
+    for d in degree_pool:
+        perms = {p[:i] + (d,) + p[i:] for p in perms for i in range(len(p) + 1)}
     codes: set[str] = set()
     for adj in skeletons:
-        for perm in set(itertools.permutations(degree_pool)):
+        for perm in perms:
             if all(perm[v] >= len(adj[v]) for v in adj):
                 extra = {v: perm[v] - len(adj[v]) for v in adj}
                 codes.add(_unrooted_code(adj, extra))

@@ -265,9 +265,10 @@ class ValidationReport:
         }
 
 
-def _ancestor_set(dag: Dag, root: int) -> set[int]:
-    seen = {root}
-    stack = [root]
+def _ancestor_set(dag: Dag, roots: Iterable[int]) -> set[int]:
+    """Every node that feeds one of ``roots``, the roots included."""
+    seen = set(roots)
+    stack = list(seen)
     while stack:
         v = stack.pop()
         for c in dag.children[v]:
@@ -277,7 +278,7 @@ def _ancestor_set(dag: Dag, root: int) -> set[int]:
     return seen
 
 
-def validate(dag: Dag) -> Dag | ValidationReport:
+def validate(dag: Dag) -> ValidationReport:
     """Check the five defining properties plus acyclicity.
 
     Every failure is reported (not just the first) with a witness node
@@ -355,7 +356,7 @@ def validate(dag: Dag) -> Dag | ValidationReport:
     else:
         for j in sorted(seen_y):
             y = seen_y[j]
-            anc = _ancestor_set(dag, y)
+            anc = _ancestor_set(dag, [y])
             for v in anc:
                 if v == y:
                     continue
@@ -464,118 +465,18 @@ class PruneResult:
     actions: tuple[str, ...]
 
 
-class _Surgery:
-    """Mutable scratch graph used by :func:`prune`."""
-
-    def __init__(self, dag: Dag) -> None:
-        self.n_target = dag.n
-        self.m = dag.m
-        self.labels: list[Label] = list(dag.labels)
-        self.children: dict[int, set[int]] = {v: set(cs) for v, cs in enumerate(dag.children)}
-        self.parents: dict[int, set[int]] = {v: set() for v in self.children}
-        for v, cs in self.children.items():
-            for c in cs:
-                self.parents[c].add(v)
-        self.alive = set(self.children)
-        self.actions: list[str] = []
-
-    def drop(self, v: int) -> list[int]:
-        """Delete a node; returns the parents whose fan-in shrank."""
-        self.alive.discard(v)
-        touched = []
-        for p in list(self.parents[v]):
-            self.children[p].discard(v)
-            touched.append(p)
-        for c in list(self.children[v]):
-            self.parents[c].discard(v)
-        self.children[v] = set()
-        self.parents[v] = set()
-        return touched
-
-    def cleanup(self, queue: list[int]) -> None:
-        """Restore fan-in >= 2 everywhere it can be restored.
-
-        Emptied nodes are dropped, internal pass-through nodes are
-        spliced out (their parents adopt the surviving operand), and an
-        output left with one internal operand absorbs it.
-        """
-        n = self.n_target
-        while queue:
-            v = queue.pop()
-            if v not in self.alive:
-                continue
-            lbl = self.labels[v]
-            if lbl is not None and lbl[0] == "x":
-                continue
-            deg = len(self.children[v])
-            if deg >= 2:
-                continue
-            if deg == 0:
-                queue.extend(self.drop(v))
-                self.actions.append(f"dropped node {v}: all operands pruned away")
-                continue
-            (c,) = self.children[v]
-            if lbl is not None and lbl[0] == "y":
-                if self.labels[c] is None and self.parents[c] == {v}:
-                    self.labels[c] = lbl
-                    self.labels[v] = None
-                    self.drop(v)
-                    self.actions.append(f"relabeled node {c} as y{lbl[1]} (pass-through output)")
-                elif not (n == 2 and self.labels[c] is not None):
-                    self.actions.append(f"kept y{lbl[1]} as a wire from node {c}")
-                continue
-            for p in list(self.parents[v]):
-                self.children[p].discard(v)
-                if c in self.children[p]:
-                    queue.append(p)  # duplicate operand collapsed, fan-in dropped
-                self.children[p].add(c)
-                self.parents[c].add(p)
-            self.parents[v] = set()
-            self.drop(v)
-            self.actions.append(f"spliced pass-through node {v}")
-
-    def rebuild(self) -> Dag:
-        """Re-intern from the outputs: merges duplicate subtrees and
-        discards nodes that no longer reach any output."""
-        builder = DagBuilder()
-        for j in range(1, self.n_target + 1):
-            builder.input(j)
-        memo: dict[int, int] = {}
-
-        def emit(v: int) -> int:
-            if v in memo:
-                return memo[v]
-            lbl = self.labels[v]
-            if lbl is not None and lbl[0] == "x":
-                node = builder.input(lbl[1])
-            else:
-                kids = sorted(set(emit(c) for c in self.children[v]))
-                if lbl is not None and lbl[0] == "y":
-                    node = builder.output(lbl[1], kids)
-                elif len(kids) == 1:
-                    node = kids[0]  # interning merged the operands; splice through
-                else:
-                    node = builder.op(kids)
-            memo[v] = node
-            return node
-
-        for v in sorted(self.alive):
-            lbl = self.labels[v]
-            if lbl is not None and lbl[0] == "y":
-                emit(v)
-        return builder.build(self.n_target, self.m)
-
-
 def prune(dag: Dag, n: int) -> PruneResult:
     """Shrink an ``n'``-input structure to ``n`` inputs.
 
-    Removes ``x_{n+1}..x_{n'}`` and ``y_{n+1}..y_{n'}``, then restores
-    well-formedness: emptied computation nodes are dropped, pass-through
-    nodes (fan-in fell to 1) are spliced out, an output reduced to a
-    single internal operand absorbs it, and duplicate subtrees created
-    by the surgery are re-merged.  Each action is logged.  Latency and
-    complexity never increase (weights are non-negative and nodes are
-    only removed or merged).
+    Removes ``x_{n+1}..x_{n'}`` and ``y_{n+1}..y_{n'}`` and re-interns
+    the rest bottom-up into a fresh builder.  A computation node's image
+    is nothing when every operand is gone (dropped), its one surviving
+    operand (a pass-through, spliced out), or the interned node over its
+    operands' distinct images, so subtrees the removal made equal merge
+    on the way.  An output left with a single internal operand takes
+    that operand's operands, and only what the outputs reach is kept.
+    Each action is logged.  Latency and complexity never increase
+    (weights are non-negative and nodes are only removed or merged).
     """
     if n < 2:
         raise ValueError(f"cannot prune to n = {n} < 2")
@@ -584,37 +485,44 @@ def prune(dag: Dag, n: int) -> PruneResult:
     if n == dag.n:
         return PruneResult(dag, ())
 
-    work = _Surgery(dag)
-    work.n_target = n
-    queue: list[int] = []
-    for v, lbl in enumerate(dag.labels):
+    builder = DagBuilder()
+    actions: list[str] = []
+    image: list[int | None] = [None] * dag.node_count
+    outputs: list[int] = []
+    for v in _topological_order(dag):
+        lbl = dag.labels[v]
         if lbl is not None and lbl[1] > n:
-            queue.extend(work.drop(v))
-            work.actions.append(f"removed {lbl[0]}{lbl[1]}")
-    work.cleanup(queue)
-    result = work.rebuild()
+            actions.append(f"removed {lbl[0]}{lbl[1]}")
+        elif lbl is not None and lbl[0] == "x":
+            image[v] = builder.input(lbl[1])
+        else:
+            kids = sorted({image[c] for c in dag.children[v]} - {None})
+            if lbl is not None:
+                if len(kids) == 1 and builder._labels[kids[0]] is None:
+                    j = lbl[1]
+                    actions.append(f"relabeled y{j}'s only operand as y{j} (pass-through output)")
+                    kids = builder._children[kids[0]]
+                outputs.append(builder.output(lbl[1], kids))
+            elif not kids:
+                actions.append(f"dropped node {v}: all operands pruned away")
+            elif len(kids) == 1:
+                image[v] = kids[0]
+                actions.append(f"spliced pass-through node {v}")
+            else:
+                image[v] = builder.op(kids)
 
-    # Interning can merge two operands of one node, dropping its fan-in
-    # below 2 and exposing more pass-throughs; iterate until stable.
-    for _ in range(dag.node_count):
-        bad = [
-            v
-            for v in range(result.node_count)
-            if result.in_degree(v) < 2
-            and (
-                result.labels[v] is None
-                or (result.labels[v][0] == "y" and n > 2)
-            )
-        ]
-        if not bad:
-            break
-        again = _Surgery(result)
-        again.n_target = n
-        again.actions = work.actions
-        again.cleanup(list(bad))
-        work = again
-        result = work.rebuild()
-    return PruneResult(result, tuple(work.actions))
+    # keep only what the outputs reach (absorbed operands and nodes that
+    # fed removed outputs alone fall away); renumbering keeps id order
+    full = builder.build(n, dag.m)
+    order = sorted(_ancestor_set(full, outputs))
+    renum = {v: i for i, v in enumerate(order)}
+    result = Dag(
+        n=n,
+        m=dag.m,
+        labels=tuple(full.labels[v] for v in order),
+        children=tuple(tuple(renum[c] for c in full.children[v]) for v in order),
+    )
+    return PruneResult(result, tuple(actions))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ copies' leaves are labeled.  Among all structures, none has lower
 latency than the best uniform-tree-based one, which is why the
 latency-first synthesizer lives here:
 
-* :func:`min_uniform_latency` - exact DP over divisors when ``n - 1``
-  factors over ``[2, m]``;
-* :func:`synthesize_min_latency` - the general case: a ceiling DP finds
-  the best over-provisioned size ``n' >= n``, and the built structure
-  is pruned back down to ``n`` without increasing latency.
+* :func:`synthesize_min_latency` - the latency-first entry point: a
+  ceiling DP finds the best over-provisioned size ``n' >= n``, and the
+  built structure is pruned back down to ``n`` without increasing
+  latency;
+* :func:`min_uniform_latency` - the exact-size reference: a DP over the
+  divisors of ``n - 1`` (only when it factors over ``[2, m]``), never
+  faster than the ceiling DP and sometimes slower.
 
 Labeling the copies' leaves cyclically (copy ``j`` reads
 ``x_{j+1}..x_n, x_1..x_{j-1}`` left to right) maximizes sharing between
@@ -35,7 +37,7 @@ from math import prod
 from typing import Sequence
 
 from .costs import CostModel
-from .structure import Dag, DagBuilder, PruneResult, prune
+from .structure import Dag, DagBuilder, prune
 
 Vec = tuple[int, ...]
 
@@ -172,7 +174,48 @@ def structure_from_uniform_tree(
 
 
 # ---------------------------------------------------------------------------
-# latency DP (exact input sizes)
+# latency DPs
+
+
+def _latency_dp(k: int, cm: CostModel, ceiling: bool) -> tuple[Fraction, set[Vec], int] | None:
+    """Least ``sum w_i * l[i+2]`` over level sequences covering ``k``
+    leaves, every optimal type vector, and the number of transitions
+    tried; ``None`` when no sequence fits.
+
+    Peeling a fan-in ``t`` level leaves ``ceil(k/t)`` leaves to cover
+    (``ceiling``), or exactly ``k/t`` when ``t`` divides ``k`` (exact
+    sizes).  Only the sizes reachable from ``k`` are solved, smallest
+    first, without recursion.
+    """
+    m = cm.m
+
+    def steps(j: int) -> list[tuple[int, int]]:
+        return [(t, -(-j // t)) for t in range(2, m + 1) if ceiling or j % t == 0]
+
+    sizes = {k}
+    stack = [k]
+    while stack:
+        for _, i in steps(stack.pop()):
+            if i not in sizes:
+                sizes.add(i)
+                stack.append(i)
+    best: dict[int, tuple[Fraction, set[Vec]]] = {1: (Fraction(0), {(0,) * (m - 1)})}
+    ops = 0
+    for j in sorted(sizes - {1}):
+        entry: tuple[Fraction, set[Vec]] | None = None
+        for t, i in steps(j):
+            if i not in best:
+                continue
+            ops += 1
+            cand = best[i][0] + cm.l[t]
+            grown = {w[: t - 2] + (w[t - 2] + 1,) + w[t - 1 :] for w in best[i][1]}
+            if entry is None or cand < entry[0]:
+                entry = (cand, grown)
+            elif cand == entry[0]:
+                entry[1].update(grown)
+        if entry is not None:
+            best[j] = entry
+    return None if k not in best else (*best[k], ops)
 
 
 @dataclass(frozen=True)
@@ -184,56 +227,22 @@ class UniformLatencyResult:
 
 def min_uniform_latency(n: int, cm: CostModel) -> UniformLatencyResult:
     """Least latency over uniform-tree-based structures with exactly
-    ``n`` inputs: DP over the divisor lattice of ``n - 1``, peeling one
-    level (a factor ``t`` in ``[2, m]``) at a time.  Runs in O(m*n).
+    ``n`` inputs: DP over the divisors of ``n - 1``, peeling one level
+    (a factor ``t`` in ``[2, m]``) at a time.
 
     Raises when ``n - 1`` has no factorization over ``[2, m]``; the
     pruned synthesizer handles those sizes.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    m = cm.m
-    target = n - 1
-    best: dict[int, Fraction] = {1: Fraction(0)}
-    choices: dict[int, list[int]] = {1: []}
-    ops = 0
-    for k in range(2, target + 1):
-        entry: Fraction | None = None
-        argmin: list[int] = []
-        for t in range(2, m + 1):
-            if k % t != 0 or (k // t) not in best:
-                continue
-            ops += 1
-            cand = best[k // t] + cm.l[t]
-            if entry is None or cand < entry:
-                entry, argmin = cand, [t]
-            elif cand == entry:
-                argmin.append(t)
-        if entry is not None:
-            best[k] = entry
-            choices[k] = argmin
-    if target not in best:
+    found = _latency_dp(n - 1, cm, ceiling=False)
+    if found is None:
         raise ValueError(
-            f"n - 1 = {target} has no factorization into factors from [2, {m}];"
+            f"n - 1 = {n - 1} has no factorization into factors from [2, {cm.m}];"
             " use the pruned synthesizer for this input size"
         )
-
-    memo: dict[int, set[Vec]] = {1: {(0,) * (m - 1)}}
-
-    def expand(k: int) -> set[Vec]:
-        if k not in memo:
-            out: set[Vec] = set()
-            for t in choices[k]:
-                for w in expand(k // t):
-                    out.add(tuple(x + 1 if i == t - 2 else x for i, x in enumerate(w)))
-            memo[k] = out
-        return memo[k]
-
-    return UniformLatencyResult(
-        value=best[target],
-        type_vectors=tuple(sorted(expand(target))),
-        ops=ops,
-    )
+    value, vectors, ops = found
+    return UniformLatencyResult(value=value, type_vectors=tuple(sorted(vectors)), ops=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +254,7 @@ class PrunedSynthesis:
     latency: Fraction
     n_prime: int
     w: Vec
+    all_w: tuple[Vec, ...]  # every latency-optimal w, sorted
     structure: Dag
     actions: tuple[str, ...]
 
@@ -266,50 +276,23 @@ def synthesize_min_latency(n: int, cm: CostModel) -> PrunedSynthesis:
     """
     if n < 3:
         raise ValueError(f"pruned synthesis needs n >= 3, got {n}")
-    m = cm.m
-    memo_val: dict[int, Fraction] = {1: Fraction(0)}
-    memo_t: dict[int, list[int]] = {1: []}
-
-    def lat(k: int) -> Fraction:
-        if k not in memo_val:
-            best: Fraction | None = None
-            argmin: list[int] = []
-            for t in range(2, m + 1):
-                cand = cm.l[t] + lat(-(-k // t))
-                if best is None or cand < best:
-                    best, argmin = cand, [t]
-                elif cand == best:
-                    argmin.append(t)
-            memo_val[k] = best
-            memo_t[k] = argmin
-        return memo_val[k]
-
-    value = lat(n - 1)
-
-    memo_w: dict[int, set[Vec]] = {1: {(0,) * (m - 1)}}
-
-    def expand(k: int) -> set[Vec]:
-        if k not in memo_w:
-            out: set[Vec] = set()
-            for t in memo_t[k]:
-                for w in expand(-(-k // t)):
-                    out.add(tuple(x + 1 if i == t - 2 else x for i, x in enumerate(w)))
-            memo_w[k] = out
-        return memo_w[k]
+    value, vectors, _ = _latency_dp(n - 1, cm, ceiling=True)
 
     def formula_cost(w: Vec) -> Fraction:
         n_prime = 1 + leaf_count_of_type_vector(w)
         return sum((n_prime * wi * cm.c[i + 2] for i, wi in enumerate(w)), Fraction(0))
 
-    w = min(expand(n - 1), key=lambda cand: (formula_cost(cand), cand))
+    all_w = tuple(sorted(vectors))
+    w = min(all_w, key=lambda cand: (formula_cost(cand), cand))
     n_prime = 1 + leaf_count_of_type_vector(w)
     tree = uniform_tree_from_type_vector(w)
-    full = structure_from_uniform_tree(tree, consecutive_labeling(tree, n_prime), n_prime, m)
-    result: PruneResult = prune(full, n)
+    full = structure_from_uniform_tree(tree, consecutive_labeling(tree, n_prime), n_prime, cm.m)
+    result = prune(full, n)
     return PrunedSynthesis(
         latency=value,
         n_prime=n_prime,
         w=w,
+        all_w=all_w,
         structure=result.structure,
         actions=result.actions,
     )

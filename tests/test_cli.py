@@ -53,11 +53,22 @@ def test_synthesize_isom_summary(tmp_path, costs_file, capsys):
     assert "latency     2" in out
 
 
-def test_isom_unfactorable_is_infeasible(costs_file, capsys):
+def test_isom_without_prune_overprovisions(costs_file, capsys):
+    # n - 1 = 7 is prime, above m = 3: built at n' = 10 and pruned to 8
     code = main(["synthesize", "isom", "8", "--costs", str(costs_file)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--prune" in err
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "n_prime     10" in out
+
+
+def test_isom_beats_exact_size_latency(costs_file, capsys):
+    # the exact n' = 9 shape w = (3, 0) has latency 3; pruning (0, 2)
+    # from n' = 10 gives 2
+    code = main(["synthesize", "isom", "9", "--costs", str(costs_file), "--all-optima"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "latency     2" in out
+    assert "all_w       [[0, 2]]" in out
 
 
 def test_isom_prune_flag(tmp_path, costs_file, capsys):
@@ -163,7 +174,7 @@ def test_manifest_written(tmp_path, costs_file):
     main(["synthesize", "star", "7", "--costs", str(costs_file), "--out", str(tmp_path / "o")])
     manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
     assert manifest["command"] == "synthesize"
-    assert manifest["parameters"]["n"] == 7
+    assert manifest["parameters"] == {"mode": "star", "n": 7, "all_optima": False}
     assert manifest["tool_version"]
     assert len(manifest["cost_model_digest"]) == 64
     assert manifest["outputs"] == ["structure.json", "structure.dot"]

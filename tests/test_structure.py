@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from mpsynth import (
     canonical_key,
     canonical_keys,
     complexity,
+    consecutive_labeling,
     dumps,
     latency,
     loads,
@@ -20,9 +22,11 @@ from mpsynth import (
     signature,
     structure_from_star_tree,
     star_tree_from_degree_vector,
+    structure_from_uniform_tree,
     synthesize_min_latency,
     synthesize_star,
     to_dot,
+    uniform_tree_from_type_vector,
     union,
     validate,
     wire_structure,
@@ -354,9 +358,6 @@ def test_prune_relabels_degenerated_outputs(cm_unit):
     # 3x3 replicated shape at n' = 10: pruning far enough empties whole
     # root branches, driving output fan-in to 1; the label must migrate
     # onto the surviving operand
-    from mpsynth import consecutive_labeling, structure_from_uniform_tree
-    from mpsynth.uniform import uniform_tree_from_type_vector
-
     tree = uniform_tree_from_type_vector((0, 2))
     full = structure_from_uniform_tree(tree, consecutive_labeling(tree, 10), 10, 3)
     for n in range(9, 1, -1):
@@ -365,6 +366,33 @@ def test_prune_relabels_degenerated_outputs(cm_unit):
         assert latency(result.structure, cm_unit) <= latency(full, cm_unit)
     deep = prune(full, 4)
     assert any("relabeled" in a for a in deep.actions)
+
+
+# sha256 of dumps(prune(...).structure) per target n, recorded with an
+# independent implementation (a cleanup queue re-interned until stable)
+PRUNE_GOLDEN_3X3 = {
+    2: "ce6dcdbf2aaf18ce672273ea0f61f61293e3f6b27f126118a63997e6f9550a9c",
+    3: "0df20016ab05bfb2445efaed1ac9846b03ad152899cf6d5bd05d1b35d732f905",
+    4: "7e912e4faefb7da226517419a1adb4807b8cc48f0e8494edeb0de63c37903d20",
+    5: "f0e2dec65ba67426da8e765506ff996aea8232984f6242a7e3a72e15f856c9c2",
+    6: "d9a40fdaa73e9b88fe3e563333d7f5ea02b224a9ef4278d249c7114c4f210280",
+    7: "9e95657cd50ecd42594a5146b70aed5d5d9fa6f0de8c6bc23e263c70f593954f",
+    8: "341c28f9b8e979b27876164b7f346ba9779c4d681a30d5e45132d61a2ee37cda",
+    9: "5a658dd708f30ae842cadcc7c87907c39301fef8905bb1d1d0f51bec5c8bc8d5",
+}
+# at n <= 5 both sources prune to the same structure
+PRUNE_GOLDEN_SHARED7 = {
+    n: PRUNE_GOLDEN_3X3[n] for n in (2, 3, 4, 5)
+} | {6: "d8d400864d06f97066306903f86ff757fa153d9e0db2e982d310d094d74a4690"}
+
+
+def test_prune_bytes_are_pinned(shared7_cyclic):
+    tree = uniform_tree_from_type_vector((0, 2))
+    full = structure_from_uniform_tree(tree, consecutive_labeling(tree, 10), 10, 3)
+    for dag, golden in ((full, PRUNE_GOLDEN_3X3), (shared7_cyclic, PRUNE_GOLDEN_SHARED7)):
+        for n, digest in golden.items():
+            text = dumps(prune(dag, n).structure)
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, (dag.n, n)
 
 
 def test_prune_rejects_bad_targets(shared7_cyclic):
