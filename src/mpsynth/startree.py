@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .costs import CostModel
 from .structure import Dag, DagBuilder
@@ -175,21 +175,49 @@ def star_tree_from_degree_vector(
     )
 
 
+def _post_order(
+    tree: StarTree, roots: Iterable[tuple[int, int]], done: Container[tuple[int, int]]
+) -> Iterator[tuple[int, int]]:
+    """Directed edges ``(v, p)`` (``v``'s side of the edge ``v-p``) below
+    ``roots`` that are not in ``done``, children before parents, in the
+    order a left-to-right recursion would finish them.
+
+    The caller records every yielded edge in ``done`` before asking for
+    the next one, so each edge is yielded once and nothing recurses.
+    """
+    stack = [(v, p, False) for v, p in reversed(list(roots))]
+    while stack:
+        v, p, expanded = stack.pop()
+        if (v, p) in done:
+            continue
+        if expanded:
+            yield v, p
+            continue
+        stack.append((v, p, True))
+        stack.extend((u, v, False) for u in reversed(tree.adj[v]) if u != p)
+
+
 def structure_from_star_tree(tree: StarTree) -> Dag:
     """Union of the n per-output trees obtained by re-rooting at each
-    leaf's neighbor; shared subtrees intern to single nodes."""
+    leaf's neighbor; shared subtrees intern to single nodes.
+
+    Each directed edge ``(v, p)`` stands for the subtree on ``v``'s side
+    of the edge, whatever output it is built for, so its node is built
+    once and memoized: the builder sees every one of the ``sum deg(v)``
+    directed copies of the internal nodes once (``n`` of them become
+    outputs), not once per output containing it.
+    """
     builder = DagBuilder()
-
-    def emit(v: int, parent: int) -> int:
-        if tree.labels[v] is not None:
-            return builder.input(tree.labels[v])
-        return builder.op(emit(u, v) for u in tree.adj[v] if u != parent)
-
+    built: dict[tuple[int, int], int] = {}
     for leaf in tree.leaves():
         (neighbor,) = tree.adj[leaf]
-        j = tree.labels[leaf]
-        operands = [emit(u, neighbor) for u in tree.adj[neighbor] if u != leaf]
-        builder.output(j, operands)
+        roots = [(u, neighbor) for u in tree.adj[neighbor] if u != leaf]
+        for v, p in _post_order(tree, roots, built):
+            if tree.labels[v] is not None:
+                built[(v, p)] = builder.input(tree.labels[v])
+            else:
+                built[(v, p)] = builder.op(built[(u, v)] for u in tree.adj[v] if u != p)
+        builder.output(tree.labels[leaf], [built[edge] for edge in roots])
     return builder.build(tree.n, tree.m)
 
 
@@ -214,17 +242,10 @@ def _edge_latencies(tree: StarTree, cm: CostModel) -> dict[tuple[int, int], Frac
         return cm.l[len(tree.adj[v]) - 1]
 
     memo: dict[tuple[int, int], Fraction] = {}
-
-    def height(a: int, b: int) -> Fraction:
-        key = (a, b)
-        if key not in memo:
-            branches = [height(u, a) for u in tree.adj[a] if u != b]
-            memo[key] = weight(a) + (max(branches) if branches else Fraction(0))
-        return memo[key]
-
-    for a, b in tree.edges():
-        height(a, b)
-        height(b, a)
+    edges = [(a, b) for a, nb in enumerate(tree.adj) for b in nb]
+    for a, b in _post_order(tree, edges, memo):
+        branches = [memo[(u, a)] for u in tree.adj[a] if u != b]
+        memo[(a, b)] = weight(a) + (max(branches) if branches else Fraction(0))
     return memo
 
 

@@ -174,8 +174,12 @@ def canonical_keys(dag: Dag) -> tuple[str, ...]:
     matters).  Output labels are deliberately not part of the key; the
     validity checker layers label identity on top.
     """
+    return _canonical_keys(dag, _topological_order(dag))
+
+
+def _canonical_keys(dag: Dag, order: list[int]) -> tuple[str, ...]:
     keys: list[str] = [""] * dag.node_count
-    for v in _topological_order(dag):
+    for v in order:
         lbl = dag.labels[v]
         if lbl is not None and lbl[0] == "x":
             keys[v] = f"x{lbl[1]}"
@@ -278,6 +282,77 @@ def _ancestor_set(dag: Dag, roots: Iterable[int]) -> set[int]:
     return seen
 
 
+def _tree_pass(dag: Dag, order: list[int], outputs: dict[int, int]) -> set[int] | None:
+    """Labels ``j`` of the outputs (``outputs[j]`` is y_j's node) whose
+    ancestor graph is not a tree over exactly the other inputs, found in
+    one bottom-up pass over ``order``; ``None`` when the sources are not
+    exactly x_1..x_n, where the pass does not apply.
+
+    Each node gets the set of inputs below it (bit ``i`` for x_i) and
+    its number of paths down to them.  Output y_j passes iff its set is
+    the other inputs and it has one path to each: a node reached twice
+    from y_j would give every input below it a second path.
+    """
+    full = (1 << (dag.n + 1)) - 2
+    sources = 0
+    below = [0] * dag.node_count
+    paths = [0] * dag.node_count
+    for v in order:
+        if not dag.children[v]:
+            lbl = dag.labels[v]
+            if not (lbl and lbl[0] == "x" and 1 <= lbl[1] <= dag.n) or sources >> lbl[1] & 1:
+                return None
+            sources |= 1 << lbl[1]
+            below[v], paths[v] = 1 << lbl[1], 1
+        else:
+            bits = count = 0
+            for c in dag.children[v]:
+                bits |= below[c]
+                count += paths[c]
+            below[v], paths[v] = bits, count
+    if sources != full:
+        return None
+    flagged: set[int] = set()
+    for j, y in outputs.items():
+        want = full ^ (1 << j) if 1 <= j <= dag.n else full
+        if below[y] != want or paths[y] != want.bit_count():
+            flagged.add(j)
+    return flagged
+
+
+def _output_tree_failures(
+    dag: Dag, parents: dict[int, list[int]], j: int, y: int
+) -> list[str]:
+    """Why y_j's ancestor graph is not a tree over the other inputs
+    (empty when it is), by walking the graph: the witnesses."""
+    failures = []
+    n = dag.n
+    anc = _ancestor_set(dag, [y])
+    for v in anc:
+        if v == y:
+            continue
+        outs_inside = [p for p in parents[v] if p in anc]
+        if len(outs_inside) != 1:
+            failures.append(
+                f"y{j}: node {v} feeds it along {len(outs_inside)} edges"
+                " (ancestor graph is not a tree)"
+            )
+    leaves = {dag.labels[v] for v in anc if dag.in_degree(v) == 0}
+    want = {("x", i) for i in range(1, n + 1) if i != j}
+    if leaves != want:
+        extra = sorted(
+            ("?" if lbl is None else lbl[0] + str(lbl[1])) for lbl in leaves - want
+        )
+        missing = sorted(lbl[0] + str(lbl[1]) for lbl in want - leaves)
+        parts = []
+        if extra:
+            parts.append("unexpected leaves " + ", ".join(extra))
+        if missing:
+            parts.append("missing leaves " + ", ".join(missing))
+        failures.append(f"y{j}: " + "; ".join(parts))
+    return failures
+
+
 def validate(dag: Dag) -> ValidationReport:
     """Check the five defining properties plus acyclicity.
 
@@ -288,17 +363,27 @@ def validate(dag: Dag) -> ValidationReport:
     The single degenerate exception: for ``n == 2`` the two outputs are
     bare wires (``y_1 = x_2``, ``y_2 = x_1``), so in-degree 1 outputs
     are accepted there and only there.
+
+    The output-tree property is decided for all outputs in one
+    bottom-up pass (:func:`_tree_pass`: per node, the inputs below it
+    as an int bitset and its number of paths down to them).  The
+    per-output ancestor walk, which writes the witnesses, runs only for
+    the outputs that pass flags, or for all of them when the sources
+    are not exactly x_1..x_n; so a valid structure is checked in one
+    pass and a report never differs from walking every output.  One
+    topological order serves the pass and the canonical keys.
     """
     checks: list[PropertyCheck] = []
     n = dag.n
     failures: list[str]
 
     # acyclicity first; key-based checks need it
-    cyclic = False
+    order: list[int] | None
     try:
-        _topological_order(dag)
+        order = _topological_order(dag)
     except ValueError:
-        cyclic = True
+        order = None
+    cyclic = order is None
     parents = dag.parent_map()
 
     # property 1: sources are exactly x_1..x_n
@@ -354,31 +439,10 @@ def validate(dag: Dag) -> ValidationReport:
     if cyclic:
         failures.append("not evaluated: graph contains a cycle")
     else:
+        flagged = _tree_pass(dag, order, seen_y)
         for j in sorted(seen_y):
-            y = seen_y[j]
-            anc = _ancestor_set(dag, [y])
-            for v in anc:
-                if v == y:
-                    continue
-                outs_inside = [p for p in parents[v] if p in anc]
-                if len(outs_inside) != 1:
-                    failures.append(
-                        f"y{j}: node {v} feeds it along {len(outs_inside)} edges"
-                        " (ancestor graph is not a tree)"
-                    )
-            leaves = {dag.labels[v] for v in anc if dag.in_degree(v) == 0}
-            want = {("x", i) for i in range(1, n + 1) if i != j}
-            if leaves != want:
-                extra = sorted(
-                    ("?" if lbl is None else lbl[0] + str(lbl[1])) for lbl in leaves - want
-                )
-                missing = sorted(lbl[0] + str(lbl[1]) for lbl in want - leaves)
-                parts = []
-                if extra:
-                    parts.append("unexpected leaves " + ", ".join(extra))
-                if missing:
-                    parts.append("missing leaves " + ", ".join(missing))
-                failures.append(f"y{j}: " + "; ".join(parts))
+            if flagged is None or j in flagged:
+                failures.extend(_output_tree_failures(dag, parents, j, seen_y[j]))
     checks.append(PropertyCheck("output_trees", not failures, "; ".join(failures) or None))
 
     # property 4: no two nodes compute the same subtree
@@ -386,7 +450,7 @@ def validate(dag: Dag) -> ValidationReport:
     if cyclic:
         failures.append("not evaluated: graph contains a cycle")
     else:
-        keys = canonical_keys(dag)
+        keys = _canonical_keys(dag, order)
         by_key: dict[str, list[int]] = {}
         for v in range(dag.node_count):
             if dag.in_degree(v) == 0 and not (dag.labels[v] and dag.labels[v][0] == "x"):

@@ -26,7 +26,12 @@ latency-first synthesizer lives here:
 Labeling the copies' leaves cyclically (copy ``j`` reads
 ``x_{j+1}..x_n, x_1..x_{j-1}`` left to right) maximizes sharing between
 copies and achieves complexity ``sum n * w_i * c[i+2]``, the least any
-labeling of the same shape can achieve.
+labeling of the same shape can achieve.  It also lets
+:func:`structure_from_uniform_tree` build each node once: under that
+labeling a node at depth ``d`` whose first leaf is ``x_{s+1}`` covers
+``x_{s+1}..x_{s+size}`` cyclically, so ``(d, s)`` names it exactly and
+the build takes time proportional to the ``~n * height`` nodes it
+makes rather than to the ``n * n`` leaves of all copies.
 """
 
 from __future__ import annotations
@@ -124,7 +129,8 @@ def consecutive_labeling(tree: UniformTree, n: int) -> list[list[int]]:
     ``x_{j+1}..x_n, x_1..x_{j-1}`` in left-to-right leaf order."""
     if tree.leaf_count != n - 1:
         raise ValueError(f"tree has {tree.leaf_count} leaves, expected n - 1 = {n - 1}")
-    return [[(j + k) % n + 1 for k in range(1, n)] for j in range(n)]
+    ring = list(range(1, n + 1)) * 2
+    return [ring[j + 1 : j + n] for j in range(n)]
 
 
 def ascending_labeling(tree: UniformTree, n: int) -> list[list[int]]:
@@ -145,6 +151,12 @@ def structure_from_uniform_tree(
     ``labelings[j-1]`` assigns input indices to copy ``j``'s leaves in
     left-to-right order and must be a bijection onto ``{1..n} - {j}``.
     Shared subtrees across copies intern to single nodes.
+
+    Nodes are memoized on ``(depth, first leaf label)``.  The copies
+    whose labeling is the cyclic rotation :func:`consecutive_labeling`
+    gives share one memo, which names a node exactly among them, so
+    each shared node is emitted once; any other copy gets a memo of its
+    own and is emitted in full, deduplicated by hash-consing alone.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -154,22 +166,35 @@ def structure_from_uniform_tree(
         raise ValueError("tree fan-in exceeds m")
     if len(labelings) != n:
         raise ValueError(f"expected {n} labelings, got {len(labelings)}")
+    levels = tree.levels
+    span = [prod(levels[d:]) for d in range(len(levels) + 1)]
+    ring = list(range(1, n + 1)) * 2
     builder = DagBuilder()
+    shared: dict[tuple[int, int], int] = {}
+
+    def emit(seq: list[int], memo: dict[tuple[int, int], int], depth: int, pos: int) -> int:
+        # the node at ``depth`` whose leaves start at position ``pos``
+        key = (depth, seq[pos])
+        if key not in memo:
+            if depth == len(levels):
+                memo[key] = builder.input(seq[pos])
+            else:
+                step = span[depth + 1]
+                memo[key] = builder.op(
+                    [emit(seq, memo, depth + 1, pos + k * step) for k in range(levels[depth])]
+                )
+        return memo[key]
+
     for j in range(1, n + 1):
         seq = list(labelings[j - 1])
-        if sorted(seq) != [i for i in range(1, n + 1) if i != j]:
+        rotation = seq == ring[j : j + n - 1]
+        if not rotation and sorted(seq) != [i for i in range(1, n + 1) if i != j]:
             raise ValueError(f"labeling for copy {j} is not a bijection onto the other inputs")
-        it = iter(seq)
-
-        def emit(depth: int) -> int:
-            if depth == len(tree.levels):
-                return builder.input(next(it))
-            return builder.op([emit(depth + 1) for _ in range(tree.levels[depth])])
-
-        if not tree.levels:
-            builder.output(j, [builder.input(next(it))])
+        memo = shared if rotation else {}
+        if not levels:
+            builder.output(j, [emit(seq, memo, 0, 0)])
         else:
-            builder.output(j, [emit(1) for _ in range(tree.levels[0])])
+            builder.output(j, [emit(seq, memo, 1, k * span[1]) for k in range(levels[0])])
     return builder.build(n, m)
 
 

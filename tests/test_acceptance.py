@@ -41,7 +41,9 @@ from mpsynth import (
     type_vector_latency,
     uniform_tree_from_type_vector,
     validate,
+    wire_structure,
 )
+from mpsynth import structure
 from mpsynth.drt import tree_latency
 from mpsynth.oracles import (
     EnumerationBudget,
@@ -403,34 +405,83 @@ MUTATION_KINDS = [
 ]
 
 
+def _c7_pool() -> list[Dag]:
+    cm = CostModel.from_factors(3, [1, 2], [1, 1])
+    from mpsynth import synthesize_star
+
+    pool = [synthesize_star(n, cm).structure for n in (5, 6, 7)]
+    pool.append(synthesize_min_latency(7, cm).structure)
+    pool.append(synthesize_min_latency(8, cm).structure)
+    return pool
+
+
+def _c7_mutants(pool: list[Dag]):
+    """The suite's 100 mutants: (kind, seed, mutated, expected failing check)."""
+    ran = 0
+    seed = 0
+    while ran < 100:
+        rng = random.Random(seed)
+        kind = MUTATION_KINDS[seed % len(MUTATION_KINDS)]
+        base = pool[seed % len(pool)]
+        seed += 1
+        outcome = _mutate(base, kind, rng)
+        if outcome is None:
+            continue
+        yield (kind, seed, *outcome)
+        ran += 1
+
+
 def test_c7_validator_mutation_suite():
     with criterion("7 validator flags 100 mutations with witnesses"):
-        cm = CostModel.from_factors(3, [1, 2], [1, 1])
-        from mpsynth import synthesize_star
-
-        pool = [synthesize_star(n, cm).structure for n in (5, 6, 7)]
-        pool.append(synthesize_min_latency(7, cm).structure)
-        pool.append(synthesize_min_latency(8, cm).structure)
+        pool = _c7_pool()
         for dag in pool:
             assert validate(dag).ok
 
         ran = 0
-        seed = 0
-        while ran < 100:
-            rng = random.Random(seed)
-            kind = MUTATION_KINDS[seed % len(MUTATION_KINDS)]
-            base = pool[seed % len(pool)]
-            seed += 1
-            outcome = _mutate(base, kind, rng)
-            if outcome is None:
-                continue
-            mutated, expected = outcome
+        for kind, seed, mutated, expected in _c7_mutants(pool):
             report = validate(mutated)
             assert not report.ok, (kind, seed)
             assert expected in report.failed(), (kind, seed, report.failed())
             assert report.check(expected).witness, (kind, seed)
             ran += 1
         assert ran == 100
+
+
+def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
+    pool = _c7_pool()
+    mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
+    tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
+    cyclic = structure_from_uniform_tree(tree, consecutive_labeling(tree, 7), 7, 3)
+    references = pool + [
+        structure_from_uniform_tree(tree, ascending_labeling(tree, 7), 7, 3),
+        cyclic,
+        prune(cyclic, 6).structure,
+        wire_structure(),
+    ]
+    flagged_by_dag = []
+    for dag in references + mutants:
+        try:
+            order = structure._topological_order(dag)
+        except ValueError:
+            continue  # output trees are not evaluated on a cyclic graph
+        outputs = {lbl[1]: v for v, lbl in enumerate(dag.labels) if lbl and lbl[0] == "y"}
+        parents = dag.parent_map()
+        walked = {
+            j for j, y in outputs.items() if structure._output_tree_failures(dag, parents, j, y)
+        }
+        flagged = structure._tree_pass(dag, order, outputs)
+        if flagged is None:  # the sources are not exactly x_1..x_n
+            assert not validate(dag).check("inputs").passed
+        else:
+            assert flagged == walked
+        flagged_by_dag.append(flagged)
+    assert flagged_by_dag[: len(references)] == [set()] * len(references)
+    assert sum(1 for flagged in flagged_by_dag if flagged) >= 20
+
+    # with the pass off, every output is walked: the reports do not change
+    reports = [validate(dag).to_json_dict() for dag in mutants]
+    monkeypatch.setattr(structure, "_tree_pass", lambda dag, order, outputs: None)
+    assert [validate(dag).to_json_dict() for dag in mutants] == reports
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from mpsynth import (
     CostModel,
+    DagBuilder,
     balanced_edge_split,
     complexity,
     degree_vector_of,
@@ -117,6 +118,56 @@ def test_star_complexity_examples(cm_unit, cm_steep):
     assert star_complexity((1, 2), cm_steep) == 3 + 16
     with pytest.raises(ValueError):
         star_complexity((0, 0), cm_unit)
+
+
+def _per_output_build(tree):
+    """Reference builder: every output's full tree, deduplicated only by
+    the builder's hash-consing."""
+    builder = DagBuilder()
+
+    def emit(v: int, parent: int) -> int:
+        if tree.labels[v] is not None:
+            return builder.input(tree.labels[v])
+        return builder.op(emit(u, v) for u in tree.adj[v] if u != parent)
+
+    for leaf in tree.leaves():
+        (neighbor,) = tree.adj[leaf]
+        operands = [emit(u, neighbor) for u in tree.adj[neighbor] if u != leaf]
+        builder.output(tree.labels[leaf], operands)
+    return builder.build(tree.n, tree.m)
+
+
+def _degree_vectors(n: int) -> list[tuple[int, ...]]:
+    """A few degree vectors per m = 2..4 realizing ``n``, mixed classes included."""
+    k = n - 2
+    return sorted(
+        {(k,), (k % 2, k // 2), (k - 2 * (k // 4), k // 4), (k % 3 % 2, k % 3 // 2, k // 3)}
+    )
+
+
+def test_memoized_build_matches_per_output_build():
+    for n in [*range(3, 30), *range(30, 120, 11)]:
+        for q in _degree_vectors(n):
+            for policy in ("chain", "bushy"):
+                tree = star_tree_from_degree_vector(q, policy=policy)
+                got, want = structure_from_star_tree(tree), _per_output_build(tree)
+                assert (got.labels, got.children) == (want.labels, want.children), (q, policy)
+
+
+def test_build_calls_op_once_per_node(monkeypatch):
+    calls = []
+    op = DagBuilder.op
+    monkeypatch.setattr(DagBuilder, "op", lambda self, kids: calls.append(1) or op(self, kids))
+    dag = structure_from_star_tree(star_tree_from_degree_vector((1998, 0)))
+    assert len(calls) == sum(1 for lbl in dag.labels if lbl is None)
+
+
+def test_chain_at_n5000_builds_without_recursion(cm_frac):
+    q = (4998, 0)
+    tree = star_tree_from_degree_vector(q)
+    dag = structure_from_star_tree(tree)
+    assert dag.node_count - tree.n == sum((i + 3) * qi for i, qi in enumerate(q))
+    assert latency(dag, cm_frac) == star_tree_latency(tree, cm_frac)
 
 
 # ---------------------------------------------------------------------------

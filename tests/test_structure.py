@@ -395,6 +395,31 @@ def test_prune_bytes_are_pinned(shared7_cyclic):
             assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, (dag.n, n)
 
 
+# sha256 of dumps and to_dot, recorded with the per-output builders
+# (every output's tree emitted in full, deduplicated by hash-consing)
+ARTIFACT_GOLDEN = {
+    "star": (
+        "7adc045c005590046d4cf765a09f63b8e4e3af049926d87ed35f26a77874206e",
+        "d6fb4ba88752c51c3f0495050f78d13d65d3f424f3490f231b80965f93e731be",
+    ),
+    "isom": (
+        "ff3c1008a99cd85930e3e51a3553e550a7e4bdd82df8aaf80b8f744b45e54c72",
+        "2b68e9d47fa0806be5a934dc0a2a00d4680d8dcd66677346e7ba74a64c8faca5",
+    ),
+}
+
+
+def test_synthesized_artifact_bytes_are_pinned(cm_steep):
+    built = {
+        "star": synthesize_star(150, cm_steep).structure,
+        "isom": synthesize_min_latency(200, cm_steep).structure,
+    }
+    for mode, (json_digest, dot_digest) in ARTIFACT_GOLDEN.items():
+        dag = built[mode]
+        assert hashlib.sha256(dumps(dag).encode("ascii")).hexdigest() == json_digest, mode
+        assert hashlib.sha256(to_dot(dag).encode("ascii")).hexdigest() == dot_digest, mode
+
+
 def test_prune_rejects_bad_targets(shared7_cyclic):
     with pytest.raises(ValueError):
         prune(shared7_cyclic, 1)

@@ -7,6 +7,8 @@ import pytest
 
 from mpsynth import (
     CostModel,
+    DagBuilder,
+    ascending_labeling,
     complexity,
     consecutive_labeling,
     latency,
@@ -121,6 +123,55 @@ def test_every_feasible_shape_and_order_validates(cm_unit):
                 assert latency(dag, cm) == type_vector_latency(w, cm)
                 formula = sum(n * wi * cm.c[i + 2] for i, wi in enumerate(w))
                 assert complexity(dag, cm) == formula
+
+
+def _per_copy_build(tree, labelings, n, m):
+    """Reference builder: every output's full tree, deduplicated only by
+    the builder's hash-consing."""
+    builder = DagBuilder()
+    for j, seq in enumerate(labelings, start=1):
+        it = iter(seq)
+
+        def emit(depth: int) -> int:
+            if depth == tree.height:
+                return builder.input(next(it))
+            return builder.op([emit(depth + 1) for _ in range(tree.levels[depth])])
+
+        builder.output(j, [emit(1) for _ in range(tree.levels[0])] if tree.levels else [emit(0)])
+    return builder.build(n, m)
+
+
+def test_memoized_build_matches_per_copy_build():
+    for m in (2, 3, 4):
+        for n in range(2, 201):
+            for w in enumerate_type_vectors(n, m):
+                orders = set(
+                    itertools.permutations([i + 2 for i, wi in enumerate(w) for _ in range(wi)])
+                )
+                # every level order and both labelings at small n; above,
+                # the default order with the memoized (cyclic) labeling
+                small = n <= 40
+                labels = [consecutive_labeling]
+                if small:
+                    labels.append(ascending_labeling)
+                for order in sorted(orders) if small else [max(orders)]:
+                    tree = uniform_tree_from_type_vector(w, level_order=order)
+                    for label in labels:
+                        labelings = label(tree, n)
+                        got = structure_from_uniform_tree(tree, labelings, n, m)
+                        want = _per_copy_build(tree, labelings, n, m)
+                        assert (got.labels, got.children) == (want.labels, want.children), (
+                            m, order, label.__name__,
+                        )
+
+
+def test_cyclic_build_calls_op_once_per_node(monkeypatch):
+    calls = []
+    op = DagBuilder.op
+    monkeypatch.setattr(DagBuilder, "op", lambda self, kids: calls.append(1) or op(self, kids))
+    tree = uniform_tree_from_type_vector((10,))
+    dag = structure_from_uniform_tree(tree, consecutive_labeling(tree, 1025), 1025, 2)
+    assert len(calls) == sum(1 for lbl in dag.labels if lbl is None) == 1025 * 9
 
 
 def test_labeling_must_be_bijective():
