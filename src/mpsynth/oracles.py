@@ -652,7 +652,7 @@ def verify_report(
     # 3. forest table spot checks against census-filtered tree enumeration
     if n >= 3:
         q0 = optimal_degree_vectors(table, all_optima=True)[0]
-        ftable = forest_latency_table(q0, cm)
+        ftable = forest_latency_table([q0], cm)
         spots = 0
         for u in vectors_below(q0):
             if sum(u) == 0 or spots >= 6:

@@ -8,13 +8,20 @@ Three exact dynamic programs, each with witness reconstruction:
   ``i`` buys ``i`` extra leaves for ``(i+2) * c[i+1]``).
 * :func:`forest_latency_table` - the least achievable worst-tree
   latency over forests of ``t`` disjoint rooted trees whose combined
-  fan-in census is ``u``, tabulated for all sub-censuses.
+  fan-in census is ``u``, tabulated for every census below one of a
+  set of degree vectors: the union of their boxes, so
+  :func:`synthesize_star` fills one table for all its optimal vectors.
+  Runtime is O(m * sum over filled censuses u of prod (u_i + 1)).
 * :func:`min_star_latency` - the least tree latency among star trees
   with a given degree vector, by scanning balanced two-sided splits
   whose side latencies come from the forest table.
 
-Every value is an exact rational; ties are broken toward the
-lexicographically smallest choice so results are reproducible.
+Every value is an exact rational at the API.  Inside, the forest table
+and the split scan run on ints: latencies scaled by the LCM of the
+denominators of ``l[2..m]``, converted back to ``Fraction`` only by
+:meth:`ForestLatencyTable.value` and in :class:`StarLatencyResult`.
+Ties are broken toward the lexicographically smallest choice so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .costs import CostModel
 from .drt import LEAF, Rooted, rooted
@@ -131,83 +139,159 @@ def optimal_degree_vectors(table: ComplexityTable, all_optima: bool = False) -> 
 # forest latency table
 
 
+def _census_box(u: Sequence[int], strides: Sequence[int]) -> list[int]:
+    """Flat indices of every census ``<= u``, ascending (= lexicographic)."""
+    box = [0]
+    for a, s in zip(u, strides):
+        if a:
+            box = [b + j for b in box for j in range(0, (a + 1) * s, s)]
+    return box
+
+
 @dataclass(frozen=True)
 class ForestLatencyTable:
     """``value(u, t)``: least achievable maximum latency over forests of
     ``t`` disjoint rooted trees (bare leaves allowed) whose combined
     fan-in census is ``u`` (entry ``i`` counts fan-in ``i+2`` nodes,
-    0-based).  Filled for every ``u <= qmax`` and ``t`` in 1..m."""
+    0-based).  Filled for every ``u`` below one of the censuses the
+    table was built for, and ``t`` in 1..m.
 
-    qmax: Vec
+    A census is stored under one mixed-radix int, first component most
+    significant, with digit ``k`` in ``0..radix[k]``; cell ``(u, t)``
+    sits at ``(t - 1) * size + index(u)``.  Cells hold latencies scaled
+    by ``scale`` (the LCM of the denominators of ``l[2..m]``) as ints;
+    ``lat[k]`` is ``l[k]`` so scaled.  ``choices`` holds the witness of a
+    cell: the root's fan-in class ``i`` (0-based) when ``t == 1``, the
+    first tree's census index when ``t > 1``.  ``ops`` counts the split
+    candidates scanned (first-tree censuses over all cells with
+    ``t > 1``)."""
+
     m: int
-    values: dict[tuple[Vec, int], Fraction]
-    choices: dict[tuple[Vec, int], tuple]
+    radix: Vec
+    strides: Vec
+    size: int
+    scale: int
+    lat: tuple[int, ...]
+    values: dict[int, int]
+    choices: dict[int, int]
+    ops: int
 
-    def value(self, u: Vec, t: int) -> Fraction:
-        return self.values[(u, t)]
+    def index(self, u: Sequence[int]) -> int:
+        if len(u) != self.m - 1 or not all(0 <= a <= r for a, r in zip(u, self.radix)):
+            raise KeyError(tuple(u))
+        return sum(a * s for a, s in zip(u, self.strides))
+
+    def value(self, u: Sequence[int], t: int) -> Fraction:
+        return Fraction(self.values[(t - 1) * self.size + self.index(u)], self.scale)
+
+    def _forest(self, index: int, t: int) -> list[int]:
+        """Census indices of the ``t`` trees of the witness of cell
+        ``(index, t)``, in the order their splits were chosen."""
+        out = []
+        while t > 1 and index:
+            first = self.choices[(t - 1) * self.size + index]
+            out.append(first)
+            index -= first
+            t -= 1
+        # what is left is one tree (t == 1) or t bare leaves (index 0)
+        out.extend([index] * t)
+        return out
+
+    def _trees(self, roots: list[int]) -> dict[int, Rooted]:
+        """The witness tree of every census index reachable from
+        ``roots``, built bottom-up: a child's census index is always
+        smaller than its parent's, so no recursion is needed."""
+        children: dict[int, list[int]] = {}
+        stack = list(roots)
+        while stack:
+            index = stack.pop()
+            if index and index not in children:
+                i = self.choices[index]
+                children[index] = self._forest(index - self.strides[i], i + 2)
+                stack.extend(children[index])
+        trees: dict[int, Rooted] = {0: LEAF}
+        for index in sorted(children):
+            trees[index] = rooted(trees[c] for c in children[index])
+        return trees
 
     def rebuild_tree(self, u: Vec) -> Rooted:
         """A rooted tree realizing ``value(u, 1)``."""
-        if sum(u) == 0:
-            return LEAF
-        kind, i = self.choices[(u, 1)]
-        assert kind == "root"
-        return rooted(self.rebuild_forest(_minus_e(u, i), i + 2))
+        index = self.index(u)
+        return self._trees([index])[index]
 
     def rebuild_forest(self, u: Vec, t: int) -> list[Rooted]:
         """A forest of ``t`` trees realizing ``value(u, t)``."""
-        if sum(u) == 0:
-            return [LEAF] * t
-        if t == 1:
-            return [self.rebuild_tree(u)]
-        kind, first = self.choices[(u, t)]
-        assert kind == "split"
-        return [self.rebuild_tree(first)] + self.rebuild_forest(_sub(u, first), t - 1)
+        forest = self._forest(self.index(u), t)
+        trees = self._trees(forest)
+        return [trees[index] for index in forest]
 
 
-def forest_latency_table(qmax: Sequence[int], cm: CostModel) -> ForestLatencyTable:
-    """Fill the forest-latency DP.
+def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> ForestLatencyTable:
+    """Fill the forest-latency DP for every census below one of ``tops``.
 
-    Census vectors are visited in non-decreasing total count so every
-    lookup hits an already-filled entry: a single tree (t = 1) chooses
-    its root fan-in ``i+2`` and recurses on the child forest; a larger
-    forest (t > 1) splits off the census of its first tree.  Runtime is
-    O(m * prod (q_i + 1)(q_i + 2) / 2).
+    The cells filled are the union of the tops' boxes, not the box of
+    their componentwise maximum, which can be many times larger.
+    Censuses are visited in index order, so every lookup hits a filled
+    cell (each lies componentwise below the census being filled).  A
+    single tree (t = 1) chooses its root fan-in ``i+2`` and recurses on
+    the child forest; a larger forest (t > 1) splits off the census of
+    its first tree, the lexicographically smallest on ties.  All values
+    are ints scaled by the LCM of the denominators of ``l[2..m]``, so
+    the DP runs on exact integer arithmetic.  Runtime is
+    O(m * sum over filled censuses u of prod (u_i + 1)), the split scan
+    running inside ``map``/``max``/``min``.
     """
-    qmax = tuple(qmax)
     m = cm.m
-    if len(qmax) != m - 1:
-        raise ValueError(f"census length {len(qmax)} != m - 1 = {m - 1}")
-    values: dict[tuple[Vec, int], Fraction] = {}
-    choices: dict[tuple[Vec, int], tuple] = {}
-    zero = _zero(m)
-    for t in range(1, m + 1):
-        values[(zero, t)] = Fraction(0)
-    for u in sorted(vectors_below(qmax), key=lambda v: (sum(v), v)):
-        if sum(u) == 0:
-            continue
-        for t in range(1, m + 1):
-            if t == 1:
-                best: Fraction | None = None
-                pick: tuple | None = None
-                for i in range(m - 1):
-                    if u[i] == 0:
-                        continue
-                    cand = values[(_minus_e(u, i), i + 2)] + cm.l[i + 2]
-                    if best is None or cand < best:
-                        best, pick = cand, ("root", i)
-                values[(u, 1)] = best
-                choices[(u, 1)] = pick
-            else:
-                best = None
-                pick = None
-                for first in vectors_below(u):
-                    cand = max(values[(first, 1)], values[(_sub(u, first), t - 1)])
-                    if best is None or cand < best:
-                        best, pick = cand, ("split", first)
-                values[(u, t)] = best
-                choices[(u, t)] = pick
-    return ForestLatencyTable(qmax=qmax, m=m, values=values, choices=choices)
+    tops = [tuple(q) for q in tops]
+    if not tops:
+        raise ValueError("no census to tabulate")
+    for q in tops:
+        if len(q) != m - 1:
+            raise ValueError(f"census length {len(q)} != m - 1 = {m - 1}")
+    radix = tuple(map(max, zip(*tops)))
+    strides = [1] * (m - 1)
+    for k in range(m - 3, -1, -1):
+        strides[k] = strides[k + 1] * (radix[k + 1] + 1)
+    size = strides[0] * (radix[0] + 1)
+    scale = lcm(*(x.denominator for x in cm.l[2:]))
+    lat = tuple(x.numerator * (scale // x.denominator) for x in cm.l)
+
+    values: dict[int, int] = {(t - 1) * size: 0 for t in range(1, m + 1)}
+    choices: dict[int, int] = {}
+    ops = 0
+    censuses = sorted(set().union(*(vectors_below(q) for q in tops)))
+    for u in censuses[1:]:  # censuses[0] is the empty census
+        iu = sum(a * s for a, s in zip(u, strides))
+        best: int | None = None
+        for i, (a, s) in enumerate(zip(u, strides)):
+            if a:
+                cand = values[(i + 1) * size + iu - s] + lat[i + 2]
+                if best is None or cand < best:
+                    best, pick = cand, i
+        values[iu] = best
+        choices[iu] = pick
+        # the first tree's census runs over the box below u, and the
+        # rest of the forest over the same box reversed
+        box = _census_box(u, strides)
+        ones = list(map(values.__getitem__, box))
+        for t in range(2, m + 1):
+            rest = map(values.__getitem__, map(((t - 2) * size).__add__, reversed(box)))
+            cands = list(map(max, ones, rest))
+            best = min(cands)
+            values[(t - 1) * size + iu] = best
+            choices[(t - 1) * size + iu] = box[cands.index(best)]
+        ops += (m - 1) * len(box)
+    return ForestLatencyTable(
+        m=m,
+        radix=radix,
+        strides=tuple(strides),
+        size=size,
+        scale=scale,
+        lat=lat,
+        values=values,
+        choices=choices,
+        ops=ops,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +310,28 @@ def _star_tree_from_halves(heavy_forest: list[Rooted], light: Rooted, m: int) ->
     edge between their roots, then label the leaves 1..n in walk order."""
     adj: list[list[int]] = []
 
-    def new_node() -> int:
+    def new_node(parent: int | None = None) -> int:
         adj.append([])
-        return len(adj) - 1
+        node = len(adj) - 1
+        if parent is not None:
+            adj[node].append(parent)
+            adj[parent].append(node)
+        return node
 
-    def connect(a: int, b: int) -> None:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    def attach(tree: Rooted, parent: int) -> None:
-        node = new_node()
-        connect(node, parent)
-        for child in tree:
-            attach(child, node)
+    def attach(trees: Sequence[Rooted], parent: int) -> None:
+        """Hang ``trees`` below ``parent``, numbering nodes in pre-order."""
+        stack = [(tree, parent) for tree in reversed(trees)]
+        while stack:
+            tree, above = stack.pop()
+            node = new_node(above)
+            stack.extend((child, node) for child in reversed(tree))
 
     heavy_root = new_node()
-    for tree in heavy_forest:
-        attach(tree, heavy_root)
+    attach(heavy_forest, heavy_root)
     if light == LEAF:
-        leaf = new_node()
-        connect(heavy_root, leaf)
+        new_node(heavy_root)
     else:
-        light_root = new_node()
-        connect(heavy_root, light_root)
-        for child in light:
-            attach(child, light_root)
+        attach(light, new_node(heavy_root))
 
     labels: list[Optional[int]] = [None] * len(adj)
     next_label = 1
@@ -266,7 +347,32 @@ def _star_tree_from_halves(heavy_forest: list[Rooted], light: Rooted, m: int) ->
     )
 
 
-def min_star_latency(q: Sequence[int], cm: CostModel) -> StarLatencyResult:
+def _best_split(q: Vec, table: ForestLatencyTable) -> tuple[int, tuple[Vec, int]]:
+    """The least scaled tree latency over balanced splits of ``q``, and
+    the first split (heavy census, 1-based root class) achieving it."""
+    values, strides, size, lat = table.values, table.strides, table.size, table.lat
+    iq = table.index(q)
+    best: int | None = None
+    best_split: tuple[Vec, int] | None = None
+    for u, iu in zip(vectors_below(q), _census_box(q, strides)):
+        light = values[iq - iu]
+        for i, a in enumerate(u):
+            if a == 0:
+                continue
+            heavy_children = values[(i + 1) * size + iu - strides[i]]
+            if not (heavy_children <= light <= heavy_children + lat[i + 2]):
+                continue
+            cand = heavy_children + lat[i + 2] + light
+            if best is None or cand < best:
+                best, best_split = cand, (u, i + 1)
+    if best is None:
+        raise RuntimeError(f"no balanced split found for degree vector {q}")
+    return best, best_split
+
+
+def min_star_latency(
+    q: Sequence[int], cm: CostModel, table: ForestLatencyTable | None = None
+) -> StarLatencyResult:
     """Least tree latency among star trees with degree vector ``q``.
 
     Every star tree splits at some edge into a heavy side (a rooted
@@ -279,33 +385,25 @@ def min_star_latency(q: Sequence[int], cm: CostModel) -> StarLatencyResult:
     ``heavy >= light``: requiring strict dominance is unsatisfiable
     whenever the optimal tree halves evenly (equal-latency sides), so
     the strict variant would wrongly report such vectors infeasible.
+
+    ``table`` must cover ``q`` and come from ``cm``; without one, a
+    table over ``q`` alone is built.  The scan compares the table's
+    scaled ints.
     """
     q = tuple(q)
     if len(q) != cm.m - 1:
         raise ValueError(f"degree vector length {len(q)} != m - 1 = {cm.m - 1}")
     if sum(q) == 0:
         raise ValueError("degree vector has no internal nodes (n = 2 has no star tree)")
-    table = forest_latency_table(q, cm)
-    best: Fraction | None = None
-    best_split: tuple[Vec, int] | None = None
-    for u in vectors_below(q):
-        for i in range(cm.m - 1):
-            if u[i] == 0:
-                continue
-            heavy_children = table.value(_minus_e(u, i), i + 2)
-            light = table.value(_sub(q, u), 1)
-            if not (heavy_children <= light <= heavy_children + cm.l[i + 2]):
-                continue
-            cand = heavy_children + cm.l[i + 2] + light
-            if best is None or cand < best:
-                best, best_split = cand, (u, i + 1)
-    if best is None:
-        raise RuntimeError(f"no balanced split found for degree vector {q}")
-    u, root_class = best_split
+    if table is None:
+        table = forest_latency_table([q], cm)
+    best, (u, root_class) = _best_split(q, table)
     forest = table.rebuild_forest(_minus_e(u, root_class - 1), root_class + 1)
     light_tree = table.rebuild_tree(_sub(q, u))
     tree = _star_tree_from_halves(forest, light_tree, cm.m)
-    return StarLatencyResult(value=best, split=best_split, tree=tree)
+    return StarLatencyResult(
+        value=Fraction(best, table.scale), split=(u, root_class), tree=tree
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +422,27 @@ class StarSynthesis:
 
 def synthesize_star(n: int, cm: CostModel, all_optima: bool = True) -> StarSynthesis:
     """Complexity-optimal structure, then the lowest-latency one among
-    those: backtrack every optimal degree vector, rate each by
-    :func:`min_star_latency`, keep the best (ties to the smaller
-    vector), and realize it."""
+    those: backtrack every optimal degree vector, rate each from one
+    forest table over all of them, keep the best (ties to the smaller
+    vector), and realize it by :func:`min_star_latency`."""
     if n < 3:
         raise ValueError(f"star synthesis needs n >= 3, got {n}")
     table = min_star_complexity(n, cm)
     candidates = optimal_degree_vectors(table, all_optima=all_optima)
-    best: StarLatencyResult | None = None
+    forest = forest_latency_table(candidates, cm)
+    best: int | None = None
     best_q: Vec | None = None
     for q in candidates:
-        result = min_star_latency(q, cm)
-        if best is None or result.value < best.value:
-            best, best_q = result, q
-    structure = structure_from_star_tree(best.tree)
+        value, _ = _best_split(q, forest)
+        if best is None or value < best:
+            best, best_q = value, q
+    result = min_star_latency(best_q, cm, forest)
+    structure = structure_from_star_tree(result.tree)
     return StarSynthesis(
         complexity=table.value(),
-        latency=best.value,
+        latency=result.value,
         q=best_q,
         all_q=tuple(candidates),
-        tree=best.tree,
+        tree=result.tree,
         structure=structure,
     )

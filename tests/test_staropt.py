@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,12 +20,13 @@ from mpsynth import (
     synthesize_star,
     validate,
 )
-from mpsynth.drt import degree_vector, tree_latency
+from mpsynth.drt import LEAF, degree_vector, rooted, tree_latency
 from mpsynth.oracles import (
     enumerate_degree_vectors,
     enumerate_star_trees,
     oracle_star_tree_latency,
 )
+from mpsynth.staropt import _star_tree_from_halves, vectors_below
 
 
 def random_monotone_model(m: int, rng: random.Random) -> CostModel:
@@ -105,30 +107,214 @@ def test_ops_grow_linearly(cm_unit):
 
 
 def test_empty_forest_is_instant(cm_unit):
-    table = forest_latency_table((2, 1), cm_unit)
+    table = forest_latency_table([(2, 1)], cm_unit)
     for t in range(1, cm_unit.m + 1):
         assert table.value((0, 0), t) == 0
 
 
 def test_single_node_tree(cm_unit):
-    table = forest_latency_table((1, 0), cm_unit)
+    table = forest_latency_table([(1, 0)], cm_unit)
     assert table.value((1, 0), 1) == 1
 
 
 def test_two_node_chain(cm_unit):
-    table = forest_latency_table((2, 0), cm_unit)
+    table = forest_latency_table([(2, 0)], cm_unit)
     assert table.value((2, 0), 1) == 2  # both 2-input nodes stack
 
 
 def test_rebuilt_witness_matches_table(cm_frac):
     qmax = (2, 2)
-    table = forest_latency_table(qmax, cm_frac)
-    from mpsynth.staropt import vectors_below
-
+    table = forest_latency_table([qmax], cm_frac)
     for u in vectors_below(qmax):
         tree = table.rebuild_tree(u)
         assert degree_vector(tree, cm_frac.m) == u
         assert tree_latency(tree, cm_frac) == table.value(u, 1)
+
+
+# The forest DP as it was before the scaled-integer table: Fractions in
+# dicts keyed by (census tuple, t), filled over the box of one census in
+# (total, lexicographic) order.  Kept only as the reference below.
+
+
+def _minus_e(u, i):
+    return tuple(a - 1 if k == i else a for k, a in enumerate(u))
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def reference_forest_table(qmax, cm):
+    m = cm.m
+    values, choices = {}, {}
+    zero = (0,) * (m - 1)
+    for t in range(1, m + 1):
+        values[(zero, t)] = Fraction(0)
+    for u in sorted(vectors_below(qmax), key=lambda v: (sum(v), v)):
+        if sum(u) == 0:
+            continue
+        for t in range(1, m + 1):
+            best = pick = None
+            if t == 1:
+                for i in range(m - 1):
+                    if u[i] == 0:
+                        continue
+                    cand = values[(_minus_e(u, i), i + 2)] + cm.l[i + 2]
+                    if best is None or cand < best:
+                        best, pick = cand, ("root", i)
+            else:
+                for first in vectors_below(u):
+                    cand = max(values[(first, 1)], values[(_sub(u, first), t - 1)])
+                    if best is None or cand < best:
+                        best, pick = cand, ("split", first)
+            values[(u, t)] = best
+            choices[(u, t)] = pick
+    return values, choices
+
+
+def reference_rebuild_tree(choices, u):
+    if sum(u) == 0:
+        return LEAF
+    _, i = choices[(u, 1)]
+    return rooted(reference_rebuild_forest(choices, _minus_e(u, i), i + 2))
+
+
+def reference_rebuild_forest(choices, u, t):
+    if sum(u) == 0:
+        return [LEAF] * t
+    if t == 1:
+        return [reference_rebuild_tree(choices, u)]
+    _, first = choices[(u, t)]
+    return [reference_rebuild_tree(choices, first)] + reference_rebuild_forest(
+        choices, _sub(u, first), t - 1
+    )
+
+
+def reference_min_star_latency(q, cm):
+    values, choices = reference_forest_table(q, cm)
+    best = split = None
+    for u in vectors_below(q):
+        for i in range(cm.m - 1):
+            if u[i] == 0:
+                continue
+            heavy = values[(_minus_e(u, i), i + 2)]
+            light = values[(_sub(q, u), 1)]
+            if heavy <= light <= heavy + cm.l[i + 2]:
+                cand = heavy + cm.l[i + 2] + light
+                if best is None or cand < best:
+                    best, split = cand, (u, i + 1)
+    u, root_class = split
+    forest = reference_rebuild_forest(choices, _minus_e(u, root_class - 1), root_class + 1)
+    light_tree = reference_rebuild_tree(choices, _sub(q, u))
+    return best, split, _star_tree_from_halves(forest, light_tree, cm.m)
+
+
+def cross_check_models(m):
+    """l[2] = 0, all l equal, and l with coprime denominators."""
+    return [
+        CostModel.from_factors(m, [1] * (m - 1), [0, 1, 1, 2][: m - 1]),
+        CostModel.from_factors(m, [1] * (m - 1), [1] * (m - 1)),
+        CostModel.from_factors(
+            m, [1] * (m - 1), [Fraction(3, 2), Fraction(9, 5), Fraction(15, 7), 3][: m - 1]
+        ),
+    ]
+
+
+def census(table, index):
+    """The census stored under a flat index of ``table``."""
+    digits = []
+    for s in table.strides:
+        a, index = divmod(index, s)
+        digits.append(a)
+    return tuple(digits)
+
+
+def assert_cells_match_reference(table, q, cm):
+    """Equal values, root classes, splits and rebuilt witnesses for
+    every cell below ``q``."""
+    values, choices = reference_forest_table(q, cm)
+    for (u, t), value in values.items():
+        assert table.value(u, t) == value, (q, u, t)
+        assert table.rebuild_forest(u, t) == reference_rebuild_forest(choices, u, t), (q, u, t)
+        if sum(u) == 0:
+            continue
+        kind, pick = choices[(u, t)]
+        chosen = table.choices[(t - 1) * table.size + table.index(u)]
+        if kind == "root":
+            assert chosen == pick, (q, u, t)
+        else:
+            assert census(table, chosen) == pick, (q, u, t)
+
+
+# every q with sum(q) up to the bound, per m
+CROSS_CHECK_SUMS = {2: 12, 3: 7, 4: 5, 5: 4}
+
+
+@pytest.mark.parametrize("m", sorted(CROSS_CHECK_SUMS))
+def test_integer_table_matches_fraction_reference(m):
+    for cm in cross_check_models(m):
+        for q in product(range(CROSS_CHECK_SUMS[m] + 1), repeat=m - 1):
+            if not 0 < sum(q) <= CROSS_CHECK_SUMS[m]:
+                continue
+            table = forest_latency_table([q], cm)
+            assert_cells_match_reference(table, q, cm)
+            assert len(table.values) == m * len(list(vectors_below(q)))
+            value, split, tree = reference_min_star_latency(q, cm)
+            result = min_star_latency(q, cm, table)
+            assert (result.value, result.split, result.tree) == (value, split, tree), (q, cm.l)
+
+
+def test_shared_table_matches_reference_in_any_order():
+    cm = CostModel.from_factors(
+        4, [1, Fraction(3, 2), 2], [Fraction(3, 2), Fraction(9, 5), Fraction(15, 7)]
+    )
+    tops = optimal_degree_vectors(min_star_complexity(13, cm), all_optima=True)
+    assert len(tops) > 2
+    shared = forest_latency_table(tops, cm)
+    backward = forest_latency_table(tops[::-1], cm)
+    assert shared.values == backward.values
+    assert shared.choices == backward.choices
+    for q in tops:
+        assert_cells_match_reference(shared, q, cm)
+        value, split, tree = reference_min_star_latency(q, cm)
+        result = min_star_latency(q, cm, shared)
+        assert (result.value, result.split, result.tree) == (value, split, tree), q
+
+
+def test_table_values_are_exact_fractions():
+    cm = CostModel.from_factors(3, [1, 1], [Fraction(3, 2), Fraction(9, 5)])
+    table = forest_latency_table([(3, 2)], cm)
+    assert table.scale == 10
+    assert all(isinstance(v, int) for v in table.values.values())
+    assert isinstance(table.value((3, 2), 2), Fraction)
+    result = min_star_latency((3, 2), cm, table)
+    assert isinstance(result.value, Fraction)
+    assert result.value == reference_min_star_latency((3, 2), cm)[0]
+
+
+def test_shared_table_scans_fewer_candidates():
+    cm = CostModel.from_factors(
+        6,
+        [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)],
+        [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)],
+    )
+    tops = optimal_degree_vectors(min_star_complexity(16, cm), all_optima=True)
+    shared = forest_latency_table(tops, cm)
+    per_vector = [forest_latency_table([q], cm) for q in tops]
+    assert shared.ops < sum(t.ops for t in per_vector)
+    assert len(shared.values) < sum(len(t.values) for t in per_vector)
+
+
+def test_deep_witness_rebuilds_without_recursion():
+    # l[2] = 0 ties every split, so the witness is a chain as deep as n
+    cm = CostModel.from_factors(2, [1], [0])
+    syn = synthesize_star(400, cm)
+    assert syn.latency == 0 and validate(syn.structure).ok
+    # optimal_degree_vectors still recurses once per size when it lists
+    # every optimum; m = 2 has one, which the single-witness backtrack finds
+    syn = synthesize_star(1000, cm, all_optima=False)
+    assert syn.latency == 0
+    assert validate(syn.structure).ok
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +375,6 @@ def test_even_halves_vector():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_dp_matches_enumeration_everywhere(m):
-    from itertools import product
-
     from mpsynth.oracles import EnumerationBudget
 
     budget = EnumerationBudget(max_star_leaves=14)
@@ -212,7 +396,7 @@ def test_dp_matches_enumeration_everywhere(m):
 def test_accepted_split_satisfies_balance_conditions(cm_frac):
     q = (3, 1)
     result = min_star_latency(q, cm_frac)
-    table = forest_latency_table(q, cm_frac)
+    table = forest_latency_table([q], cm_frac)
     u, root_class = result.split
     heavy_children = table.value(
         tuple(x - 1 if k == root_class - 1 else x for k, x in enumerate(u)), root_class + 1

@@ -420,6 +420,30 @@ def test_synthesized_artifact_bytes_are_pinned(cm_steep):
         assert hashlib.sha256(to_dot(dag).encode("ascii")).hexdigest() == dot_digest, mode
 
 
+# sha256 of dumps and to_dot, recorded with one Fraction forest table per
+# optimal degree vector; both requests have many optima and rational l
+TIES_ARTIFACT_GOLDEN = {
+    (6, 16): (
+        "0011d045588cecfa2b7eb746da8e898f812255a39e563123cec1b4d18956f1b3",
+        "5e905e715a890e85df227ea7214adcd552cf1e6e26a9f66106fa237f5f6299f8",
+    ),
+    (3, 33): (
+        "b40d9db9a2a73c8af1b82949b7f5d608a0a76623059c1f86a159d7f3ce95326c",
+        "3dc16a07f84db931b07609474adfe31a8795cd6c7250d7b9187979a6330ac684",
+    ),
+}
+
+
+def test_many_optima_star_artifact_bytes_are_pinned():
+    factors = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]
+    for (m, n), (json_digest, dot_digest) in TIES_ARTIFACT_GOLDEN.items():
+        cm = CostModel.from_factors(m, factors[: m - 1], factors[: m - 1])
+        syn = synthesize_star(n, cm)
+        assert len(syn.all_q) > 10
+        assert hashlib.sha256(dumps(syn.structure).encode("ascii")).hexdigest() == json_digest
+        assert hashlib.sha256(to_dot(syn.structure).encode("ascii")).hexdigest() == dot_digest
+
+
 def test_prune_rejects_bad_targets(shared7_cyclic):
     with pytest.raises(ValueError):
         prune(shared7_cyclic, 1)
