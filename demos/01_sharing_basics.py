@@ -8,17 +8,9 @@ smarter (cyclic) assignment of inputs to leaves drops it to 7 with the
 same two-stage latency.
 """
 
-from mpsynth import (
-    CostModel,
-    ascending_labeling,
-    complexity,
-    consecutive_labeling,
-    latency,
-    structure_from_uniform_tree,
-    to_dot,
-    uniform_tree_from_type_vector,
-    validate,
-)
+from mpsynth import CostModel, complexity, latency, to_dot, validate
+from mpsynth.oracles import ascending_labeling, structure_from_labeled_copies
+from mpsynth.uniform import structure_from_uniform_tree, uniform_tree_from_type_vector
 
 cm = CostModel.from_factors(3, c=[1, 2], l=[1, 1])
 print("cost model: 2-input unit costs 1, 3-input unit costs 2, both take 1 tick\n")
@@ -31,13 +23,13 @@ standalone_units = 7 * 2, 7 * 1
 print(f"7 standalone trees would use {standalone_units[0]} three-input "
       f"and {standalone_units[1]} two-input units\n")
 
-for name, labeling in (("ascending", ascending_labeling), ("cyclic", consecutive_labeling)):
-    dag = structure_from_uniform_tree(shape, labeling(shape, 7), 7, 3)
+cyclic = structure_from_uniform_tree(shape, 3)
+ascending = structure_from_labeled_copies(shape, ascending_labeling(7), 3)
+for name, dag in (("ascending", ascending), ("cyclic", cyclic)):
     hist = dag.degree_histogram()
     print(f"{name:9s} labeling: {hist.get(3, 0)} three-input + {hist.get(2, 0)} two-input units,"
           f" complexity {complexity(dag, cm)}, latency {latency(dag, cm)},"
           f" valid: {validate(dag).ok}")
 
 print("\nDOT of the cyclic structure:\n")
-dag = structure_from_uniform_tree(shape, consecutive_labeling(shape, 7), 7, 3)
-print(to_dot(dag))
+print(to_dot(cyclic))

@@ -9,17 +9,9 @@ small DP finds; a second DP then picks the fastest tree among the
 cheapest.
 """
 
-from mpsynth import (
-    CostModel,
-    complexity,
-    latency,
-    min_star_complexity,
-    min_star_latency,
-    optimal_degree_vectors,
-    star_complexity,
-    synthesize_star,
-    validate,
-)
+from mpsynth import CostModel, complexity, latency, synthesize_star, validate
+from mpsynth.staropt import min_star_complexity, min_star_latency, optimal_degree_vectors
+from mpsynth.startree import star_complexity
 
 for c3 in (2, 1):
     cm = CostModel.from_factors(3, c=[1, c3], l=[1, 1])

@@ -9,15 +9,9 @@ workable size n' > n and prunes the surplus inputs and outputs away
 without losing a tick.  The exact-size DP is shown for comparison.
 """
 
-from mpsynth import (
-    CostModel,
-    complexity,
-    latency,
-    min_uniform_latency,
-    prune,
-    synthesize_min_latency,
-    validate,
-)
+from mpsynth import CostModel, complexity, latency, synthesize_min_latency, validate
+from mpsynth.structure import prune
+from mpsynth.uniform import min_uniform_latency
 
 cm = CostModel.from_factors(3, c=[1, 2], l=[1, 1])
 

@@ -7,15 +7,12 @@ the report is built from, including the paired second strategies that
 guard the enumerators themselves.
 """
 
-from mpsynth import (
-    CostModel,
+from mpsynth import CostModel, verify_report
+from mpsynth.oracles import (
+    count_rooted_trees,
     enumerate_degree_vectors,
     enumerate_rooted_trees,
     enumerate_star_trees,
-    verify_report,
-)
-from mpsynth.oracles import (
-    count_rooted_trees,
     star_tree_shape_codes_via_labeled_skeletons,
 )
 

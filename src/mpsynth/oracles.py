@@ -5,9 +5,11 @@ counterpart here, runnable at desk scale: exhaustive degree/type-vector
 generation, star-tree and rooted-tree enumeration up to isomorphism
 (each with a second, independently derived generation or counting
 strategy, because a single enumerator validating itself proves
-nothing), literal path-walking latency oracles, and a bundled
-:func:`verify_report` that cross-checks every optimizer answer and is
-exposed through the command line.
+nothing), literal path-walking latency oracles, a per-copy builder of
+replicated structures under any leaf labeling
+(:func:`structure_from_labeled_copies`, the reference for the cyclic
+builder), and a bundled :func:`verify_report` that cross-checks every
+optimizer answer and is exposed through the command line.
 
 Oracle values are compared to optimizer values with exact equality;
 there are no tolerances anywhere.
@@ -38,13 +40,13 @@ from .staropt import (
     optimal_degree_vectors,
     vectors_below,
 )
-from .structure import Dag, complexity, latency
+from .structure import Dag, DagBuilder, complexity, latency
 from .uniform import (
     UniformTree,
-    consecutive_labeling,
     min_uniform_latency,
     structure_from_uniform_tree,
     synthesize_min_latency,
+    type_vector_complexity,
     type_vector_latency,
     uniform_tree_from_type_vector,
 )
@@ -169,18 +171,7 @@ def _star_tree_from_skeleton(
         for _ in range(target_degree[v] - len(adj[v])):
             full_adj.append([ids[v]])
             full_adj[ids[v]].append(len(full_adj) - 1)
-    labels: list[Optional[int]] = [None] * len(full_adj)
-    nxt = 1
-    for v in range(len(full_adj)):
-        if len(full_adj[v]) == 1:
-            labels[v] = nxt
-            nxt += 1
-    return StarTree(
-        n=nxt - 1,
-        m=m,
-        labels=tuple(labels),
-        adj=tuple(tuple(sorted(nb)) for nb in full_adj),
-    )
+    return StarTree.from_adjacency(full_adj, m)
 
 
 def enumerate_star_trees(
@@ -486,6 +477,43 @@ def oracle_structure_latency(
 # labeling search (cheapest structure over a fixed replicated shape)
 
 
+def ascending_labeling(n: int) -> list[list[int]]:
+    """Copy ``j`` reads the other inputs in ascending index order."""
+    return [[i for i in range(1, n + 1) if i != j] for j in range(1, n + 1)]
+
+
+def structure_from_labeled_copies(
+    tree: UniformTree, labelings: Sequence[Sequence[int]], m: int
+) -> Dag:
+    """Reference builder for any labeling: unite one copy of ``tree``
+    per output, every copy emitted in full and deduplicated only by the
+    builder's hash-consing.
+
+    ``labelings[j-1]`` assigns input indices to copy ``j``'s leaves in
+    left-to-right order and must be a bijection onto ``{1..n} - {j}``,
+    where ``n = len(labelings)``.  Fed the cyclic labeling, it gives the
+    same graph as :func:`mpsynth.uniform.structure_from_uniform_tree`.
+    """
+    n = len(labelings)
+    if tree.leaf_count != n - 1:
+        raise ValueError(f"tree has {tree.leaf_count} leaves, expected n - 1 = {n - 1}")
+    if max(tree.levels, default=2) > m:
+        raise ValueError("tree fan-in exceeds m")
+    builder = DagBuilder()
+    for j, seq in enumerate(labelings, start=1):
+        if sorted(seq) != [i for i in range(1, n + 1) if i != j]:
+            raise ValueError(f"labeling for copy {j} is not a bijection onto the other inputs")
+        it = iter(seq)
+
+        def emit(depth: int) -> int:
+            if depth == tree.height:
+                return builder.input(next(it))
+            return builder.op([emit(depth + 1) for _ in range(tree.levels[depth])])
+
+        builder.output(j, [emit(1) for _ in range(tree.levels[0])] if tree.levels else [emit(0)])
+    return builder.build(n, m)
+
+
 def _labeling_classes(tree: UniformTree) -> list[tuple[int, ...]]:
     """Distinct ways to pour k ordered labels into the tree's leaves, up
     to the shape's symmetries; returned as permutations of 0..k-1 in
@@ -531,7 +559,7 @@ def min_labeling_complexity(
     if tree.leaf_count != n - 1:
         raise ValueError(f"type vector {tuple(w)} is infeasible for n = {n}")
     classes = _labeling_classes(tree)
-    per_copy_labels = [[i for i in range(1, n + 1) if i != j] for j in range(1, n + 1)]
+    per_copy_labels = ascending_labeling(n)
     best: Fraction | None = None
     achievers = 0
     for combo in itertools.product(range(len(classes)), repeat=n):
@@ -539,7 +567,7 @@ def min_labeling_complexity(
             [per_copy_labels[j][classes[c][pos]] for pos in range(n - 1)]
             for j, c in enumerate(combo)
         ]
-        dag = structure_from_uniform_tree(tree, labelings, n, m)
+        dag = structure_from_labeled_copies(tree, labelings, m)
         cost = complexity(dag, cm)
         if best is None or cost < best:
             best, achievers = cost, 1
@@ -615,23 +643,26 @@ def verify_report(
 
     # 1. cheapest star complexity vs exhaustive degree vectors
     table = min_star_complexity(n, cm)
+    optima = optimal_degree_vectors(table, all_optima=True) if n > 2 else []
     vectors = enumerate_degree_vectors(n, m)
     if n == 2:
         brute = Fraction(0)
     else:
         brute = min(star_complexity(q, cm) for q in vectors if sum(q) > 0)
     witness = None
-    if n > 2:
-        for q in optimal_degree_vectors(table, all_optima=True):
-            if star_complexity(q, cm) != table.value():
-                witness = f"backtracked vector {q} does not achieve the DP value"
-                break
+    for q in optima:
+        if star_complexity(q, cm) != table.value():
+            witness = f"backtracked vector {q} does not achieve the DP value"
+            break
     record("star_complexity", {"n": n, "m": m}, table.value(), brute, witness)
 
-    # 2. star latency per optimal degree vector vs exhaustive trees
+    # 2. star latency per optimal degree vector vs exhaustive trees; one
+    # forest table over every optimal vector serves these and the spot
+    # checks of 3
     if n >= 3 and n <= budget.max_star_leaves:
-        for q in optimal_degree_vectors(table, all_optima=True):
-            result = min_star_latency(q, cm)
+        ftable = forest_latency_table(optima, cm)
+        for q in optima:
+            result = min_star_latency(q, cm, ftable)
             trees = enumerate_star_trees(q, budget)
             brute = min(oracle_star_tree_latency(t, cm) for t in trees)
             witness = None
@@ -648,13 +679,13 @@ def verify_report(
                 brute,
                 witness,
             )
+    elif n >= 3:
+        ftable = forest_latency_table([optima[0]], cm)
 
     # 3. forest table spot checks against census-filtered tree enumeration
     if n >= 3:
-        q0 = optimal_degree_vectors(table, all_optima=True)[0]
-        ftable = forest_latency_table([q0], cm)
         spots = 0
-        for u in vectors_below(q0):
+        for u in vectors_below(optima[0]):
             if sum(u) == 0 or spots >= 6:
                 continue
             leaves = 1 + sum((k + 1) * uk for k, uk in enumerate(u))
@@ -693,12 +724,9 @@ def verify_report(
     if 3 <= n <= budget.max_labeling_inputs:
         for w in type_vectors:
             best, _ = min_labeling_complexity(w, n, m, cm, budget)
-            tree = uniform_tree_from_type_vector(w)
-            built = structure_from_uniform_tree(
-                tree, consecutive_labeling(tree, n), n, m
-            )
+            built = structure_from_uniform_tree(uniform_tree_from_type_vector(w), m)
             achieved = complexity(built, cm)
-            formula = sum((n * wi * cm.c[i + 2] for i, wi in enumerate(w)), Fraction(0))
+            formula = type_vector_complexity(w, cm)
             witness = None
             if achieved != formula:
                 witness = f"cyclic labeling complexity {achieved} != formula {formula}"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .costs import CostModel
 from .drt import LEAF, Rooted, rooted
@@ -332,19 +332,7 @@ def _star_tree_from_halves(heavy_forest: list[Rooted], light: Rooted, m: int) ->
         new_node(heavy_root)
     else:
         attach(light, new_node(heavy_root))
-
-    labels: list[Optional[int]] = [None] * len(adj)
-    next_label = 1
-    for v in range(len(adj)):
-        if len(adj[v]) == 1:
-            labels[v] = next_label
-            next_label += 1
-    return StarTree(
-        n=next_label - 1,
-        m=m,
-        labels=tuple(labels),
-        adj=tuple(tuple(sorted(nb)) for nb in adj),
-    )
+    return StarTree.from_adjacency(adj, m)
 
 
 def _best_split(q: Vec, table: ForestLatencyTable) -> tuple[int, tuple[Vec, int]]:

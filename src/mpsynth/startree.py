@@ -14,6 +14,12 @@ degree vector ``q`` (entry ``q_i`` counts internal nodes of degree
 edge as a ``(d-1)``-input unit, giving ``sum (i+2) * q_i * c[i+1]``.
 Its latency equals the tree's own latency: the maximum over simple
 leaf-to-leaf paths of ``sum l[degree(v) - 1]``.
+
+This module evaluates star trees; it does not choose them.  The
+latency-optimal tree for a degree vector comes from
+:func:`mpsynth.staropt.min_star_latency`, and every tree of a degree
+vector from :func:`mpsynth.oracles.enumerate_star_trees`; both number
+the leaves through :meth:`StarTree.from_adjacency`.
 """
 
 from __future__ import annotations
@@ -74,6 +80,18 @@ class StarTree:
         if sorted(leaf_labels) != list(range(1, self.n + 1)):
             raise ValueError("leaf labels must be exactly x1..xn")
 
+    @classmethod
+    def from_adjacency(cls, adj: Sequence[Sequence[int]], m: int) -> StarTree:
+        """The star tree on ``adj``, its degree-1 nodes labeled
+        ``x_1..x_n`` in node order."""
+        labels: list[Optional[int]] = [None] * len(adj)
+        n = 0
+        for v, nb in enumerate(adj):
+            if len(nb) == 1:
+                n += 1
+                labels[v] = n
+        return cls(n=n, m=m, labels=tuple(labels), adj=tuple(tuple(sorted(nb)) for nb in adj))
+
     def internal_nodes(self) -> list[int]:
         return [v for v, lbl in enumerate(self.labels) if lbl is None]
 
@@ -96,83 +114,6 @@ def degree_vector_of(tree: StarTree) -> tuple[int, ...]:
 def feasible_input_size(q: Sequence[int]) -> int:
     """The unique n a degree vector can realize: ``2 + sum i*q_i``."""
     return 2 + sum((i + 1) * qi for i, qi in enumerate(q))
-
-
-def star_tree_from_degree_vector(
-    q: Sequence[int],
-    n: int | None = None,
-    policy: str = "chain",
-) -> StarTree:
-    """Deterministically build a star tree with degree vector ``q``.
-
-    Grows the tree one internal node at a time: the first chosen degree
-    class seeds a star, and every further node replaces an existing
-    leaf, contributing its degree minus 2 to the leaf count.  Policies
-    fix the two free choices (which degree class next, which leaf to
-    expand):
-
-    * ``"chain"`` (default): largest degree first, expand the most
-      recently created leaf (path-like trees).
-    * ``"bushy"``: largest degree first, expand the oldest leaf
-      (shallow trees).
-    """
-    q = tuple(q)
-    if any(x < 0 for x in q):
-        raise ValueError("degree vector entries must be non-negative")
-    if sum(q) == 0:
-        raise ValueError("degree vector has no internal nodes")
-    want_n = feasible_input_size(q)
-    if n is not None and n != want_n:
-        raise ValueError(
-            f"degree vector {q} is infeasible for n = {n}: 2 + sum i*q_i = {want_n}"
-        )
-    if policy not in ("chain", "bushy"):
-        raise ValueError(f"unknown policy {policy!r}")
-
-    m = len(q) + 1
-    remaining = list(q)
-    adj: list[list[int]] = []
-    leaf_stack: list[int] = []
-
-    def new_node() -> int:
-        adj.append([])
-        return len(adj) - 1
-
-    def connect(a: int, b: int) -> None:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    # 0-based entry k of q counts internal nodes of degree k + 3.
-    order = range(len(q) - 1, -1, -1)  # largest degree class first
-    first = next(i for i in order if remaining[i] > 0)
-    remaining[first] -= 1
-    center = new_node()
-    for _ in range(first + 3):
-        leaf = new_node()
-        connect(center, leaf)
-        leaf_stack.append(leaf)
-
-    while any(remaining):
-        i = next(k for k in range(len(q) - 1, -1, -1) if remaining[k] > 0)
-        remaining[i] -= 1
-        grow_at = leaf_stack.pop() if policy == "chain" else leaf_stack.pop(0)
-        for _ in range(i + 2):
-            leaf = new_node()
-            connect(grow_at, leaf)
-            leaf_stack.append(leaf)
-
-    labels: list[Optional[int]] = [None] * len(adj)
-    next_label = 1
-    for v in range(len(adj)):
-        if len(adj[v]) == 1:
-            labels[v] = next_label
-            next_label += 1
-    return StarTree(
-        n=want_n,
-        m=m,
-        labels=tuple(labels),
-        adj=tuple(tuple(sorted(nb)) for nb in adj),
-    )
 
 
 def _post_order(
@@ -260,81 +201,3 @@ def star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
         raise ValueError("tree degree exceeds cost model fan-in bound")
     heights = _edge_latencies(tree, cm)
     return max(heights[(a, b)] + heights[(b, a)] for a, b in tree.edges())
-
-
-@dataclass(frozen=True)
-class LatencySplit:
-    edge: tuple[int, int]
-    heavy: Fraction
-    light: Fraction
-
-
-def balanced_edge_split(tree: StarTree, cm: CostModel) -> LatencySplit:
-    """An edge splitting the tree into a heavy and a light side whose
-    one-sided latencies sum to the tree latency.
-
-    The returned orientation ``(a, b)`` satisfies ``heavy >= light``
-    and ``heavy - l[degree(a) - 1] <= light``, i.e. the heavy side
-    stops dominating once its root's own weight is discounted.  An
-    orientation with ``heavy > light`` strictly is preferred when one
-    exists; under latency ties only the non-strict form is satisfiable.
-    """
-    heights = _edge_latencies(tree, cm)
-
-    def weight(v: int) -> Fraction:
-        return Fraction(0) if tree.labels[v] is not None else cm.l[len(tree.adj[v]) - 1]
-
-    candidates: list[tuple[bool, tuple[int, int]]] = []
-    for a, b in sorted(
-        (a, b) for v, nb in enumerate(tree.adj) for a, b in [(v, u) for u in nb]
-    ):
-        heavy, light = heights[(a, b)], heights[(b, a)]
-        if heavy >= light and heavy - weight(a) <= light:
-            candidates.append((heavy > light, (a, b)))
-    if not candidates:
-        raise RuntimeError("no balanced edge found; tree or cost model is inconsistent")
-    strict = [edge for is_strict, edge in candidates if is_strict]
-    chosen = strict[0] if strict else candidates[0][1]
-    a, b = chosen
-    return LatencySplit(edge=chosen, heavy=heights[(a, b)], light=heights[(b, a)])
-
-
-def relabel_leaves(tree: StarTree, permutation: Sequence[int]) -> StarTree:
-    """Apply a permutation of 1..n to the leaf labels."""
-    if sorted(permutation) != list(range(1, tree.n + 1)):
-        raise ValueError("not a permutation of 1..n")
-    labels = tuple(
-        None if lbl is None else permutation[lbl - 1] for lbl in tree.labels
-    )
-    return StarTree(n=tree.n, m=tree.m, labels=labels, adj=tree.adj)
-
-
-def star_tree_to_json_dict(tree: StarTree) -> dict:
-    """Same node/edge schema as structures, flagged undirected."""
-    nodes = [
-        {"id": v, "label": None if lbl is None else f"x{lbl}"}
-        for v, lbl in enumerate(tree.labels)
-    ]
-    edges = sorted([a, b] for a, b in tree.edges())
-    return {"n": tree.n, "m": tree.m, "directed": False, "nodes": nodes, "edges": edges}
-
-
-def star_tree_from_json_dict(raw: dict) -> StarTree:
-    if raw.get("directed", True):
-        raise ValueError("star tree JSON must carry \"directed\": false")
-    labels: list[Optional[int]] = []
-    ids: dict[int, int] = {}
-    for entry in raw["nodes"]:
-        ids[entry["id"]] = len(labels)
-        lbl = entry.get("label")
-        labels.append(None if lbl is None else int(lbl[1:]))
-    adj: list[list[int]] = [[] for _ in labels]
-    for a, b in raw["edges"]:
-        adj[ids[a]].append(ids[b])
-        adj[ids[b]].append(ids[a])
-    return StarTree(
-        n=raw["n"],
-        m=raw["m"],
-        labels=tuple(labels),
-        adj=tuple(tuple(sorted(nb)) for nb in adj),
-    )

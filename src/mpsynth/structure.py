@@ -188,11 +188,6 @@ def _canonical_keys(dag: Dag, order: list[int]) -> tuple[str, ...]:
     return tuple(keys)
 
 
-def canonical_key(dag: Dag, node: int) -> str:
-    """Canonical key of one node's computation tree."""
-    return canonical_keys(dag)[node]
-
-
 def signature(dag: Dag) -> tuple:
     """Value identity of a structure: equal signatures mean the same
     computation (same outputs over the same subtrees, same node set up
@@ -728,12 +723,3 @@ def to_dot(dag: Dag) -> str:
             lines.append(f"  {name(c)} -> {name(p)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def wire_structure(m: int = 2) -> Dag:
-    """The degenerate 2-input structure: y_1 = x_2 and y_2 = x_1."""
-    builder = DagBuilder()
-    x1, x2 = builder.input(1), builder.input(2)
-    builder.output(1, [x2])
-    builder.output(2, [x1])
-    return builder.build(2, m)

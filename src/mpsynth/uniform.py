@@ -25,13 +25,16 @@ latency-first synthesizer lives here:
 
 Labeling the copies' leaves cyclically (copy ``j`` reads
 ``x_{j+1}..x_n, x_1..x_{j-1}`` left to right) maximizes sharing between
-copies and achieves complexity ``sum n * w_i * c[i+2]``, the least any
-labeling of the same shape can achieve.  It also lets
-:func:`structure_from_uniform_tree` build each node once: under that
-labeling a node at depth ``d`` whose first leaf is ``x_{s+1}`` covers
+copies and achieves complexity ``sum n * w_i * c[i+2]``
+(:func:`type_vector_complexity`), the least any labeling of the same
+shape can achieve, so it is the only labeling
+:func:`structure_from_uniform_tree` builds.  Other labelings live with
+the oracles (:func:`mpsynth.oracles.structure_from_labeled_copies`).
+The cyclic labeling also lets the builder make each node once: a node
+at depth ``d`` whose first leaf is ``x_{s+1}`` covers
 ``x_{s+1}..x_{s+size}`` cyclically, so ``(d, s)`` names it exactly and
-the build takes time proportional to the ``~n * height`` nodes it
-makes rather than to the ``n * n`` leaves of all copies.
+the build takes time and memory proportional to the ``~n * height``
+nodes it makes rather than to the ``n * n`` leaves of all copies.
 """
 
 from __future__ import annotations
@@ -120,81 +123,53 @@ def type_vector_latency(w: Sequence[int], cm: CostModel) -> Fraction:
     return sum((wi * cm.l[i + 2] for i, wi in enumerate(w)), Fraction(0))
 
 
+def type_vector_complexity(w: Sequence[int], cm: CostModel) -> Fraction:
+    """Complexity of the cyclic structure for a type vector:
+    ``sum n * w_i * c[i+2]`` at its own size ``n = 1 + leaf count``."""
+    n = 1 + leaf_count_of_type_vector(w)
+    return sum((n * wi * cm.c[i + 2] for i, wi in enumerate(w)), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
-# labelings and structure construction
+# structure construction
 
 
-def consecutive_labeling(tree: UniformTree, n: int) -> list[list[int]]:
-    """Copy ``j`` reads the other inputs cyclically from ``x_{j+1}``:
-    ``x_{j+1}..x_n, x_1..x_{j-1}`` in left-to-right leaf order."""
-    if tree.leaf_count != n - 1:
-        raise ValueError(f"tree has {tree.leaf_count} leaves, expected n - 1 = {n - 1}")
-    ring = list(range(1, n + 1)) * 2
-    return [ring[j + 1 : j + n] for j in range(n)]
+def structure_from_uniform_tree(tree: UniformTree, m: int) -> Dag:
+    """Unite one cyclically labeled copy of ``tree`` per output, for
+    ``n = tree.leaf_count + 1`` inputs.
 
-
-def ascending_labeling(tree: UniformTree, n: int) -> list[list[int]]:
-    """Copy ``j`` reads the other inputs in ascending index order."""
-    if tree.leaf_count != n - 1:
-        raise ValueError(f"tree has {tree.leaf_count} leaves, expected n - 1 = {n - 1}")
-    return [[i for i in range(1, n + 1) if i != j] for j in range(1, n + 1)]
-
-
-def structure_from_uniform_tree(
-    tree: UniformTree,
-    labelings: Sequence[Sequence[int]],
-    n: int,
-    m: int,
-) -> Dag:
-    """Unite one labeled copy of ``tree`` per output.
-
-    ``labelings[j-1]`` assigns input indices to copy ``j``'s leaves in
-    left-to-right order and must be a bijection onto ``{1..n} - {j}``.
-    Shared subtrees across copies intern to single nodes.
-
-    Nodes are memoized on ``(depth, first leaf label)``.  The copies
-    whose labeling is the cyclic rotation :func:`consecutive_labeling`
-    gives share one memo, which names a node exactly among them, so
-    each shared node is emitted once; any other copy gets a memo of its
-    own and is emitted in full, deduplicated by hash-consing alone.
+    Copy ``j`` reads ``x_{j+1}..x_n, x_1..x_{j-1}`` left to right, so a
+    node at depth ``d`` whose first leaf sits at ring offset ``s`` (it
+    reads ``x_{s+1}``) covers as many inputs as it has leaves from there
+    on, cyclically, in every copy that contains it.  Nodes are memoized
+    on ``(d, s)``, so each shared node is emitted once.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if tree.leaf_count != n - 1:
-        raise ValueError(f"tree has {tree.leaf_count} leaves, expected n - 1 = {n - 1}")
-    if max(tree.levels, default=2) > m:
-        raise ValueError("tree fan-in exceeds m")
-    if len(labelings) != n:
-        raise ValueError(f"expected {n} labelings, got {len(labelings)}")
     levels = tree.levels
+    if max(levels, default=2) > m:
+        raise ValueError("tree fan-in exceeds m")
+    n = tree.leaf_count + 1
     span = [prod(levels[d:]) for d in range(len(levels) + 1)]
-    ring = list(range(1, n + 1)) * 2
     builder = DagBuilder()
-    shared: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, int], int] = {}
 
-    def emit(seq: list[int], memo: dict[tuple[int, int], int], depth: int, pos: int) -> int:
-        # the node at ``depth`` whose leaves start at position ``pos``
-        key = (depth, seq[pos])
+    def emit(depth: int, start: int) -> int:
+        # the node at ``depth`` whose first leaf is ``x_{start+1}``
+        key = (depth, start)
         if key not in memo:
             if depth == len(levels):
-                memo[key] = builder.input(seq[pos])
+                memo[key] = builder.input(start + 1)
             else:
                 step = span[depth + 1]
                 memo[key] = builder.op(
-                    [emit(seq, memo, depth + 1, pos + k * step) for k in range(levels[depth])]
+                    [emit(depth + 1, (start + k * step) % n) for k in range(levels[depth])]
                 )
         return memo[key]
 
     for j in range(1, n + 1):
-        seq = list(labelings[j - 1])
-        rotation = seq == ring[j : j + n - 1]
-        if not rotation and sorted(seq) != [i for i in range(1, n + 1) if i != j]:
-            raise ValueError(f"labeling for copy {j} is not a bijection onto the other inputs")
-        memo = shared if rotation else {}
         if not levels:
-            builder.output(j, [emit(seq, memo, 0, 0)])
+            builder.output(j, [emit(0, j % n)])
         else:
-            builder.output(j, [emit(seq, memo, 1, k * span[1]) for k in range(levels[0])])
+            builder.output(j, [emit(1, (j + k * span[1]) % n) for k in range(levels[0])])
     return builder.build(n, m)
 
 
@@ -303,19 +278,13 @@ def synthesize_min_latency(n: int, cm: CostModel) -> PrunedSynthesis:
         raise ValueError(f"pruned synthesis needs n >= 3, got {n}")
     value, vectors, _ = _latency_dp(n - 1, cm, ceiling=True)
 
-    def formula_cost(w: Vec) -> Fraction:
-        n_prime = 1 + leaf_count_of_type_vector(w)
-        return sum((n_prime * wi * cm.c[i + 2] for i, wi in enumerate(w)), Fraction(0))
-
     all_w = tuple(sorted(vectors))
-    w = min(all_w, key=lambda cand: (formula_cost(cand), cand))
-    n_prime = 1 + leaf_count_of_type_vector(w)
-    tree = uniform_tree_from_type_vector(w)
-    full = structure_from_uniform_tree(tree, consecutive_labeling(tree, n_prime), n_prime, cm.m)
+    w = min(all_w, key=lambda cand: (type_vector_complexity(cand, cm), cand))
+    full = structure_from_uniform_tree(uniform_tree_from_type_vector(w), cm.m)
     result = prune(full, n)
     return PrunedSynthesis(
         latency=value,
-        n_prime=n_prime,
+        n_prime=full.n,
         w=w,
         all_w=all_w,
         structure=result.structure,

@@ -16,40 +16,51 @@ from pathlib import Path
 
 import pytest
 
-from mpsynth import (
-    CostModel,
-    Dag,
+from mpsynth import structure
+from mpsynth.costs import CostModel
+from mpsynth.drt import tree_latency
+from mpsynth.oracles import (
+    EnumerationBudget,
     ascending_labeling,
-    complexity,
-    consecutive_labeling,
-    degree_vector_of,
     enumerate_degree_vectors,
     enumerate_rooted_trees,
     enumerate_star_trees,
     enumerate_type_vectors,
-    latency,
+    min_labeling_complexity,
+    oracle_star_tree_latency,
+    structure_from_labeled_copies,
+)
+from mpsynth.staropt import (
     min_star_complexity,
     min_star_latency,
-    min_uniform_latency,
     optimal_degree_vectors,
-    prune,
+    synthesize_star,
+)
+from mpsynth.startree import (
+    degree_vector_of,
     star_complexity,
     star_tree_latency,
     structure_from_star_tree,
+)
+from mpsynth.structure import (
+    Dag,
+    DagBuilder,
+    complexity,
+    latency,
+    prune,
+    signature,
+    union,
+    validate,
+)
+from mpsynth.uniform import (
+    min_uniform_latency,
     structure_from_uniform_tree,
     synthesize_min_latency,
     type_vector_latency,
     uniform_tree_from_type_vector,
-    validate,
-    wire_structure,
 )
-from mpsynth import structure
-from mpsynth.drt import tree_latency
-from mpsynth.oracles import (
-    EnumerationBudget,
-    min_labeling_complexity,
-    oracle_star_tree_latency,
-)
+
+from conftest import wire_structure
 
 
 @contextlib.contextmanager
@@ -68,8 +79,6 @@ def criterion(name: str):
 
 def _single_output_copy(levels, j: int, leaf_labels: list[int], n: int, m: int) -> Dag:
     """One output's tree as a standalone graph (for the union pipeline)."""
-    from mpsynth import DagBuilder
-
     builder = DagBuilder()
     it = iter(leaf_labels)
 
@@ -83,8 +92,6 @@ def _single_output_copy(levels, j: int, leaf_labels: list[int], n: int, m: int) 
 
 
 def test_c1_reference_structures():
-    from mpsynth import signature, union
-
     with criterion("1 reference-structure reproduction"):
         tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
 
@@ -92,7 +99,7 @@ def test_c1_reference_structures():
         # 8 shared 3-input units plus the 7 two-input output stages
         copies = [
             _single_output_copy(tree.levels, j, labels, 7, 3)
-            for j, labels in zip(range(1, 8), ascending_labeling(tree, 7))
+            for j, labels in zip(range(1, 8), ascending_labeling(7))
         ]
         assert all(c.degree_histogram() == {0: 6, 3: 2, 2: 1} for c in copies)
         shared = copies[0]
@@ -101,11 +108,11 @@ def test_c1_reference_structures():
         assert shared.degree_histogram() == {0: 7, 2: 7, 3: 8}
         assert validate(shared).ok
         assert signature(shared) == signature(
-            structure_from_uniform_tree(tree, ascending_labeling(tree, 7), 7, 3)
+            structure_from_labeled_copies(tree, ascending_labeling(7), 3)
         )
 
         # cyclic labeling: one 3-input unit fewer, same latency
-        cyclic = structure_from_uniform_tree(tree, consecutive_labeling(tree, 7), 7, 3)
+        cyclic = structure_from_uniform_tree(tree, 3)
         assert cyclic.degree_histogram() == {0: 7, 2: 7, 3: 7}
         assert validate(cyclic).ok
         for l2, l3 in ((1, 1), (1, 10), (Fraction(3, 2), 2)):
@@ -234,9 +241,7 @@ def test_c5_cyclic_labeling_minimality():
                     assert best == formula, (n, w)
                     assert achievers >= 1
                     tree = uniform_tree_from_type_vector(w)
-                    built = structure_from_uniform_tree(
-                        tree, consecutive_labeling(tree, n), n, 4
-                    )
+                    built = structure_from_uniform_tree(tree, 4)
                     assert complexity(built, cm) == formula, (n, w)
                     assert validate(built).ok
 
@@ -407,8 +412,6 @@ MUTATION_KINDS = [
 
 def _c7_pool() -> list[Dag]:
     cm = CostModel.from_factors(3, [1, 2], [1, 1])
-    from mpsynth import synthesize_star
-
     pool = [synthesize_star(n, cm).structure for n in (5, 6, 7)]
     pool.append(synthesize_min_latency(7, cm).structure)
     pool.append(synthesize_min_latency(8, cm).structure)
@@ -451,9 +454,9 @@ def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
     pool = _c7_pool()
     mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
     tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
-    cyclic = structure_from_uniform_tree(tree, consecutive_labeling(tree, 7), 7, 3)
+    cyclic = structure_from_uniform_tree(tree, 3)
     references = pool + [
-        structure_from_uniform_tree(tree, ascending_labeling(tree, 7), 7, 3),
+        structure_from_labeled_copies(tree, ascending_labeling(7), 3),
         cyclic,
         prune(cyclic, 6).structure,
         wire_structure(),

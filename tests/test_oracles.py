@@ -2,22 +2,23 @@ from __future__ import annotations
 
 import pytest
 
-from mpsynth import (
-    enumerate_degree_vectors,
-    enumerate_rooted_trees,
-    enumerate_star_trees,
-    enumerate_type_vectors,
-    verify_report,
-)
+from mpsynth import oracles, staropt
+from mpsynth.costs import CostModel
 from mpsynth.drt import LEAF, degree_vector, leaf_count
 from mpsynth.oracles import (
     BudgetExceeded,
     EnumerationBudget,
     count_rooted_trees,
+    enumerate_degree_vectors,
+    enumerate_rooted_trees,
     enumerate_rooted_trees_with_census,
+    enumerate_star_trees,
+    enumerate_type_vectors,
     star_tree_shape_code,
     star_tree_shape_codes_via_labeled_skeletons,
+    verify_report,
 )
+from mpsynth.staropt import min_star_complexity, optimal_degree_vectors
 from mpsynth.startree import degree_vector_of
 
 
@@ -151,3 +152,25 @@ def test_report_serializes(cm_unit):
     assert raw["ok"] is True
     for check in raw["checks"]:
         assert {"name", "params", "dp_value", "oracle_value", "pass"} <= set(check)
+
+
+def test_report_builds_one_forest_table(monkeypatch):
+    built = []
+    real = staropt.forest_latency_table
+
+    def counting(tops, cm):
+        built.append(list(tops))
+        return real(tops, cm)
+
+    for module in (oracles, staropt):
+        monkeypatch.setattr(module, "forest_latency_table", counting)
+    # c = (2, 3) prices a leaf at 6 in both degree classes: 4 optima at n = 9
+    cm = CostModel.from_factors(3, [2, 3], [1, 1])
+    optima = optimal_degree_vectors(min_star_complexity(9, cm), all_optima=True)
+    assert len(optima) == 4
+    assert verify_report(9, cm).ok
+    assert built == [optima]
+    # above the star-tree budget only the spot checks run, on the first vector
+    built.clear()
+    assert verify_report(9, cm, EnumerationBudget(max_star_leaves=8)).ok
+    assert built == [optima[:1]]

@@ -1,0 +1,69 @@
+"""The package surface and the demos that use it."""
+
+from __future__ import annotations
+
+import ast
+import re
+import runpy
+from pathlib import Path
+
+import pytest
+
+import mpsynth
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "CostModel",
+    "CostModelError",
+    "DEFAULT_BUDGET",
+    "Dag",
+    "EnumerationBudget",
+    "complexity",
+    "dumps",
+    "format_rational",
+    "latency",
+    "load_cost_model",
+    "loads",
+    "synthesize_min_latency",
+    "synthesize_star",
+    "to_dot",
+    "validate",
+    "verify_report",
+]
+
+
+def readme_library_names() -> set[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from mpsynth import \(([^)]*)\)", readme).group(1)
+    return {name.strip() for name in block.split(",") if name.strip()}
+
+
+def cli_imported_names() -> set[str]:
+    tree = ast.parse((ROOT / "src" / "mpsynth" / "cli.py").read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def test_public_surface_is_the_explicit_list():
+    assert mpsynth.__all__ == PUBLIC
+    namespace: dict = {}
+    exec("from mpsynth import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
+def test_public_surface_is_what_the_cli_and_readme_use():
+    readme = readme_library_names()
+    assert "synthesize_star" in readme
+    assert readme <= set(PUBLIC)
+    assert set(PUBLIC) == readme | cli_imported_names()
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -6,27 +6,24 @@ from itertools import product
 
 import pytest
 
-from mpsynth import (
-    CostModel,
-    complexity,
-    degree_vector_of,
-    forest_latency_table,
-    latency,
-    min_star_complexity,
-    min_star_latency,
-    optimal_degree_vectors,
-    star_complexity,
-    star_tree_latency,
-    synthesize_star,
-    validate,
-)
+from mpsynth.costs import CostModel
 from mpsynth.drt import LEAF, degree_vector, rooted, tree_latency
 from mpsynth.oracles import (
     enumerate_degree_vectors,
     enumerate_star_trees,
     oracle_star_tree_latency,
 )
-from mpsynth.staropt import _star_tree_from_halves, vectors_below
+from mpsynth.staropt import (
+    _star_tree_from_halves,
+    forest_latency_table,
+    min_star_complexity,
+    min_star_latency,
+    optimal_degree_vectors,
+    synthesize_star,
+    vectors_below,
+)
+from mpsynth.startree import degree_vector_of, star_complexity, star_tree_latency
+from mpsynth.structure import complexity, latency, validate
 
 
 def random_monotone_model(m: int, rng: random.Random) -> CostModel:

@@ -1,29 +1,30 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from mpsynth import (
-    CostModel,
-    DagBuilder,
-    balanced_edge_split,
-    complexity,
-    degree_vector_of,
-    feasible_input_size,
-    latency,
-    star_complexity,
-    star_tree_from_degree_vector,
-    star_tree_latency,
-    structure_from_star_tree,
-    validate,
-)
-from mpsynth.startree import relabel_leaves, star_tree_from_json_dict, star_tree_to_json_dict
+from mpsynth.costs import CostModel
 from mpsynth.oracles import (
     enumerate_degree_vectors,
     enumerate_star_trees,
     oracle_star_tree_latency,
 )
+from mpsynth.startree import (
+    StarTree,
+    _edge_latencies,
+    degree_vector_of,
+    feasible_input_size,
+    star_complexity,
+    star_tree_latency,
+    structure_from_star_tree,
+)
+from mpsynth.structure import DagBuilder, complexity, latency, validate
+
+from conftest import star_tree_from_degree_vector
 
 
 def all_trees_up_to(n_max: int, m: int):
@@ -191,6 +192,16 @@ def test_tree_latency_matches_leaf_pair_oracle(cm_frac):
         assert star_tree_latency(tree, cm_frac) == oracle_star_tree_latency(tree, cm_frac)
 
 
+def relabel_leaves(tree: StarTree, permutation: Sequence[int]) -> StarTree:
+    """Apply a permutation of 1..n to the leaf labels."""
+    if sorted(permutation) != list(range(1, tree.n + 1)):
+        raise ValueError("not a permutation of 1..n")
+    labels = tuple(
+        None if lbl is None else permutation[lbl - 1] for lbl in tree.labels
+    )
+    return StarTree(n=tree.n, m=tree.m, labels=labels, adj=tree.adj)
+
+
 def test_latency_is_leaf_label_invariant(cm_frac):
     tree = star_tree_from_degree_vector((3, 1))
     base = star_tree_latency(tree, cm_frac)
@@ -202,6 +213,43 @@ def test_latency_is_leaf_label_invariant(cm_frac):
 
 # ---------------------------------------------------------------------------
 # balanced split
+
+
+@dataclass(frozen=True)
+class LatencySplit:
+    edge: tuple[int, int]
+    heavy: Fraction
+    light: Fraction
+
+
+def balanced_edge_split(tree: StarTree, cm: CostModel) -> LatencySplit:
+    """An edge splitting the tree into a heavy and a light side whose
+    one-sided latencies sum to the tree latency.
+
+    The returned orientation ``(a, b)`` satisfies ``heavy >= light``
+    and ``heavy - l[degree(a) - 1] <= light``, i.e. the heavy side
+    stops dominating once its root's own weight is discounted.  An
+    orientation with ``heavy > light`` strictly is preferred when one
+    exists; under latency ties only the non-strict form is satisfiable.
+    """
+    heights = _edge_latencies(tree, cm)
+
+    def weight(v: int) -> Fraction:
+        return Fraction(0) if tree.labels[v] is not None else cm.l[len(tree.adj[v]) - 1]
+
+    candidates: list[tuple[bool, tuple[int, int]]] = []
+    for a, b in sorted(
+        (a, b) for v, nb in enumerate(tree.adj) for a, b in [(v, u) for u in nb]
+    ):
+        heavy, light = heights[(a, b)], heights[(b, a)]
+        if heavy >= light and heavy - weight(a) <= light:
+            candidates.append((heavy > light, (a, b)))
+    if not candidates:
+        raise RuntimeError("no balanced edge found; tree or cost model is inconsistent")
+    strict = [edge for is_strict, edge in candidates if is_strict]
+    chosen = strict[0] if strict else candidates[0][1]
+    a, b = chosen
+    return LatencySplit(edge=chosen, heavy=heights[(a, b)], light=heights[(b, a)])
 
 
 def test_split_sums_to_latency_everywhere(cm_frac):
@@ -238,16 +286,3 @@ def test_split_handles_even_halves():
     split = balanced_edge_split(tree, cm)
     assert split.heavy == split.light == 2
     assert star_tree_latency(tree, cm) == 4
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_star_tree_json_round_trip():
-    tree = star_tree_from_degree_vector((3, 1))
-    raw = star_tree_to_json_dict(tree)
-    assert raw["directed"] is False
-    again = star_tree_from_json_dict(raw)
-    assert degree_vector_of(again) == (3, 1)
-    assert again.n == tree.n

@@ -7,31 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpsynth import (
-    CostModel,
+from mpsynth.costs import CostModel
+from mpsynth.oracles import oracle_structure_latency
+from mpsynth.staropt import synthesize_star
+from mpsynth.startree import structure_from_star_tree
+from mpsynth.structure import (
     Dag,
     DagBuilder,
-    canonical_key,
     canonical_keys,
     complexity,
-    consecutive_labeling,
     dumps,
     latency,
     loads,
     prune,
     signature,
-    structure_from_star_tree,
-    star_tree_from_degree_vector,
-    structure_from_uniform_tree,
-    synthesize_min_latency,
-    synthesize_star,
     to_dot,
-    uniform_tree_from_type_vector,
     union,
     validate,
-    wire_structure,
 )
-from mpsynth.oracles import oracle_structure_latency
+from mpsynth.uniform import (
+    structure_from_uniform_tree,
+    synthesize_min_latency,
+    uniform_tree_from_type_vector,
+)
+
+from conftest import star_tree_from_degree_vector, wire_structure
 
 
 def three_wheel() -> Dag:
@@ -52,7 +52,7 @@ def test_leaf_key_is_its_label():
     b = DagBuilder()
     b.input(3)
     dag = b.build(3, 2)
-    assert canonical_key(dag, 0) == "x3"
+    assert canonical_keys(dag)[0] == "x3"
 
 
 def test_operand_order_is_irrelevant():
@@ -359,7 +359,7 @@ def test_prune_relabels_degenerated_outputs(cm_unit):
     # root branches, driving output fan-in to 1; the label must migrate
     # onto the surviving operand
     tree = uniform_tree_from_type_vector((0, 2))
-    full = structure_from_uniform_tree(tree, consecutive_labeling(tree, 10), 10, 3)
+    full = structure_from_uniform_tree(tree, 3)
     for n in range(9, 1, -1):
         result = prune(full, n)
         assert validate(result.structure).ok, (n, result.structure)
@@ -388,7 +388,7 @@ PRUNE_GOLDEN_SHARED7 = {
 
 def test_prune_bytes_are_pinned(shared7_cyclic):
     tree = uniform_tree_from_type_vector((0, 2))
-    full = structure_from_uniform_tree(tree, consecutive_labeling(tree, 10), 10, 3)
+    full = structure_from_uniform_tree(tree, 3)
     for dag, golden in ((full, PRUNE_GOLDEN_3X3), (shared7_cyclic, PRUNE_GOLDEN_SHARED7)):
         for n, digest in golden.items():
             text = dumps(prune(dag, n).structure)

@@ -5,28 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from mpsynth import (
-    CostModel,
-    DagBuilder,
-    ascending_labeling,
-    complexity,
-    consecutive_labeling,
-    latency,
-    min_uniform_latency,
-    structure_from_uniform_tree,
-    synthesize_min_latency,
-    type_vector_latency,
-    type_vector_of,
-    uniform_tree_from_type_vector,
-    validate,
-)
+from mpsynth.costs import CostModel
 from mpsynth.drt import tree_latency
 from mpsynth.oracles import (
     enumerate_rooted_trees,
     enumerate_type_vectors,
     min_labeling_complexity,
+    structure_from_labeled_copies,
 )
-from mpsynth.uniform import leaf_count_of_type_vector
+from mpsynth.structure import DagBuilder, complexity, latency, validate
+from mpsynth.uniform import (
+    leaf_count_of_type_vector,
+    min_uniform_latency,
+    structure_from_uniform_tree,
+    synthesize_min_latency,
+    type_vector_complexity,
+    type_vector_latency,
+    type_vector_of,
+    uniform_tree_from_type_vector,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +85,7 @@ def test_latency_formula(cm_frac):
 
 def test_three_input_wheel(cm_unit):
     tree = uniform_tree_from_type_vector((1, 0))
-    dag = structure_from_uniform_tree(tree, consecutive_labeling(tree, 3), 3, 3)
+    dag = structure_from_uniform_tree(tree, 3)
     assert validate(dag).ok
     assert complexity(dag, cm_unit) == 3
 
@@ -100,7 +97,7 @@ def test_cyclic_labeling_reference_counts(shared7_cyclic, cm_steep):
 
 def test_five_inputs_perfect_binary(cm_unit):
     tree = uniform_tree_from_type_vector((2, 0))
-    dag = structure_from_uniform_tree(tree, consecutive_labeling(tree, 5), 5, 3)
+    dag = structure_from_uniform_tree(tree, 3)
     assert validate(dag).ok
     assert complexity(dag, cm_unit) == 10  # n * w_1 = 5 * 2 two-input units
 
@@ -116,29 +113,17 @@ def test_every_feasible_shape_and_order_validates(cm_unit):
             )
             for order in sorted(orders):
                 tree = uniform_tree_from_type_vector(w, level_order=order)
-                dag = structure_from_uniform_tree(
-                    tree, consecutive_labeling(tree, n), n, 4
-                )
+                dag = structure_from_uniform_tree(tree, 4)
+                assert dag.n == n
                 assert validate(dag).ok
                 assert latency(dag, cm) == type_vector_latency(w, cm)
                 formula = sum(n * wi * cm.c[i + 2] for i, wi in enumerate(w))
-                assert complexity(dag, cm) == formula
+                assert complexity(dag, cm) == formula == type_vector_complexity(w, cm)
 
 
-def _per_copy_build(tree, labelings, n, m):
-    """Reference builder: every output's full tree, deduplicated only by
-    the builder's hash-consing."""
-    builder = DagBuilder()
-    for j, seq in enumerate(labelings, start=1):
-        it = iter(seq)
-
-        def emit(depth: int) -> int:
-            if depth == tree.height:
-                return builder.input(next(it))
-            return builder.op([emit(depth + 1) for _ in range(tree.levels[depth])])
-
-        builder.output(j, [emit(1) for _ in range(tree.levels[0])] if tree.levels else [emit(0)])
-    return builder.build(n, m)
+def cyclic_labeling(n: int) -> list[list[int]]:
+    """Copy ``j`` reads ``x_{j+1}..x_n, x_1..x_{j-1}``."""
+    return [[(j + pos) % n + 1 for pos in range(n - 1)] for j in range(1, n + 1)]
 
 
 def test_memoized_build_matches_per_copy_build():
@@ -148,29 +133,20 @@ def test_memoized_build_matches_per_copy_build():
                 orders = set(
                     itertools.permutations([i + 2 for i, wi in enumerate(w) for _ in range(wi)])
                 )
-                # every level order and both labelings at small n; above,
-                # the default order with the memoized (cyclic) labeling
-                small = n <= 40
-                labels = [consecutive_labeling]
-                if small:
-                    labels.append(ascending_labeling)
-                for order in sorted(orders) if small else [max(orders)]:
+                # every level order at small n; above, the default order
+                for order in sorted(orders) if n <= 40 else [max(orders)]:
                     tree = uniform_tree_from_type_vector(w, level_order=order)
-                    for label in labels:
-                        labelings = label(tree, n)
-                        got = structure_from_uniform_tree(tree, labelings, n, m)
-                        want = _per_copy_build(tree, labelings, n, m)
-                        assert (got.labels, got.children) == (want.labels, want.children), (
-                            m, order, label.__name__,
-                        )
+                    got = structure_from_uniform_tree(tree, m)
+                    want = structure_from_labeled_copies(tree, cyclic_labeling(n), m)
+                    assert (got.labels, got.children) == (want.labels, want.children), (m, order)
 
 
 def test_cyclic_build_calls_op_once_per_node(monkeypatch):
     calls = []
     op = DagBuilder.op
     monkeypatch.setattr(DagBuilder, "op", lambda self, kids: calls.append(1) or op(self, kids))
-    tree = uniform_tree_from_type_vector((10,))
-    dag = structure_from_uniform_tree(tree, consecutive_labeling(tree, 1025), 1025, 2)
+    dag = structure_from_uniform_tree(uniform_tree_from_type_vector((10,)), 2)
+    assert dag.n == 1025
     assert len(calls) == sum(1 for lbl in dag.labels if lbl is None) == 1025 * 9
 
 
@@ -178,7 +154,7 @@ def test_labeling_must_be_bijective():
     tree = uniform_tree_from_type_vector((1, 0))
     bad = [[2, 2], [1, 3], [1, 2]]
     with pytest.raises(ValueError, match="bijection"):
-        structure_from_uniform_tree(tree, bad, 3, 3)
+        structure_from_labeled_copies(tree, bad, 3)
 
 
 def test_cheapest_labeling_is_cyclic_at_desk_scale(cm_steep):
@@ -186,7 +162,7 @@ def test_cheapest_labeling_is_cyclic_at_desk_scale(cm_steep):
         for w in enumerate_type_vectors(n, 3):
             best, achievers = min_labeling_complexity(w, n, 3, cm_steep)
             formula = sum(n * wi * cm_steep.c[i + 2] for i, wi in enumerate(w))
-            assert best == formula
+            assert best == formula == type_vector_complexity(w, cm_steep)
             assert achievers >= 1
 
 
