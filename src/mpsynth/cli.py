@@ -13,8 +13,8 @@ Subcommands:
 * ``export FILE --format dot|json`` - re-serialize a structure,
 * ``verify N --costs FILE`` - run the optimizer-versus-oracle report.
 
-Exit codes: 0 success, 1 usage or config error, 3 validation or
-verification failure.  All numbers print as exact rationals.
+Exit codes: 0 success, 1 usage, config or artifact-write error, 3
+validation or verification failure.  All numbers print as exact rationals.
 Identical invocations write byte-identical artifacts.
 """
 
@@ -125,7 +125,10 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         "wall_time_s": round(time.monotonic() - started, 6),
         **extra,
     }
-    written = _write_artifacts(args.out, dag, args.format, manifest)
+    try:
+        written = _write_artifacts(args.out, dag, args.format, manifest)
+    except OSError as exc:
+        return _fail(USAGE_ERROR, f"cannot write artifacts: {exc}")
     _summary(rows)
     if written:
         for name in written:
@@ -177,9 +180,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
         print(text, end="")
     else:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         name = "structure.dot" if args.format == "dot" else "structure.json"
-        (out / name).write_text(text, encoding="ascii")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text(text, encoding="ascii")
+        except OSError as exc:
+            return _fail(USAGE_ERROR, f"cannot write artifacts: {exc}")
         print(f"wrote {out / name}")
     return 0
 

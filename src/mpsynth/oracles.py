@@ -40,7 +40,7 @@ from .staropt import (
     optimal_degree_vectors,
     vectors_below,
 )
-from .structure import Dag, DagBuilder, complexity, latency
+from .structure import Dag, DagBuilder, complexity, latency, validate
 from .uniform import (
     UniformTree,
     min_uniform_latency,
@@ -456,7 +456,7 @@ def oracle_structure_latency(
 
     def walk(v: int, acc: Fraction) -> None:
         nonlocal best, count
-        acc = acc + cm.l[dag.in_degree(v)]
+        acc = acc + cm.l[len(dag.children[v])]
         if not parents[v]:
             count += 1
             if count > budget.max_count:
@@ -468,7 +468,7 @@ def oracle_structure_latency(
             walk(p, acc)
 
     for v in range(dag.node_count):
-        if dag.in_degree(v) == 0:
+        if not dag.children[v]:
             walk(v, Fraction(0))
     return best
 
@@ -619,11 +619,18 @@ class VerifyReport:
         }
 
 
+def _validity_witness(dag: Dag) -> str | None:
+    """The defining properties ``dag`` fails, or None for a valid structure."""
+    failed = validate(dag).failed()
+    return "structure fails " + ", ".join(failed) if failed else None
+
+
 def verify_report(
     n: int, cm: CostModel, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> VerifyReport:
     """Run every optimizer-versus-oracle comparison feasible under the
-    budget for input size ``n`` and report each with exact values."""
+    budget for input size ``n`` and report each with exact values; each
+    structure built must also pass :func:`validate`."""
     checks: list[CheckResult] = []
     m = cm.m
 
@@ -665,12 +672,13 @@ def verify_report(
             result = min_star_latency(q, cm, ftable)
             trees = enumerate_star_trees(q, budget)
             brute = min(oracle_star_tree_latency(t, cm) for t in trees)
-            witness = None
+            induced = structure_from_star_tree(result.tree)
+            witness = _validity_witness(induced)
             if degree_vector_of(result.tree) != q:
                 witness = "witness tree has the wrong degree vector"
             elif star_tree_latency(result.tree, cm) != result.value:
                 witness = "witness tree does not achieve the DP latency"
-            elif latency(structure_from_star_tree(result.tree), cm) != result.value:
+            elif witness is None and latency(induced, cm) != result.value:
                 witness = "induced structure disagrees with the tree latency"
             record(
                 "star_latency",
@@ -727,8 +735,8 @@ def verify_report(
             built = structure_from_uniform_tree(uniform_tree_from_type_vector(w), m)
             achieved = complexity(built, cm)
             formula = type_vector_complexity(w, cm)
-            witness = None
-            if achieved != formula:
+            witness = _validity_witness(built)
+            if witness is None and achieved != formula:
                 witness = f"cyclic labeling complexity {achieved} != formula {formula}"
             record(
                 "labeling_minimality",
@@ -744,8 +752,8 @@ def verify_report(
         brute = min(
             tree_latency(t, cm) for t in enumerate_rooted_trees(n - 1, m, budget)
         )
-        witness = None
-        if latency(synthesis.structure, cm) != synthesis.latency:
+        witness = _validity_witness(synthesis.structure)
+        if witness is None and latency(synthesis.structure, cm) != synthesis.latency:
             witness = "pruned structure does not achieve the DP latency"
         record("latency_dominance", {"n": n, "m": m}, synthesis.latency, brute, witness)
 

@@ -8,26 +8,33 @@ every computation node has fan-in between 2 and ``m``.
 
 This module owns the graph plumbing every synthesizer shares:
 
-* canonical subtree keys (the "same computation" test),
-* the deduplicating union of sub-DAGs,
 * the validity checker, which reports each defining property
-  separately with a witness so it can double as a test oracle,
+  separately with a witness so it can double as a test oracle; it
+  tells subtrees apart by interned integer ids,
 * exact complexity (weighted node count) and latency (node-weighted
-  longest path) evaluation,
+  longest path) evaluation, computed on ints,
 * pruning an ``n'``-input structure down to ``n`` inputs,
-* deterministic JSON and DOT serialization.
+* deterministic JSON and DOT serialization, whose node order sorts
+  computation nodes by their string canonical keys; those keys
+  otherwise only name the witnesses of the distinct-subtrees check.
 
 Edges are stored child -> parent, i.e. pointing the way messages flow.
-Structures are immutable; every operation returns a fresh value.
+Structures are immutable; every operation returns a fresh value.  Each
+structure computes its topological order and canonical node order at
+most once, so loading, checking and writing it walk one order.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cached_property
+from itertools import chain
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from .costs import CostModel
 
@@ -61,31 +68,24 @@ class Dag:
     def node_count(self) -> int:
         return len(self.labels)
 
-    def in_degree(self, v: int) -> int:
-        return len(self.children[v])
-
-    def parent_map(self) -> dict[int, list[int]]:
-        parents: dict[int, list[int]] = {v: [] for v in range(self.node_count)}
+    def parent_map(self) -> list[list[int]]:
+        parents: list[list[int]] = [[] for _ in self.children]
         for v, cs in enumerate(self.children):
             for c in cs:
                 parents[c].append(v)
         return parents
 
-    def nodes_with_label(self, kind: str) -> dict[int, int]:
-        """Map label index -> node id for all ``("x", j)`` or ``("y", j)`` nodes."""
-        found: dict[int, int] = {}
-        for v, lbl in enumerate(self.labels):
-            if lbl is not None and lbl[0] == kind:
-                if lbl[1] in found:
-                    raise ValueError(f"duplicate label {kind}{lbl[1]}")
-                found[lbl[1]] = v
-        return found
+    # safe to cache: the fields never change
+    @cached_property
+    def _order(self) -> list[int]:
+        return _topological_order(self)
+
+    @cached_property
+    def _canonical_order(self) -> list[int]:
+        return _canonical_node_order(self)
 
     def degree_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for cs in self.children:
-            hist[len(cs)] = hist.get(len(cs), 0) + 1
-        return hist
+        return dict(Counter(map(len, self.children)))
 
 
 class DagBuilder:
@@ -174,56 +174,14 @@ def canonical_keys(dag: Dag) -> tuple[str, ...]:
     matters).  Output labels are deliberately not part of the key; the
     validity checker layers label identity on top.
     """
-    return _canonical_keys(dag, _topological_order(dag))
-
-
-def _canonical_keys(dag: Dag, order: list[int]) -> tuple[str, ...]:
     keys: list[str] = [""] * dag.node_count
-    for v in order:
+    for v in dag._order:
         lbl = dag.labels[v]
         if lbl is not None and lbl[0] == "x":
             keys[v] = f"x{lbl[1]}"
         else:
             keys[v] = "(" + ",".join(sorted(keys[c] for c in dag.children[v])) + ")"
     return tuple(keys)
-
-
-def signature(dag: Dag) -> tuple:
-    """Value identity of a structure: equal signatures mean the same
-    computation (same outputs over the same subtrees, same node set up
-    to renaming of internal nodes)."""
-    keys = canonical_keys(dag)
-    outs = tuple(
-        sorted((lbl[1], keys[v]) for v, lbl in enumerate(dag.labels) if lbl and lbl[0] == "y")
-    )
-    return (dag.n, outs, tuple(sorted(keys)))
-
-
-# ---------------------------------------------------------------------------
-# union
-
-
-def union(a: Dag, b: Dag) -> Dag:
-    """Deduplicating union: one copy of every shared subtree is kept.
-
-    Inputs merge by label, computation nodes merge by canonical key,
-    and outputs merge by label only when they compute the same subtree
-    (conflicting redefinitions raise).  Both arguments must be acyclic;
-    the fan-in bound is re-checked defensively on the result.
-    """
-    builder = DagBuilder()
-    for dag in (a, b):
-        mapped: dict[int, int] = {}
-        for v in _topological_order(dag):
-            lbl = dag.labels[v]
-            kids = [mapped[c] for c in dag.children[v]]
-            if lbl is not None and lbl[0] == "x":
-                mapped[v] = builder.input(lbl[1])
-            elif lbl is not None and lbl[0] == "y":
-                mapped[v] = builder.output(lbl[1], kids)
-            else:
-                mapped[v] = builder.op(kids)
-    return builder.build(max(a.n, b.n), max(a.m, b.m))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +274,7 @@ def _tree_pass(dag: Dag, order: list[int], outputs: dict[int, int]) -> set[int] 
 
 
 def _output_tree_failures(
-    dag: Dag, parents: dict[int, list[int]], j: int, y: int
+    dag: Dag, parents: list[list[int]], j: int, y: int
 ) -> list[str]:
     """Why y_j's ancestor graph is not a tree over the other inputs
     (empty when it is), by walking the graph: the witnesses."""
@@ -332,7 +290,7 @@ def _output_tree_failures(
                 f"y{j}: node {v} feeds it along {len(outs_inside)} edges"
                 " (ancestor graph is not a tree)"
             )
-    leaves = {dag.labels[v] for v in anc if dag.in_degree(v) == 0}
+    leaves = {dag.labels[v] for v in anc if not dag.children[v]}
     want = {("x", i) for i in range(1, n + 1) if i != j}
     if leaves != want:
         extra = sorted(
@@ -346,6 +304,75 @@ def _output_tree_failures(
             parts.append("missing leaves " + ", ".join(missing))
         failures.append(f"y{j}: " + "; ".join(parts))
     return failures
+
+
+def _subtree_ids(dag: Dag, order: list[int]) -> list[int]:
+    """Interned id per node, equal for two nodes iff their canonical
+    keys are equal: an input keys on its label, any other node on the
+    sorted tuple of its operands' ids."""
+    ids = [0] * dag.node_count
+    id_of = ids.__getitem__
+    interned: dict[tuple, int] = {}
+    labels, children = dag.labels, dag.children
+    for v in order:
+        lbl = labels[v]
+        key = lbl if lbl is not None and lbl[0] == "x" else tuple(sorted(map(id_of, children[v])))
+        ids[v] = interned.setdefault(key, len(interned))
+    return ids
+
+
+def _shared_subtree_failures(dag: Dag, order: list[int]) -> list[str]:
+    """The groups of nodes that compute one subtree, found on interned
+    ids; the string canonical keys that name the groups are built only
+    when there is one.  Distinctly labeled outputs are told apart by
+    their labels (inputs share a group only with their own label), and
+    a stray unlabeled source counts under "inputs"."""
+    ids = _subtree_ids(dag, order)
+    if len(set(ids)) == len(ids):
+        return []
+    labels = dag.labels
+    groups: dict[int, list[int]] = {}
+    for v, i in enumerate(ids):
+        if dag.children[v] or (labels[v] and labels[v][0] == "x"):
+            groups.setdefault(i, []).append(v)
+    shared = []
+    for group in groups.values():
+        names = {labels[v] for v in group}
+        if len(group) > 1 and (None in names or len(names) < len(group)):
+            shared.append(group)
+    keys = canonical_keys(dag) if shared else ()
+    return [f"nodes {g} all compute {keys[g[0]]}" for g in sorted(shared, key=lambda g: keys[g[0]])]
+
+
+def _terminal_check(
+    dag: Dag, kind: str, linked: Sequence[object]
+) -> tuple[PropertyCheck, dict[int, int]]:
+    """Property 1 (``kind`` "x", ``linked[v]`` true when v has operands)
+    or 2 (``kind`` "y", ``linked[v]`` true when v feeds a node): the
+    nodes not linked are exactly the ones labeled ``kind`` 1..n, each
+    label used once.  Also returns label -> node for the labels seen."""
+    noun, direction = ("input", "incoming") if kind == "x" else ("output", "outgoing")
+    n = dag.n
+    failures = []
+    seen: dict[int, int] = {}
+    for v, lbl in enumerate(dag.labels):
+        if lbl and lbl[0] == kind:
+            j = lbl[1]
+            if j in seen:
+                failures.append(f"duplicate {noun} label {kind}{j} (nodes {seen[j]}, {v})")
+            seen[j] = v
+    for v, e in enumerate(linked):
+        if not e and not (dag.labels[v] and dag.labels[v][0] == kind):
+            failures.append(f"node {v} has no {direction} edges but is not an {noun}")
+    for j, v in seen.items():
+        if linked[v]:
+            failures.append(f"{noun} {kind}{j} (node {v}) has {direction} edges")
+        if not 1 <= j <= n:
+            failures.append(f"{noun} label {kind}{j} outside 1..{n}")
+    missing = sorted(set(range(1, n + 1)) - set(seen))
+    if missing:
+        failures.append(f"missing {noun}s: {', '.join(f'{kind}{j}' for j in missing)}")
+    return PropertyCheck(f"{noun}s", not failures, "; ".join(failures) or None), seen
 
 
 def validate(dag: Dag) -> ValidationReport:
@@ -365,113 +392,48 @@ def validate(dag: Dag) -> ValidationReport:
     per-output ancestor walk, which writes the witnesses, runs only for
     the outputs that pass flags, or for all of them when the sources
     are not exactly x_1..x_n; so a valid structure is checked in one
-    pass and a report never differs from walking every output.  One
-    topological order serves the pass and the canonical keys.
+    pass, without parent lists, and a report never differs from walking
+    every output.  Distinct subtrees are decided on interned integer
+    ids, in the same topological order (:func:`_shared_subtree_failures`).
     """
-    checks: list[PropertyCheck] = []
     n = dag.n
-    failures: list[str]
+    labels, children = dag.labels, dag.children
+    feeding = set(chain.from_iterable(children))
 
-    # acyclicity first; key-based checks need it
+    # acyclicity first; the order-based checks need it
     order: list[int] | None
     try:
-        order = _topological_order(dag)
+        order = dag._order
     except ValueError:
         order = None
     cyclic = order is None
-    parents = dag.parent_map()
 
-    # property 1: sources are exactly x_1..x_n
-    failures = []
-    sources = [v for v in range(dag.node_count) if dag.in_degree(v) == 0]
-    seen_x: dict[int, int] = {}
-    for v, lbl in enumerate(dag.labels):
-        if lbl and lbl[0] == "x":
-            if lbl[1] in seen_x:
-                failures.append(f"duplicate input label x{lbl[1]} (nodes {seen_x[lbl[1]]}, {v})")
-            seen_x[lbl[1]] = v
-    for v in sources:
-        lbl = dag.labels[v]
-        if not (lbl and lbl[0] == "x"):
-            failures.append(f"node {v} has no incoming edges but is not an input")
-    for j, v in seen_x.items():
-        if dag.in_degree(v) != 0:
-            failures.append(f"input x{j} (node {v}) has incoming edges")
-        if not 1 <= j <= n:
-            failures.append(f"input label x{j} outside 1..{n}")
-    if set(seen_x) != set(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - set(seen_x))
-        if missing:
-            failures.append(f"missing inputs: {', '.join('x%d' % j for j in missing)}")
-    checks.append(PropertyCheck("inputs", not failures, "; ".join(failures) or None))
+    inputs, _ = _terminal_check(dag, "x", children)
+    outputs, seen_y = _terminal_check(dag, "y", [v in feeding for v in range(dag.node_count)])
+    checks = [inputs, outputs]
 
-    # property 2: sinks are exactly y_1..y_n
-    failures = []
-    sinks = [v for v in range(dag.node_count) if not parents[v]]
-    seen_y: dict[int, int] = {}
-    for v, lbl in enumerate(dag.labels):
-        if lbl and lbl[0] == "y":
-            if lbl[1] in seen_y:
-                failures.append(f"duplicate output label y{lbl[1]} (nodes {seen_y[lbl[1]]}, {v})")
-            seen_y[lbl[1]] = v
-    for v in sinks:
-        lbl = dag.labels[v]
-        if not (lbl and lbl[0] == "y"):
-            failures.append(f"node {v} has no outgoing edges but is not an output")
-    for j, v in seen_y.items():
-        if parents[v]:
-            failures.append(f"output y{j} (node {v}) has outgoing edges")
-        if not 1 <= j <= n:
-            failures.append(f"output label y{j} outside 1..{n}")
-    if set(seen_y) != set(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - set(seen_y))
-        if missing:
-            failures.append(f"missing outputs: {', '.join('y%d' % j for j in missing)}")
-    checks.append(PropertyCheck("outputs", not failures, "; ".join(failures) or None))
-
-    # property 3: each output's ancestor graph is a tree over the other inputs
-    failures = []
-    if cyclic:
-        failures.append("not evaluated: graph contains a cycle")
-    else:
+    # property 3: each output's ancestor graph is a tree over the other
+    # inputs; property 4: no two nodes compute the same subtree
+    trees = shared = ["not evaluated: graph contains a cycle"]
+    if not cyclic:
         flagged = _tree_pass(dag, order, seen_y)
-        for j in sorted(seen_y):
-            if flagged is None or j in flagged:
-                failures.extend(_output_tree_failures(dag, parents, j, seen_y[j]))
-    checks.append(PropertyCheck("output_trees", not failures, "; ".join(failures) or None))
-
-    # property 4: no two nodes compute the same subtree
-    failures = []
-    if cyclic:
-        failures.append("not evaluated: graph contains a cycle")
-    else:
-        keys = _canonical_keys(dag, order)
-        by_key: dict[str, list[int]] = {}
-        for v in range(dag.node_count):
-            if dag.in_degree(v) == 0 and not (dag.labels[v] and dag.labels[v][0] == "x"):
-                continue  # stray unlabeled source, reported under "inputs"
-            by_key.setdefault(keys[v], []).append(v)
-        for key, group in sorted(by_key.items()):
-            if len(group) < 2:
-                continue
-            # distinctly labeled outputs are told apart by their labels
-            non_outputs = [v for v in group if not (dag.labels[v] and dag.labels[v][0] == "y")]
-            if non_outputs or len({dag.labels[v] for v in group}) < len(group):
-                failures.append(f"nodes {group} all compute {key}")
-    checks.append(PropertyCheck("distinct_subtrees", not failures, "; ".join(failures) or None))
+        walked = [j for j in sorted(seen_y) if flagged is None or j in flagged]
+        parents = dag.parent_map() if walked else []
+        trees = [f for j in walked for f in _output_tree_failures(dag, parents, j, seen_y[j])]
+        shared = _shared_subtree_failures(dag, order)
+    checks.append(PropertyCheck("output_trees", not trees, "; ".join(trees) or None))
+    checks.append(PropertyCheck("distinct_subtrees", not shared, "; ".join(shared) or None))
 
     # property 5: computation fan-in within [2, m]
     failures = []
-    for v in range(dag.node_count):
-        lbl = dag.labels[v]
-        if lbl and lbl[0] == "x":
+    for v, cs in enumerate(children):
+        d = len(cs)
+        lbl = labels[v]
+        if 2 <= d <= dag.m or (lbl and lbl[0] == "x"):
             continue
-        d = dag.in_degree(v)
         if d > dag.m:
             failures.append(f"node {v} has fan-in {d} > m = {dag.m}")
-        elif d < 2:
-            if n == 2 and lbl and lbl[0] == "y" and d == 1:
-                continue  # the n = 2 wire pair
+        elif not (n == 2 and lbl and lbl[0] == "y" and d == 1):  # the n = 2 wire pair
             failures.append(f"node {v} has fan-in {d} < 2")
     checks.append(PropertyCheck("fan_in", not failures, "; ".join(failures) or None))
 
@@ -486,32 +448,39 @@ def validate(dag: Dag) -> ValidationReport:
 
 
 def _check_fan_in(dag: Dag, cm: CostModel) -> None:
-    for v, cs in enumerate(dag.children):
-        if len(cs) > cm.m:
-            raise ValueError(f"node {v} has fan-in {len(cs)} > cost model m = {cm.m}")
+    if max(map(len, dag.children), default=0) > cm.m:
+        v = next(v for v, cs in enumerate(dag.children) if len(cs) > cm.m)
+        raise ValueError(f"node {v} has fan-in {len(dag.children[v])} > cost model m = {cm.m}")
 
 
 def complexity(dag: Dag, cm: CostModel) -> Fraction:
-    """Fan-in-weighted node count: sum of ``c[fan_in(v)]`` over all nodes.
+    """Fan-in-weighted node count: sum of ``c[fan_in(v)]`` over all nodes,
+    taken as ``c[d]`` times the number of nodes of fan-in ``d``.
 
     Sources weigh ``c[0] = 0`` and wires ``c[1] = 0``, so the sum only
     sees real computation nodes.
     """
     _check_fan_in(dag, cm)
-    return sum((cm.c[len(cs)] for cs in dag.children), Fraction(0))
+    return sum((cm.c[d] * count for d, count in dag.degree_histogram().items()), Fraction(0))
 
 
 def latency(dag: Dag, cm: CostModel) -> Fraction:
-    """Node-weighted longest path, node ``v`` weighing ``l[fan_in(v)]``."""
+    """Node-weighted longest path, node ``v`` weighing ``l[fan_in(v)]``.
+
+    The DP runs on ints, ``l`` scaled by the LCM of its denominators;
+    only the result is a ``Fraction``.
+    """
     _check_fan_in(dag, cm)
-    dist: list[Fraction] = [Fraction(0)] * dag.node_count
-    best = Fraction(0)
-    for v in _topological_order(dag):
-        w = cm.l[dag.in_degree(v)]
-        dist[v] = w + max((dist[c] for c in dag.children[v]), default=Fraction(0))
-        if dist[v] > best:
-            best = dist[v]
-    return best
+    scale = lcm(*(x.denominator for x in cm.l))
+    weight = [x.numerator * (scale // x.denominator) for x in cm.l]
+    children = dag.children
+    dist = [0] * dag.node_count  # sources weigh l[0] = 0
+    below = dist.__getitem__
+    for v in dag._order:
+        cs = children[v]
+        if cs:
+            dist[v] = weight[len(cs)] + max(map(below, cs))
+    return Fraction(max(dist, default=0), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +517,7 @@ def prune(dag: Dag, n: int) -> PruneResult:
     actions: list[str] = []
     image: list[int | None] = [None] * dag.node_count
     outputs: list[int] = []
-    for v in _topological_order(dag):
+    for v in dag._order:
         lbl = dag.labels[v]
         if lbl is not None and lbl[1] > n:
             actions.append(f"removed {lbl[0]}{lbl[1]}")
@@ -604,7 +573,7 @@ def _canonical_node_order(dag: Dag) -> list[int]:
 
 def to_json_dict(dag: Dag) -> dict:
     """Deterministic JSON form: nodes in canonical order, edges sorted."""
-    order = _canonical_node_order(dag)
+    order = dag._canonical_order
     renum = {v: i for i, v in enumerate(order)}
     nodes = []
     for v in order:
@@ -618,71 +587,84 @@ def dumps(dag: Dag) -> str:
     return json.dumps(to_json_dict(dag), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _edge_error(edges: list, ids: dict[int, int]) -> str:
+    """The first bad entry of ``edges``, located: the slow path of
+    :func:`from_json_dict`, taken only to raise."""
+    seen: set[tuple[int, int]] = set()
+    for idx, pair in enumerate(edges):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or set(map(type, pair)) != {int}:
+            return f"edges[{idx}]: expected [child_id, parent_id]"
+        for x in pair:
+            if x not in ids:
+                return f"edges[{idx}]: unknown node id {x}"
+        c, p = pair
+        if (c, p) in seen:
+            return f"edges[{idx}]: duplicate edge {c} -> {p}"
+        seen.add((c, p))
+    raise AssertionError("no bad edge")
+
+
 def from_json_dict(raw: object) -> Dag:
     """Inverse of :func:`to_json_dict`; rejects malformed input with the
-    offending location, including cycles and duplicate labels."""
+    offending location, including cycles and duplicate labels.  Node ids
+    and edge endpoints are ints, booleans excluded."""
     if not isinstance(raw, dict):
         raise ValueError("structure: expected a JSON object")
     for key in ("n", "m", "nodes", "edges"):
         if key not in raw:
             raise ValueError(f"structure.{key}: missing required field")
-    n, m = raw["n"], raw["m"]
+    n, m, nodes, edges = raw["n"], raw["m"], raw["nodes"], raw["edges"]
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"structure.n: expected an integer >= 2, got {n!r}")
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"structure.m: expected an integer >= 2, got {m!r}")
-    if not isinstance(raw["nodes"], list) or not isinstance(raw["edges"], list):
+    if not isinstance(nodes, list) or not isinstance(edges, list):
         raise ValueError("structure.nodes / structure.edges: expected arrays")
 
     ids: dict[int, int] = {}
     labels: list[Label] = []
     seen_labels: set[str] = set()
-    for idx, entry in enumerate(raw["nodes"]):
-        where = f"nodes[{idx}]"
+    for entry in nodes:
+        # entry is nodes[len(labels)]
         if not isinstance(entry, dict) or "id" not in entry:
-            raise ValueError(f"{where}: expected an object with an 'id'")
+            raise ValueError(f"nodes[{len(labels)}]: expected an object with an 'id'")
         nid = entry["id"]
-        if not isinstance(nid, int):
-            raise ValueError(f"{where}.id: expected an integer, got {nid!r}")
+        if type(nid) is not int:
+            raise ValueError(f"nodes[{len(labels)}].id: expected an integer, got {nid!r}")
         if nid in ids:
-            raise ValueError(f"{where}.id: duplicate node id {nid}")
+            raise ValueError(f"nodes[{len(labels)}].id: duplicate node id {nid}")
         lbl_raw = entry.get("label")
         lbl: Label = None
         if lbl_raw is not None:
-            if not isinstance(lbl_raw, str) or not _LABEL_RE.match(lbl_raw):
-                raise ValueError(f"{where}.label: expected 'x<j>', 'y<j>' or null, got {lbl_raw!r}")
+            match = _LABEL_RE.match(lbl_raw) if isinstance(lbl_raw, str) else None
+            if match is None:
+                raise ValueError(
+                    f"nodes[{len(labels)}].label: expected 'x<j>', 'y<j>' or null, got {lbl_raw!r}"
+                )
             if lbl_raw in seen_labels:
-                raise ValueError(f"{where}.label: duplicate label {lbl_raw}")
+                raise ValueError(f"nodes[{len(labels)}].label: duplicate label {lbl_raw}")
             seen_labels.add(lbl_raw)
-            match = _LABEL_RE.match(lbl_raw)
             lbl = (match.group(1), int(match.group(2)))
         ids[nid] = len(labels)
         labels.append(lbl)
 
     children: list[set[int]] = [set() for _ in labels]
-    for idx, pair in enumerate(raw["edges"]):
-        where = f"edges[{idx}]"
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
-        ):
-            raise ValueError(f"{where}: expected [child_id, parent_id]")
-        c, p = pair
-        for x in (c, p):
-            if x not in ids:
-                raise ValueError(f"{where}: unknown node id {x}")
-        if ids[c] in children[ids[p]]:
-            raise ValueError(f"{where}: duplicate edge {c} -> {p}")
-        children[ids[p]].add(ids[c])
+    get = ids.get
+    for pair in edges:
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            c, p = pair
+            if type(c) is int and type(p) is int:
+                ci, pi = get(c), get(p)
+                if ci is not None and pi is not None:
+                    children[pi].add(ci)
+                    continue
+        raise ValueError(_edge_error(edges, ids))
+    kids = tuple(tuple(sorted(cs)) for cs in children)
+    if sum(map(len, kids)) != len(edges):  # a duplicate edge
+        raise ValueError(_edge_error(edges, ids))
 
-    dag = Dag(
-        n=n,
-        m=m,
-        labels=tuple(labels),
-        children=tuple(tuple(sorted(cs)) for cs in children),
-    )
-    _topological_order(dag)  # raises "graph contains a cycle"
+    dag = Dag(n=n, m=m, labels=tuple(labels), children=kids)
+    dag._order  # raises "graph contains a cycle"
     return dag
 
 
@@ -699,7 +681,7 @@ def loads(text: str | bytes) -> Dag:
 def to_dot(dag: Dag) -> str:
     """Graphviz rendering: inputs ranked as sources, outputs as sinks,
     computation nodes annotated with their fan-in."""
-    order = _canonical_node_order(dag)
+    order = dag._canonical_order
     renum = {v: i for i, v in enumerate(order)}
 
     def name(v: int) -> str:
@@ -713,7 +695,7 @@ def to_dot(dag: Dag) -> str:
     lines.append("  { rank=sink; " + "; ".join(sinks) + "; }")
     for v in order:
         if dag.labels[v] is None:
-            lines.append(f'  v{renum[v]} [shape=circle, label="{dag.in_degree(v)}-in"];')
+            lines.append(f'  v{renum[v]} [shape=circle, label="{len(dag.children[v])}-in"];')
         elif dag.labels[v][0] == "y":
             lines.append(f"  {name(v)} [shape=doublecircle];")
         else:

@@ -8,7 +8,7 @@ import pytest
 from mpsynth.costs import CostModel
 from mpsynth.oracles import ascending_labeling, structure_from_labeled_copies
 from mpsynth.startree import StarTree, feasible_input_size
-from mpsynth.structure import Dag, DagBuilder, prune
+from mpsynth.structure import Dag, DagBuilder, _topological_order, canonical_keys, prune
 from mpsynth.uniform import structure_from_uniform_tree, uniform_tree_from_type_vector
 
 
@@ -28,6 +28,45 @@ def cm_steep() -> CostModel:
 def cm_frac() -> CostModel:
     """m = 3 with fractional latencies."""
     return CostModel.from_factors(3, [1, 2], [1, Fraction(3, 2)])
+
+
+def nodes_with_label(dag: Dag, kind: str) -> dict[int, int]:
+    """Map label index -> node id for all ``("x", j)`` or ``("y", j)`` nodes."""
+    return {lbl[1]: v for v, lbl in enumerate(dag.labels) if lbl is not None and lbl[0] == kind}
+
+
+def signature(dag: Dag) -> tuple:
+    """Value identity of a structure: equal signatures mean the same
+    computation (same outputs over the same subtrees, same node set up
+    to renaming of internal nodes)."""
+    keys = canonical_keys(dag)
+    outs = tuple(
+        sorted((lbl[1], keys[v]) for v, lbl in enumerate(dag.labels) if lbl and lbl[0] == "y")
+    )
+    return (dag.n, outs, tuple(sorted(keys)))
+
+
+def union(a: Dag, b: Dag) -> Dag:
+    """Deduplicating union: one copy of every shared subtree is kept.
+
+    Inputs merge by label, computation nodes merge by canonical key,
+    and outputs merge by label only when they compute the same subtree
+    (conflicting redefinitions raise).  Both arguments must be acyclic;
+    the fan-in bound is re-checked defensively on the result.
+    """
+    builder = DagBuilder()
+    for dag in (a, b):
+        mapped: dict[int, int] = {}
+        for v in _topological_order(dag):
+            lbl = dag.labels[v]
+            kids = [mapped[c] for c in dag.children[v]]
+            if lbl is not None and lbl[0] == "x":
+                mapped[v] = builder.input(lbl[1])
+            elif lbl is not None and lbl[0] == "y":
+                mapped[v] = builder.output(lbl[1], kids)
+            else:
+                mapped[v] = builder.op(kids)
+    return builder.build(max(a.n, b.n), max(a.m, b.m))
 
 
 def seven_input_structure(labeling: str):

@@ -7,7 +7,9 @@ comparisons are exact (rationals, integer counts, byte equality).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -48,8 +50,6 @@ from mpsynth.structure import (
     complexity,
     latency,
     prune,
-    signature,
-    union,
     validate,
 )
 from mpsynth.uniform import (
@@ -60,7 +60,7 @@ from mpsynth.uniform import (
     uniform_tree_from_type_vector,
 )
 
-from conftest import wire_structure
+from conftest import nodes_with_label, signature, union, wire_structure
 
 
 @contextlib.contextmanager
@@ -291,8 +291,8 @@ def _mutate(dag: Dag, kind: str, rng: random.Random):
     for v, cs in enumerate(dag.children):
         for c in cs:
             parents[c].append(v)
-    inputs = dag.nodes_with_label("x")
-    outputs = dag.nodes_with_label("y")
+    inputs = nodes_with_label(dag, "x")
+    outputs = nodes_with_label(dag, "y")
     internal = [v for v, lbl in enumerate(dag.labels) if lbl is None]
 
     def ancestors(v: int) -> set[int]:
@@ -485,6 +485,41 @@ def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
     reports = [validate(dag).to_json_dict() for dag in mutants]
     monkeypatch.setattr(structure, "_tree_pass", lambda dag, order, outputs: None)
     assert [validate(dag).to_json_dict() for dag in mutants] == reports
+
+
+def _partition(keys) -> set[frozenset[int]]:
+    """The nodes grouped by equal key."""
+    groups: dict[object, set[int]] = {}
+    for v, key in enumerate(keys):
+        groups.setdefault(key, set()).add(v)
+    return {frozenset(group) for group in groups.values()}
+
+
+# sha256 of the JSON reports of the 100 C7 mutants, recorded when the
+# distinct-subtrees check grouped nodes by string canonical keys
+C7_REPORTS_SHA256 = "2619a5d11cfda88ec3c3eb1f16001c4186ee45507e812676789a504bfcb2f7e1"
+
+
+def test_subtree_ids_partition_like_canonical_keys(
+    shared7_ascending, shared7_cyclic, shared6_pruned
+):
+    pool = _c7_pool()
+    mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
+    fixtures = pool + [shared7_ascending, shared7_cyclic, shared6_pruned, wire_structure()]
+    compared = 0
+    for dag in fixtures + mutants:
+        try:
+            order = structure._topological_order(dag)
+        except ValueError:
+            continue  # neither is defined on a cyclic graph
+        ids = structure._subtree_ids(dag, order)
+        assert _partition(ids) == _partition(structure.canonical_keys(dag))
+        compared += 1
+    assert compared >= 90
+
+    reports = [validate(dag).to_json_dict() for dag in mutants]
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == C7_REPORTS_SHA256
 
 
 # ---------------------------------------------------------------------------

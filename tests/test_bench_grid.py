@@ -1,0 +1,43 @@
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import mpsynth
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_grid.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_grid", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grid_cells_time_and_trace_every_stage():
+    bench = load_tool()
+    cells = bench.run_grid(mpsynth, sizes=(8,), fan_ins=(3,))
+    assert [(c["mode"], c["n"], c["m"]) for c in cells] == [("star", 8, 3), ("isom", 8, 3)]
+    for cell in cells:
+        assert cell["error"] is None
+        assert cell["report_ok"] is True
+        assert list(cell["stages"]) == list(bench.STAGES)
+        assert all(set(stage) == {"cpu_s", "peak_mib"} for stage in cell["stages"].values())
+
+
+def test_grid_records_a_raising_cell_and_goes_on(monkeypatch):
+    bench = load_tool()
+
+    def too_deep(n, cm, all_optima=True):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(mpsynth, "synthesize_star", too_deep)
+    star, isom = bench.run_grid(mpsynth, sizes=(8,), fan_ins=(3,))
+    assert star["error"] == {
+        "stage": "synthesize",
+        "type": "RecursionError",
+        "message": "maximum recursion depth exceeded",
+    }
+    assert star["stages"] == {}
+    assert isom["error"] is None

@@ -184,3 +184,19 @@ def test_subprocess_entry_point(tmp_path, costs_file):
     proc = run_cli("synthesize", "star", "7", "--costs", str(costs_file))
     assert proc.returncode == 0
     assert "complexity  15" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["synthesize", "export"])
+def test_out_naming_a_file_is_usage_error(tmp_path, costs_file, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    source = tmp_path / "structure.json"
+    source.write_text(dumps(seven_input_structure("cyclic")))
+    argv = {
+        "synthesize": ["synthesize", "star", "7", "--costs", str(costs_file)],
+        "export": ["export", str(source), "--format", "json"],
+    }[command]
+    assert main([*argv, "--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("cannot write artifacts: ")

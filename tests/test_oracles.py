@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from mpsynth import oracles, staropt
@@ -20,6 +22,7 @@ from mpsynth.oracles import (
 )
 from mpsynth.staropt import min_star_complexity, optimal_degree_vectors
 from mpsynth.startree import degree_vector_of
+from mpsynth.structure import Dag
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +177,37 @@ def test_report_builds_one_forest_table(monkeypatch):
     built.clear()
     assert verify_report(9, cm, EnumerationBudget(max_star_leaves=8)).ok
     assert built == [optima[:1]]
+
+
+def _with_shadow_node(dag: Dag) -> Dag:
+    """``dag`` plus a parentless unlabeled copy of its first computation
+    node: the latency stays, but the copy is a sink that is no output
+    and computes what the original computes."""
+    v = next(v for v, cs in enumerate(dag.children) if cs)
+    return Dag(dag.n, dag.m, dag.labels + (None,), dag.children + (dag.children[v],))
+
+
+def test_report_fails_checks_whose_structure_is_invalid(monkeypatch, cm_unit):
+    star, uniform, isom = (
+        oracles.structure_from_star_tree,
+        oracles.structure_from_uniform_tree,
+        oracles.synthesize_min_latency,
+    )
+    monkeypatch.setattr(
+        oracles, "structure_from_star_tree", lambda tree: _with_shadow_node(star(tree))
+    )
+    monkeypatch.setattr(
+        oracles,
+        "structure_from_uniform_tree",
+        lambda tree, m: _with_shadow_node(uniform(tree, m)),
+    )
+
+    def shadowed_isom(n, cm):
+        result = isom(n, cm)
+        return dataclasses.replace(result, structure=_with_shadow_node(result.structure))
+
+    monkeypatch.setattr(oracles, "synthesize_min_latency", shadowed_isom)
+    report = verify_report(5, cm_unit)
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert set(failed) == {"star_latency", "labeling_minimality", "latency_dominance"}
+    assert set(failed.values()) == {"structure fails outputs, distinct_subtrees"}

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpsynth import structure
 from mpsynth.costs import CostModel
 from mpsynth.oracles import oracle_structure_latency
 from mpsynth.staropt import synthesize_star
@@ -20,9 +22,7 @@ from mpsynth.structure import (
     latency,
     loads,
     prune,
-    signature,
     to_dot,
-    union,
     validate,
 )
 from mpsynth.uniform import (
@@ -31,7 +31,13 @@ from mpsynth.uniform import (
     uniform_tree_from_type_vector,
 )
 
-from conftest import star_tree_from_degree_vector, wire_structure
+from conftest import (
+    nodes_with_label,
+    signature,
+    star_tree_from_degree_vector,
+    union,
+    wire_structure,
+)
 
 
 def three_wheel() -> Dag:
@@ -194,8 +200,8 @@ def test_reference_structure_passes_all_checks(shared7_cyclic):
 
 def test_input_feeding_its_own_output_breaks_tree_property(shared7_cyclic):
     dag = shared7_cyclic
-    x1 = dag.nodes_with_label("x")[1]
-    y1 = dag.nodes_with_label("y")[1]
+    x1 = nodes_with_label(dag, "x")[1]
+    y1 = nodes_with_label(dag, "y")[1]
     children = list(dag.children)
     children[y1] = tuple(sorted(children[y1] + (x1,)))
     bad = Dag(n=dag.n, m=dag.m, labels=dag.labels, children=tuple(children))
@@ -320,6 +326,53 @@ def test_latency_oracle_agreement_across_structures(cm_frac):
         dag = synthesize_star(n, cm_frac).structure
         if dag.node_count <= 30:
             assert latency(dag, cm_frac) == oracle_structure_latency(dag, cm_frac)
+
+
+def fraction_complexity(dag: Dag, cm: CostModel) -> Fraction:
+    """Reference: the sum of ``c[fan_in(v)]`` taken node by node."""
+    return sum((cm.c[len(cs)] for cs in dag.children), Fraction(0))
+
+
+def fraction_latency(dag: Dag, cm: CostModel) -> Fraction:
+    """Reference: the longest-path DP on ``Fraction``s."""
+    dist = [Fraction(0)] * dag.node_count
+    for v in structure._topological_order(dag):
+        dist[v] = cm.l[len(dag.children[v])] + max(
+            (dist[c] for c in dag.children[v]), default=Fraction(0)
+        )
+    return max(dist, default=Fraction(0))
+
+
+# latency factors with unequal denominators, so the integer DP's scale
+# is their LCM (2 * 5 * 7 = 70 for the m = 4 model)
+MIXED_DENOMINATOR_MODELS = [
+    CostModel.from_factors(3, [1, 2], [1, Fraction(3, 2)]),
+    CostModel.from_factors(
+        4, [1, Fraction(3, 2), 2], [Fraction(3, 2), Fraction(9, 5), Fraction(15, 7)]
+    ),
+    CostModel.from_factors(
+        6, [1, 2, 3, 4, 5], [Fraction(1, 2), Fraction(2, 3), 1, Fraction(4, 3), Fraction(7, 4)]
+    ),
+]
+
+
+def test_integer_eval_matches_fraction_reference(
+    shared7_ascending, shared7_cyclic, shared6_pruned
+):
+    fixtures = [shared7_ascending, shared7_cyclic, shared6_pruned, three_wheel(), wire_structure()]
+    oracle_checked = 0
+    for cm in MIXED_DENOMINATOR_MODELS:
+        built = [synthesize_star(n, cm).structure for n in range(3, 40, 4)]
+        built += [synthesize_min_latency(n, cm).structure for n in range(3, 40, 4)]
+        for dag in fixtures + built:
+            got_c, got_l = complexity(dag, cm), latency(dag, cm)
+            assert type(got_c) is Fraction and type(got_l) is Fraction
+            assert got_c == fraction_complexity(dag, cm)
+            assert got_l == fraction_latency(dag, cm)
+            if dag.node_count <= 30:
+                assert got_l == oracle_structure_latency(dag, cm)
+                oracle_checked += 1
+    assert oracle_checked >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +556,6 @@ def test_import_rejects_cycle():
         "nodes": [{"id": 0, "label": None}, {"id": 1, "label": None}],
         "edges": [[0, 1], [1, 0]],
     }
-    import json
-
     with pytest.raises(ValueError, match="cycle"):
         loads(json.dumps(raw))
 
@@ -516,18 +567,100 @@ def test_import_rejects_duplicate_output_label():
         "nodes": [{"id": 0, "label": "y3"}, {"id": 1, "label": "y3"}],
         "edges": [],
     }
-    import json
-
     with pytest.raises(ValueError, match="duplicate label y3"):
         loads(json.dumps(raw))
 
 
 def test_import_rejects_unknown_edge_endpoint():
     raw = {"n": 2, "m": 2, "nodes": [{"id": 0, "label": "x1"}], "edges": [[0, 9]]}
-    import json
-
     with pytest.raises(ValueError, match=r"edges\[0\]"):
         loads(json.dumps(raw))
+
+
+def _wire_raw(**fields) -> dict:
+    """The 2-input wire structure as JSON fields, with ``fields`` replaced."""
+    raw = {
+        "n": 2,
+        "m": 2,
+        "nodes": [
+            {"id": 0, "label": "x1"},
+            {"id": 1, "label": "x2"},
+            {"id": 2, "label": "y1"},
+            {"id": 3, "label": "y2"},
+        ],
+        "edges": [[1, 2], [0, 3]],
+    }
+    raw.update(fields)
+    return raw
+
+
+# one case per message of ``loads``; when several entries are bad, the
+# first one in file order is the one reported
+LOADS_ERRORS = [
+    ([1, 2], "structure: expected a JSON object"),
+    ({"n": 2, "m": 2, "nodes": []}, "structure.edges: missing required field"),
+    ({"m": 2, "nodes": [], "edges": []}, "structure.n: missing required field"),
+    (_wire_raw(n=1), "structure.n: expected an integer >= 2, got 1"),
+    (_wire_raw(n="2"), "structure.n: expected an integer >= 2, got '2'"),
+    (_wire_raw(m=1.5), "structure.m: expected an integer >= 2, got 1.5"),
+    (_wire_raw(nodes={}), "structure.nodes / structure.edges: expected arrays"),
+    (_wire_raw(edges=None), "structure.nodes / structure.edges: expected arrays"),
+    (_wire_raw(nodes=[{"id": 0}, 7]), "nodes[1]: expected an object with an 'id'"),
+    (_wire_raw(nodes=[{"label": "x1"}]), "nodes[0]: expected an object with an 'id'"),
+    (_wire_raw(nodes=[{"id": "0"}]), "nodes[0].id: expected an integer, got '0'"),
+    (_wire_raw(nodes=[{"id": 0.0}]), "nodes[0].id: expected an integer, got 0.0"),
+    (_wire_raw(nodes=[{"id": 0}, {"id": 0}]), "nodes[1].id: duplicate node id 0"),
+    (
+        _wire_raw(nodes=[{"id": 0, "label": "z1"}]),
+        "nodes[0].label: expected 'x<j>', 'y<j>' or null, got 'z1'",
+    ),
+    (
+        _wire_raw(nodes=[{"id": 0, "label": 1}]),
+        "nodes[0].label: expected 'x<j>', 'y<j>' or null, got 1",
+    ),
+    (
+        _wire_raw(nodes=[{"id": 0, "label": "x0"}]),
+        "nodes[0].label: expected 'x<j>', 'y<j>' or null, got 'x0'",
+    ),
+    (
+        _wire_raw(nodes=[{"id": 0, "label": "x1"}, {"id": 1, "label": "x1"}]),
+        "nodes[1].label: duplicate label x1",
+    ),
+    (_wire_raw(edges=[[1, 2], [0]]), "edges[1]: expected [child_id, parent_id]"),
+    (_wire_raw(edges=[[1, 2, 3]]), "edges[0]: expected [child_id, parent_id]"),
+    (_wire_raw(edges=["12"]), "edges[0]: expected [child_id, parent_id]"),
+    (_wire_raw(edges=[{"1": 2}]), "edges[0]: expected [child_id, parent_id]"),
+    (_wire_raw(edges=[[1, "2"]]), "edges[0]: expected [child_id, parent_id]"),
+    (_wire_raw(edges=[[1.0, 2]]), "edges[0]: expected [child_id, parent_id]"),
+    (_wire_raw(edges=[[1, 2], [9, 3]]), "edges[1]: unknown node id 9"),
+    (_wire_raw(edges=[[0, 9], [9, 3]]), "edges[0]: unknown node id 9"),
+    (_wire_raw(edges=[[1, 2], [0, 3], [1, 2]]), "edges[2]: duplicate edge 1 -> 2"),
+    (_wire_raw(edges=[[1, 2], [1, 2], [5, 3]]), "edges[1]: duplicate edge 1 -> 2"),
+    (_wire_raw(edges=[[1, 2], [1, 2], [0]]), "edges[1]: duplicate edge 1 -> 2"),
+    (_wire_raw(edges=[[0, 3], [1, 2], [0, 3], [1, 2]]), "edges[2]: duplicate edge 0 -> 3"),
+    (_wire_raw(edges=[[1, 2], [2, 1]]), "graph contains a cycle"),
+    # booleans are not node ids, though Python counts them as ints
+    (_wire_raw(nodes=[{"id": True}]), "nodes[0].id: expected an integer, got True"),
+    (_wire_raw(nodes=[{"id": 0}, {"id": False}]), "nodes[1].id: expected an integer, got False"),
+    (_wire_raw(edges=[[True, 2]]), "edges[0]: expected [child_id, parent_id]"),
+    (_wire_raw(edges=[[1, 2], [0, True]]), "edges[1]: expected [child_id, parent_id]"),
+]
+
+
+@pytest.mark.parametrize("raw, message", LOADS_ERRORS)
+def test_loads_error_messages(raw, message):
+    with pytest.raises(ValueError) as caught:
+        loads(json.dumps(raw))
+    assert str(caught.value) == message
+
+
+def test_loads_rejects_invalid_json():
+    with pytest.raises(ValueError, match="structure file is not valid JSON"):
+        loads(b"{")
+
+
+def test_loads_accepts_the_wire_fields():
+    assert loads(json.dumps(_wire_raw())) == wire_structure()
 
 
 def test_export_is_deterministic_across_node_orderings(shared7_cyclic):

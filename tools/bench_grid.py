@@ -1,0 +1,142 @@
+"""Per-stage CPU time and peak traced memory of mpsynth over a size grid.
+
+    python tools/bench_grid.py --tag NAME [--src DIR]
+
+writes ``BENCH_NAME.json`` at the root of the checkout, and one progress
+line per cell to standard error.  The grid is both modes, n in
+{64, 256, 1024, 4096} and m in {2, 3, 4, 6}.
+Each cell runs the stages one CLI request goes through, in order:
+``synthesize`` (``synthesize_star`` or ``synthesize_min_latency``),
+``dumps`` and ``to_dot`` of the result, ``loads`` of the JSON, then
+``validate``, ``complexity`` and ``latency`` of the loaded structure.
+
+Each cell runs twice from scratch: once untraced for the CPU seconds of
+every stage (``time.process_time``), then under ``tracemalloc`` for the
+peak traced memory during each stage (reset between stages, so it
+counts what earlier stages left alive plus the stage's own work).  A
+stage that raises ends its cell: the cell records the stages before it
+and an ``error`` entry, and the grid goes on.  Standard library only;
+mpsynth is imported from ``--src`` (default: ``src/`` of this checkout),
+so one script measures any commit.  One process, one cell at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODES = ("star", "isom")
+SIZES = (64, 256, 1024, 4096)
+FAN_INS = (2, 3, 4, 6)
+STAGES = ("synthesize", "dumps", "to_dot", "loads", "validate", "complexity", "latency")
+
+
+def cost_factors(m: int) -> tuple[list[int], list[int]]:
+    """``c[k] = k - 1`` and ``l[k] = 1`` for fan-in k = 2..m."""
+    return list(range(1, m)), [1] * (m - 1)
+
+
+def stage_calls(mpsynth, mode: str, n: int, cm):
+    """The stages of one cell as (name, function of the previous results)."""
+    synthesize = mpsynth.synthesize_star if mode == "star" else mpsynth.synthesize_min_latency
+    return (
+        ("synthesize", lambda r: synthesize(n, cm).structure),
+        ("dumps", lambda r: mpsynth.dumps(r["synthesize"])),
+        ("to_dot", lambda r: mpsynth.to_dot(r["synthesize"])),
+        ("loads", lambda r: mpsynth.loads(r["dumps"])),
+        ("validate", lambda r: mpsynth.validate(r["loads"])),
+        ("complexity", lambda r: mpsynth.complexity(r["loads"], cm)),
+        ("latency", lambda r: mpsynth.latency(r["loads"], cm)),
+    )
+
+
+def run_cell(mpsynth, mode: str, n: int, m: int) -> dict:
+    cm = mpsynth.CostModel.from_factors(m, *cost_factors(m))
+    cell: dict = {"mode": mode, "n": n, "m": m, "stages": {}, "error": None}
+    for traced in (False, True):
+        results: dict = {}
+        gc.collect()
+        if traced:
+            tracemalloc.start()
+        try:
+            for name, call in stage_calls(mpsynth, mode, n, cm):
+                if traced:
+                    tracemalloc.reset_peak()
+                start = time.process_time()
+                try:
+                    results[name] = call(results)
+                except Exception as exc:  # a failing cell is data, not the end of the grid
+                    kind, message = type(exc).__name__, str(exc)[:200]
+                    cell["error"] = {"stage": name, "type": kind, "message": message}
+                    break
+                seconds = time.process_time() - start
+                entry = cell["stages"].setdefault(name, {})
+                if traced:
+                    entry["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+                else:
+                    entry["cpu_s"] = round(seconds, 6)
+        finally:
+            if traced:
+                tracemalloc.stop()
+        if "synthesize" in results:
+            dag = results["synthesize"]
+            cell["nodes"] = dag.node_count
+            cell["report_ok"] = results["validate"].ok if "validate" in results else None
+            for key in ("complexity", "latency"):
+                if key in results:
+                    cell[key] = mpsynth.format_rational(results[key])
+        if cell["error"] is not None:
+            break  # the traced run would fail the same way
+    return cell
+
+
+def run_grid(mpsynth, modes=MODES, sizes=SIZES, fan_ins=FAN_INS) -> list[dict]:
+    cells = []
+    for mode in modes:
+        for m in fan_ins:
+            for n in sizes:
+                cell = run_cell(mpsynth, mode, n, m)
+                cells.append(cell)
+                total = sum(s.get("cpu_s", 0.0) for s in cell["stages"].values())
+                status = cell["error"]["type"] if cell["error"] else "ok"
+                print(f"{mode} m={m} n={n}: {total:.3f} s {status}", file=sys.stderr, flush=True)
+    return cells
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding mpsynth")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, args.src)
+    import mpsynth
+
+    cells = run_grid(mpsynth)
+    record = {
+        "tag": args.tag,
+        "mpsynth_version": mpsynth.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "clock": "cpu_s: time.process_time, untraced; peak_mib: tracemalloc, a second run",
+        "cost_model": "c[k] = k - 1, l[k] = 1 for k = 2..m",
+        "stages": list(STAGES),
+        "cells": cells,
+    }
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
