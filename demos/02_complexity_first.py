@@ -18,7 +18,7 @@ for c3 in (2, 1):
     print(f"\n=== 3-input unit costs {c3} (2-input costs 1) ===")
     table = min_star_complexity(7, cm)
     print(f"cheapest complexity for n=7: {table.value()}")
-    for q in optimal_degree_vectors(table, all_optima=True):
+    for q in optimal_degree_vectors(table):
         print(f"  achieved by degree vector {q}: "
               f"{q[0]} three-way nodes, {q[1]} four-way nodes"
               f" -> cost {star_complexity(q, cm)}")

@@ -21,6 +21,7 @@ Identical invocations write byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,13 +37,23 @@ from .uniform import synthesize_min_latency
 USAGE_ERROR, MISMATCH = 1, 3
 
 
-def _fail(code: int, message: str) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """``(exit code, message)``: :func:`main` prints the message as a
+    JSON error on standard error and returns the code."""
 
 
 def _load_costs(path: str) -> CostModel:
-    return load_cost_model(Path(path).read_bytes())
+    try:
+        return load_cost_model(Path(path).read_bytes())
+    except (OSError, CostModelError) as exc:
+        raise _Failure(USAGE_ERROR, f"cost model: {exc}")
+
+
+def _load_structure(path: str) -> Dag:
+    try:
+        return loads(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:
+        raise _Failure(MISMATCH, f"cannot load structure: {exc}")
 
 
 def _write_artifacts(
@@ -77,16 +88,13 @@ def _summary(rows: list[tuple[str, object]]) -> None:
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    try:
-        cm = _load_costs(args.costs)
-    except (OSError, CostModelError) as exc:
-        return _fail(USAGE_ERROR, f"cost model: {exc}")
+    cm = _load_costs(args.costs)
     if args.n < 3:
-        return _fail(USAGE_ERROR, f"synthesis needs n >= 3, got {args.n}")
+        raise _Failure(USAGE_ERROR, f"synthesis needs n >= 3, got {args.n}")
 
     rows: list[tuple[str, object]]
     if args.mode == "star":
-        result = synthesize_star(args.n, cm, all_optima=True)
+        result = synthesize_star(args.n, cm)
         dag = result.structure
         rows = [
             ("mode", "star"),
@@ -128,38 +136,27 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     try:
         written = _write_artifacts(args.out, dag, args.format, manifest)
     except OSError as exc:
-        return _fail(USAGE_ERROR, f"cannot write artifacts: {exc}")
+        raise _Failure(USAGE_ERROR, f"cannot write artifacts: {exc}")
     _summary(rows)
-    if written:
-        for name in written:
-            print(f"wrote {Path(args.out) / name}")
+    for name in written:
+        print(f"wrote {Path(args.out) / name}")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        dag = loads(Path(args.path).read_bytes())
-    except (OSError, ValueError) as exc:
-        return _fail(MISMATCH, f"cannot load structure: {exc}")
-    report = validate(dag)
+    report = validate(_load_structure(args.path))
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     return 0 if report.ok else MISMATCH
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        cm = _load_costs(args.costs)
-    except (OSError, CostModelError) as exc:
-        return _fail(USAGE_ERROR, f"cost model: {exc}")
-    try:
-        dag = loads(Path(args.path).read_bytes())
-    except (OSError, ValueError) as exc:
-        return _fail(MISMATCH, f"cannot load structure: {exc}")
+    cm = _load_costs(args.costs)
+    dag = _load_structure(args.path)
     try:
         c = complexity(dag, cm)
         l = latency(dag, cm)
     except ValueError as exc:
-        return _fail(USAGE_ERROR, str(exc))
+        raise _Failure(USAGE_ERROR, str(exc))
     _summary(
         [
             ("n", dag.n),
@@ -171,10 +168,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        dag = loads(Path(args.path).read_bytes())
-    except (OSError, ValueError) as exc:
-        return _fail(MISMATCH, f"cannot load structure: {exc}")
+    dag = _load_structure(args.path)
     text = to_dot(dag) if args.format == "dot" else dumps(dag)
     if args.out is None:
         print(text, end="")
@@ -185,16 +179,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
             out.mkdir(parents=True, exist_ok=True)
             (out / name).write_text(text, encoding="ascii")
         except OSError as exc:
-            return _fail(USAGE_ERROR, f"cannot write artifacts: {exc}")
+            raise _Failure(USAGE_ERROR, f"cannot write artifacts: {exc}")
         print(f"wrote {out / name}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cm = _load_costs(args.costs)
-    except (OSError, CostModelError) as exc:
-        return _fail(USAGE_ERROR, f"cost model: {exc}")
+    cm = _load_costs(args.costs)
+    if args.n < 2:
+        raise _Failure(USAGE_ERROR, f"verify needs n >= 2, got {args.n}")
+    if args.budget_leaves < 1:
+        raise _Failure(USAGE_ERROR, f"--budget-leaves must be >= 1, got {args.budget_leaves}")
     budget = EnumerationBudget(
         max_star_leaves=args.budget_leaves,
         max_tree_leaves=min(args.budget_leaves, DEFAULT_BUDGET.max_tree_leaves),
@@ -205,6 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else MISMATCH
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpsynth",
@@ -264,7 +260,12 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code not in (0, None):
             return USAGE_ERROR
         raise
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        code, message = exc.args
+        print(json.dumps({"error": message}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

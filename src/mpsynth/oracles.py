@@ -650,7 +650,7 @@ def verify_report(
 
     # 1. cheapest star complexity vs exhaustive degree vectors
     table = min_star_complexity(n, cm)
-    optima = optimal_degree_vectors(table, all_optima=True) if n > 2 else []
+    optima = optimal_degree_vectors(table) if n > 2 else []
     vectors = enumerate_degree_vectors(n, m)
     if n == 2:
         brute = Fraction(0)

@@ -5,7 +5,9 @@ Three exact dynamic programs, each with witness reconstruction:
 * :func:`min_star_complexity` - the cheapest achievable complexity for
   input size ``n`` over all star-tree degree vectors, via a 1-D DP on
   the leaf-count identity ``2 + sum i*q_i = n`` (each degree class
-  ``i`` buys ``i`` extra leaves for ``(i+2) * c[i+1]``).
+  ``i`` buys ``i`` extra leaves for ``(i+2) * c[i+1]``);
+  :func:`optimal_degree_vectors` backtracks it, bottom-up, into every
+  optimal degree vector.
 * :func:`forest_latency_table` - the least achievable worst-tree
   latency over forests of ``t`` disjoint rooted trees whose combined
   fan-in census is ``u``, tabulated for every census below one of a
@@ -38,10 +40,6 @@ from .startree import StarTree, structure_from_star_tree
 from .structure import Dag
 
 Vec = tuple[int, ...]
-
-
-def _zero(m: int) -> Vec:
-    return (0,) * (m - 1)
 
 
 def _sub(u: Vec, v: Vec) -> Vec:
@@ -104,35 +102,25 @@ def min_star_complexity(n: int, cm: CostModel) -> ComplexityTable:
     return ComplexityTable(n=n, m=cm.m, values=tuple(values), choices=tuple(choices), ops=ops)
 
 
-def optimal_degree_vectors(table: ComplexityTable, all_optima: bool = False) -> list[Vec]:
-    """Backtrack the complexity DP into concrete degree vectors.
+def optimal_degree_vectors(table: ComplexityTable) -> list[Vec]:
+    """Backtrack the complexity DP into every optimal degree vector,
+    sorted.
 
-    With ``all_optima`` every optimal vector is returned (sorted);
-    otherwise the single vector obtained by always taking the smallest
-    minimizing degree class.
+    The optima of each size are filled bottom-up from size 2, as the
+    optima of ``i - t`` plus one class-``t`` node for every minimizing
+    class ``t``; only the last ``m - 1`` sizes are kept, so nothing
+    recurses and memory does not grow with ``n``.
     """
     m = table.m
-    if not all_optima:
-        q = [0] * (m - 1)
-        i = table.n
-        while i > 2:
-            t = table.choices[i - 2][0]
-            q[t - 1] += 1
-            i -= t
-        return [tuple(q)]
-
-    memo: dict[int, set[Vec]] = {2: {_zero(m)}}
-
-    def expand(i: int) -> set[Vec]:
-        if i not in memo:
-            out: set[Vec] = set()
-            for t in table.choices[i - 2]:
-                for q in expand(i - t):
-                    out.add(tuple(x + 1 if k == t - 1 else x for k, x in enumerate(q)))
-            memo[i] = out
-        return memo[i]
-
-    return sorted(expand(table.n))
+    optima: dict[int, set[Vec]] = {2: {(0,) * (m - 1)}}
+    for i in range(3, table.n + 1):
+        optima[i] = {
+            tuple(x + 1 if k == t - 1 else x for k, x in enumerate(q))
+            for t in table.choices[i - 2]
+            for q in optima[i - t]
+        }
+        optima.pop(i - m + 1, None)
+    return sorted(optima[table.n])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +396,7 @@ class StarSynthesis:
     structure: Dag
 
 
-def synthesize_star(n: int, cm: CostModel, all_optima: bool = True) -> StarSynthesis:
+def synthesize_star(n: int, cm: CostModel) -> StarSynthesis:
     """Complexity-optimal structure, then the lowest-latency one among
     those: backtrack every optimal degree vector, rate each from one
     forest table over all of them, keep the best (ties to the smaller
@@ -416,7 +404,7 @@ def synthesize_star(n: int, cm: CostModel, all_optima: bool = True) -> StarSynth
     if n < 3:
         raise ValueError(f"star synthesis needs n >= 3, got {n}")
     table = min_star_complexity(n, cm)
-    candidates = optimal_degree_vectors(table, all_optima=all_optima)
+    candidates = optimal_degree_vectors(table)
     forest = forest_latency_table(candidates, cm)
     best: int | None = None
     best_q: Vec | None = None

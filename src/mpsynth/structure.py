@@ -9,14 +9,13 @@ every computation node has fan-in between 2 and ``m``.
 This module owns the graph plumbing every synthesizer shares:
 
 * the validity checker, which reports each defining property
-  separately with a witness so it can double as a test oracle; it
-  tells subtrees apart by interned integer ids,
+  separately with a witness so it can double as a test oracle,
 * exact complexity (weighted node count) and latency (node-weighted
   longest path) evaluation, computed on ints,
 * pruning an ``n'``-input structure down to ``n`` inputs,
 * deterministic JSON and DOT serialization, whose node order sorts
-  computation nodes by their string canonical keys; those keys
-  otherwise only name the witnesses of the distinct-subtrees check.
+  computation nodes by the canonical integer ids that also decide the
+  distinct-subtrees check; string canonical keys only name its witnesses.
 
 Edges are stored child -> parent, i.e. pointing the way messages flow.
 Structures are immutable; every operation returns a fresh value.  Each
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,7 +40,7 @@ from .costs import CostModel
 # ("x", j) for input j, ("y", j) for output j, None for internal.
 Label = Optional[tuple[str, int]]
 
-_LABEL_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
+_LABEL_RE = re.compile(r"([xy])([1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,15 @@ class Dag:
 
     @cached_property
     def _canonical_order(self) -> list[int]:
-        return _canonical_node_order(self)
+        """Inputs by label, then outputs by label, then computation nodes
+        by canonical id: an order independent of node numbering."""
+        ids = _subtree_ids(self, self._order)
+
+        def sort_key(v: int) -> tuple[int, int]:
+            lbl = self.labels[v]
+            return (2, ids[v]) if lbl is None else (0 if lbl[0] == "x" else 1, lbl[1])
+
+        return sorted(range(self.node_count), key=sort_key)
 
     def degree_histogram(self) -> dict[int, int]:
         return dict(Counter(map(len, self.children)))
@@ -307,29 +314,54 @@ def _output_tree_failures(
 
 
 def _subtree_ids(dag: Dag, order: list[int]) -> list[int]:
-    """Interned id per node, equal for two nodes iff their canonical
-    keys are equal: an input keys on its label, any other node on the
-    sorted tuple of its operands' ids."""
+    """Canonical integer id per node (Aho-Hopcroft-Ullman), equal for two
+    nodes iff their canonical keys are equal and independent of node
+    numbering.  An input keys on its label and sits at height 0; any
+    other node keys on the sorted tuple of its operands' ids, one level
+    above its highest operand.  Ids are given out level by level, and
+    within a level to the distinct keys in sorted order."""
+    labels, children = dag.labels, dag.children
+    # x_j keys as (-1, j): no operand tuple starts with -1
+    input_key = {v: (-1, lbl[1]) for v, lbl in enumerate(labels) if lbl and lbl[0] == "x"}
+    height = [0] * dag.node_count
+    levels: dict[int, list[int]] = defaultdict(list)
+    for v in order:
+        if children[v] and v not in input_key:
+            height[v] = 1 + max(map(height.__getitem__, children[v]))
+        levels[height[v]].append(v)
     ids = [0] * dag.node_count
     id_of = ids.__getitem__
-    interned: dict[tuple, int] = {}
-    labels, children = dag.labels, dag.children
-    for v in order:
-        lbl = labels[v]
-        key = lbl if lbl is not None and lbl[0] == "x" else tuple(sorted(map(id_of, children[v])))
-        ids[v] = interned.setdefault(key, len(interned))
+    given = 0
+    for _, level in sorted(levels.items()):
+        keys = [input_key.get(v) or tuple(sorted(map(id_of, children[v]))) for v in level]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)), given)}
+        given += len(rank)
+        for v, key in zip(level, keys):
+            ids[v] = rank[key]
     return ids
 
 
+def _ids_are_distinct(dag: Dag) -> bool:
+    """True when every source is an input with its own label, no other
+    node carries an input label, and no two other nodes have equal
+    operand tuples: then, by induction on height, no two nodes share a
+    canonical id, and the ids need not be computed."""
+    sources = [lbl for lbl, cs in zip(dag.labels, dag.children) if not cs]
+    inputs = [lbl for lbl in dag.labels if lbl and lbl[0] == "x"]
+    operands = [cs for cs in dag.children if cs]
+    # equal lists: the sources are exactly the input-labeled nodes
+    return sources == inputs and all(len(set(x)) == len(x) for x in (inputs, operands))
+
+
 def _shared_subtree_failures(dag: Dag, order: list[int]) -> list[str]:
-    """The groups of nodes that compute one subtree, found on interned
+    """The groups of nodes that compute one subtree, found on canonical
     ids; the string canonical keys that name the groups are built only
     when there is one.  Distinctly labeled outputs are told apart by
     their labels (inputs share a group only with their own label), and
     a stray unlabeled source counts under "inputs"."""
-    ids = _subtree_ids(dag, order)
-    if len(set(ids)) == len(ids):
+    if _ids_are_distinct(dag):
         return []
+    ids = _subtree_ids(dag, order)
     labels = dag.labels
     groups: dict[int, list[int]] = {}
     for v, i in enumerate(ids):
@@ -393,8 +425,8 @@ def validate(dag: Dag) -> ValidationReport:
     the outputs that pass flags, or for all of them when the sources
     are not exactly x_1..x_n; so a valid structure is checked in one
     pass, without parent lists, and a report never differs from walking
-    every output.  Distinct subtrees are decided on interned integer
-    ids, in the same topological order (:func:`_shared_subtree_failures`).
+    every output.  Distinct subtrees are decided on canonical ids, only
+    when a cheap test cannot rule them out (:func:`_ids_are_distinct`).
     """
     n = dag.n
     labels, children = dag.labels, dag.children
@@ -557,20 +589,6 @@ def prune(dag: Dag, n: int) -> PruneResult:
 # serialization
 
 
-def _canonical_node_order(dag: Dag) -> list[int]:
-    keys = canonical_keys(dag)
-
-    def sort_key(v: int):
-        lbl = dag.labels[v]
-        if lbl and lbl[0] == "x":
-            return (0, lbl[1], "")
-        if lbl and lbl[0] == "y":
-            return (1, lbl[1], "")
-        return (2, 0, keys[v])
-
-    return sorted(range(dag.node_count), key=sort_key)
-
-
 def to_json_dict(dag: Dag) -> dict:
     """Deterministic JSON form: nodes in canonical order, edges sorted."""
     order = dag._canonical_order
@@ -636,7 +654,7 @@ def from_json_dict(raw: object) -> Dag:
         lbl_raw = entry.get("label")
         lbl: Label = None
         if lbl_raw is not None:
-            match = _LABEL_RE.match(lbl_raw) if isinstance(lbl_raw, str) else None
+            match = _LABEL_RE.fullmatch(lbl_raw) if isinstance(lbl_raw, str) else None
             if match is None:
                 raise ValueError(
                     f"nodes[{len(labels)}].label: expected 'x<j>', 'y<j>' or null, got {lbl_raw!r}"

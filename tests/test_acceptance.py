@@ -159,7 +159,7 @@ def test_c2_star_complexity_oracle_equivalence():
                         if sum(q) > 0
                     )
                     assert table.value() == brute, (m, n, cm.c)
-                    for q in optimal_degree_vectors(table, all_optima=True):
+                    for q in optimal_degree_vectors(table):
                         assert star_complexity(q, cm) == brute, (m, n, q)
 
 
@@ -500,13 +500,31 @@ def _partition(keys) -> set[frozenset[int]]:
 C7_REPORTS_SHA256 = "2619a5d11cfda88ec3c3eb1f16001c4186ee45507e812676789a504bfcb2f7e1"
 
 
+def _input_labeled_operator(dag: Dag) -> Dag:
+    """``dag`` with its first computation node labeled x_j, next to the
+    source x_j: an input that has operands keys on its label alone."""
+    v = dag.labels.index(None)
+    labels = list(dag.labels)
+    labels[v] = ("x", 1)
+    return Dag(n=dag.n, m=dag.m, labels=tuple(labels), children=dag.children)
+
+
+def _stray_sources() -> Dag:
+    """Two unlabeled sources, and x1 and x2 on computation nodes: as many
+    sources as input labels, but not the same nodes.  Nodes 3 and 4 then
+    compute one subtree, over the two alike sources."""
+    labels = (None, None, ("x", 3), None, None, ("x", 1), ("x", 2))
+    return Dag(n=3, m=3, labels=labels, children=((), (), (), (0, 2), (1, 2), (3,), (4,)))
+
+
 def test_subtree_ids_partition_like_canonical_keys(
-    shared7_ascending, shared7_cyclic, shared6_pruned
+    shared7_ascending, shared7_cyclic, shared6_pruned, monkeypatch
 ):
     pool = _c7_pool()
     mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
+    mutants += [_input_labeled_operator(dag) for dag in pool] + [_stray_sources()]
     fixtures = pool + [shared7_ascending, shared7_cyclic, shared6_pruned, wire_structure()]
-    compared = 0
+    compared = early = 0
     for dag in fixtures + mutants:
         try:
             order = structure._topological_order(dag)
@@ -514,12 +532,21 @@ def test_subtree_ids_partition_like_canonical_keys(
             continue  # neither is defined on a cyclic graph
         ids = structure._subtree_ids(dag, order)
         assert _partition(ids) == _partition(structure.canonical_keys(dag))
+        if structure._ids_are_distinct(dag):  # the early return's claim
+            assert len(set(ids)) == len(ids)
+            early += 1
         compared += 1
-    assert compared >= 90
+    assert compared >= 95 and early >= len(fixtures)
+    for dag in mutants[100:]:
+        assert validate(dag).check("distinct_subtrees").witness
 
+    # the first 100 reports are the C7 mutants', unchanged; the early
+    # return off, every structure is checked on the ids alike
     reports = [validate(dag).to_json_dict() for dag in mutants]
-    text = json.dumps(reports, sort_keys=True)
+    text = json.dumps(reports[:100], sort_keys=True)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == C7_REPORTS_SHA256
+    monkeypatch.setattr(structure, "_ids_are_distinct", lambda dag: False)
+    assert [validate(dag).to_json_dict() for dag in mutants] == reports
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def test_grid_cells_time_and_trace_every_stage():
 def test_grid_records_a_raising_cell_and_goes_on(monkeypatch):
     bench = load_tool()
 
-    def too_deep(n, cm, all_optima=True):
+    def too_deep(n, cm):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(mpsynth, "synthesize_star", too_deep)

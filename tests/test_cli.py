@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mpsynth import dumps, loads, validate
-from mpsynth.cli import main
+from mpsynth.cli import build_parser, main
 
 from conftest import seven_input_structure
 
@@ -200,3 +200,50 @@ def test_out_naming_a_file_is_usage_error(tmp_path, costs_file, capsys, command)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"].startswith("cannot write artifacts: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "0"], "verify needs n >= 2, got 0"),
+        (["verify", "1"], "verify needs n >= 2, got 1"),
+        (["verify", "5", "--budget-leaves", "0"], "--budget-leaves must be >= 1, got 0"),
+    ],
+)
+def test_verify_bad_arguments_are_usage_errors(costs_file, capsys, argv, message):
+    assert main([*argv, "--costs", str(costs_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message}
+
+
+def test_successive_calls_share_one_parser(tmp_path, costs_file, capsys):
+    out = tmp_path / "o"
+    calls = [
+        (["synthesize", "star", "7", "--costs", str(costs_file), "--out", str(out)], 0),
+        (["synthesize", "star"], 1),  # usage error: n missing
+        (["validate", str(out / "structure.json")], 0),
+        (["eval", str(out / "structure.json"), "--costs", str(costs_file)], 0),
+        (["synthesize", "isom", "7", "--costs", str(costs_file), "--all-optima"], 0),
+        (["verify", "5", "--costs", str(costs_file)], 0),
+    ]
+    first = []
+    for argv, code in calls:
+        assert main(argv) == code, argv
+        first.append(capsys.readouterr())
+    assert build_parser.cache_info().currsize == 1
+    # a second pass over the same calls, the usage error included, reads the same
+    for (argv, code), before in zip(calls, first):
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == before, argv
+    assert "all_w" in first[4].out and "complexity  15" in first[0].out
+    assert "usage: mpsynth synthesize" in first[1].err
+
+
+def test_star_1000_synthesizes_and_validates(tmp_path, costs_file, capsys):
+    # the complexity backtrack used to recurse once per size here
+    out = tmp_path / "o"
+    assert main(["synthesize", "star", "1000", "--costs", str(costs_file), "--out", str(out)]) == 0
+    assert "q           [998, 0]" in capsys.readouterr().out
+    assert main(["validate", str(out / "structure.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True

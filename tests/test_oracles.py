@@ -169,7 +169,7 @@ def test_report_builds_one_forest_table(monkeypatch):
         monkeypatch.setattr(module, "forest_latency_table", counting)
     # c = (2, 3) prices a leaf at 6 in both degree classes: 4 optima at n = 9
     cm = CostModel.from_factors(3, [2, 3], [1, 1])
-    optima = optimal_degree_vectors(min_star_complexity(9, cm), all_optima=True)
+    optima = optimal_degree_vectors(min_star_complexity(9, cm))
     assert len(optima) == 4
     assert verify_report(9, cm).ok
     assert built == [optima]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -48,18 +49,18 @@ def test_base_case_is_free(cm_unit):
 def test_seven_inputs_prefers_small_nodes_when_they_are_cheap(cm_steep):
     table = min_star_complexity(7, cm_steep)
     assert table.value() == 15
-    assert optimal_degree_vectors(table, all_optima=True) == [(5, 0)]
+    assert optimal_degree_vectors(table) == [(5, 0)]
 
 
 def test_seven_inputs_prefers_wide_nodes_under_flat_costs(cm_unit):
     table = min_star_complexity(7, cm_unit)
     assert table.value() == 11
-    assert optimal_degree_vectors(table, all_optima=True) == [(1, 2)]
+    assert optimal_degree_vectors(table) == [(1, 2)]
 
 
 def test_three_inputs_unique_vector(cm_unit):
     table = min_star_complexity(3, cm_unit)
-    assert optimal_degree_vectors(table, all_optima=True) == [(1, 0)]
+    assert optimal_degree_vectors(table) == [(1, 0)]
 
 
 def test_binary_only_closed_form():
@@ -67,7 +68,7 @@ def test_binary_only_closed_form():
     for n in range(3, 13):
         table = min_star_complexity(n, cm)
         assert table.value() == 3 * (n - 2) * Fraction(5, 3)
-        assert optimal_degree_vectors(table, all_optima=True) == [(n - 2,)]
+        assert optimal_degree_vectors(table) == [(n - 2,)]
 
 
 def test_dp_matches_exhaustive_over_models():
@@ -83,14 +84,58 @@ def test_dp_matches_exhaustive_over_models():
                 if sum(q) > 0
             )
             assert table.value() == brute
-            for q in optimal_degree_vectors(table, all_optima=True):
+            for q in optimal_degree_vectors(table):
                 assert star_complexity(q, cm) == brute
 
 
-def test_single_witness_mode_gives_an_optimum(cm_unit):
-    table = min_star_complexity(9, cm_unit)
-    (q,) = optimal_degree_vectors(table)
-    assert q in optimal_degree_vectors(table, all_optima=True)
+def reference_optimal_degree_vectors(table) -> list[tuple[int, ...]]:
+    """The recursive backtrack, once per size, that the bottom-up loop
+    replaced: the reference for small n."""
+    memo = {2: {(0,) * (table.m - 1)}}
+
+    def expand(i: int) -> set[tuple[int, ...]]:
+        if i not in memo:
+            out = set()
+            for t in table.choices[i - 2]:
+                for q in expand(i - t):
+                    out.add(tuple(x + 1 if k == t - 1 else x for k, x in enumerate(q)))
+            memo[i] = out
+        return memo[i]
+
+    return sorted(expand(table.n))
+
+
+def smallest_class_vector(table) -> tuple[int, ...]:
+    """The one optimum found by always taking the smallest minimizing class."""
+    q = [0] * (table.m - 1)
+    i = table.n
+    while i > 2:
+        t = table.choices[i - 2][0]
+        q[t - 1] += 1
+        i -= t
+    return tuple(q)
+
+
+def test_backtrack_matches_recursive_reference():
+    rng = random.Random(2024)
+    ties = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]  # every class ties
+    grid = [(random_monotone_model(m, rng), range(2, 201)) for m in (2, 3, 4) for _ in range(2)]
+    grid += [(CostModel.from_factors(3, [1, 1], [1, 1]), range(2, 201))]
+    grid += [(CostModel.from_factors(m, ties[: m - 1], [1] * (m - 1)), range(2, 41)) for m in (3, 4)]
+    grid += [(CostModel.from_factors(6, ties, [1] * 5), range(2, 25))]
+    for cm, sizes in grid:
+        full = min_star_complexity(sizes[-1], cm)
+        for n in sizes:  # the table of size n is a prefix of the full one
+            table = replace(full, n=n, values=full.values[: n - 1], choices=full.choices[: n - 1])
+            optima = optimal_degree_vectors(table)
+            assert optima == reference_optimal_degree_vectors(table), (n, cm.c)
+            assert smallest_class_vector(table) in optima
+
+
+def test_backtrack_runs_without_recursion():
+    # the recursive backtrack recursed once per size and raised near n = 1000
+    cm = CostModel.from_factors(2, [1], [1])
+    assert optimal_degree_vectors(min_star_complexity(5000, cm)) == [(4998,)]
 
 
 def test_ops_grow_linearly(cm_unit):
@@ -265,7 +310,7 @@ def test_shared_table_matches_reference_in_any_order():
     cm = CostModel.from_factors(
         4, [1, Fraction(3, 2), 2], [Fraction(3, 2), Fraction(9, 5), Fraction(15, 7)]
     )
-    tops = optimal_degree_vectors(min_star_complexity(13, cm), all_optima=True)
+    tops = optimal_degree_vectors(min_star_complexity(13, cm))
     assert len(tops) > 2
     shared = forest_latency_table(tops, cm)
     backward = forest_latency_table(tops[::-1], cm)
@@ -295,7 +340,7 @@ def test_shared_table_scans_fewer_candidates():
         [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)],
         [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)],
     )
-    tops = optimal_degree_vectors(min_star_complexity(16, cm), all_optima=True)
+    tops = optimal_degree_vectors(min_star_complexity(16, cm))
     shared = forest_latency_table(tops, cm)
     per_vector = [forest_latency_table([q], cm) for q in tops]
     assert shared.ops < sum(t.ops for t in per_vector)
@@ -307,9 +352,8 @@ def test_deep_witness_rebuilds_without_recursion():
     cm = CostModel.from_factors(2, [1], [0])
     syn = synthesize_star(400, cm)
     assert syn.latency == 0 and validate(syn.structure).ok
-    # optimal_degree_vectors still recurses once per size when it lists
-    # every optimum; m = 2 has one, which the single-witness backtrack finds
-    syn = synthesize_star(1000, cm, all_optima=False)
+    # past the recursion limit: neither the backtrack nor the rebuild recurses
+    syn = synthesize_star(1000, cm)
     assert syn.latency == 0
     assert validate(syn.structure).ok
 

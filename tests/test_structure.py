@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -449,15 +450,17 @@ def test_prune_bytes_are_pinned(shared7_cyclic):
 
 
 # sha256 of dumps and to_dot, recorded with the per-output builders
-# (every output's tree emitted in full, deduplicated by hash-consing)
+# (every output's tree emitted in full, deduplicated by hash-consing) and
+# re-recorded when computation nodes came to be written in canonical-id
+# order; the canonical keys of every node stayed the same
 ARTIFACT_GOLDEN = {
     "star": (
-        "7adc045c005590046d4cf765a09f63b8e4e3af049926d87ed35f26a77874206e",
-        "d6fb4ba88752c51c3f0495050f78d13d65d3f424f3490f231b80965f93e731be",
+        "38d90faee55f44897c1a8177ef7eb920bccb2d2a984ddac594726dc970267cb7",
+        "0bee36260f4dbb640f80200d300b3dea53077175b7e995c1ed22ac02a85ab06a",
     ),
     "isom": (
-        "ff3c1008a99cd85930e3e51a3553e550a7e4bdd82df8aaf80b8f744b45e54c72",
-        "2b68e9d47fa0806be5a934dc0a2a00d4680d8dcd66677346e7ba74a64c8faca5",
+        "34b37596cbb2d2038a3eb7a8678104a99797069abf7d4058a4f7ac83271d157b",
+        "aeb4b0e7580dbb91a17615c51afb5c7e1dbab09763266d050911cf40e723831d",
     ),
 }
 
@@ -474,15 +477,16 @@ def test_synthesized_artifact_bytes_are_pinned(cm_steep):
 
 
 # sha256 of dumps and to_dot, recorded with one Fraction forest table per
-# optimal degree vector; both requests have many optima and rational l
+# optimal degree vector and re-recorded for the canonical-id node order;
+# both requests have many optima and rational l
 TIES_ARTIFACT_GOLDEN = {
     (6, 16): (
-        "0011d045588cecfa2b7eb746da8e898f812255a39e563123cec1b4d18956f1b3",
-        "5e905e715a890e85df227ea7214adcd552cf1e6e26a9f66106fa237f5f6299f8",
+        "fb0a8e288ef53e70c74aff00f1129e2d559d47378cef0de449ee1ffb0f4ef795",
+        "9d61eb31127bade4d0ee94900f6e11573057ac83d21502935050c5e862af9700",
     ),
     (3, 33): (
-        "b40d9db9a2a73c8af1b82949b7f5d608a0a76623059c1f86a159d7f3ce95326c",
-        "3dc16a07f84db931b07609474adfe31a8795cd6c7250d7b9187979a6330ac684",
+        "7c2398e7ff3c5bd16854c85b39c717ba35c4b1d20a138e20aa48a190e6edc3e9",
+        "cbd3b709ed7602968869b7b1aedabb086528db581e7c02ab63f134d9027b6c1f",
     ),
 }
 
@@ -644,6 +648,11 @@ LOADS_ERRORS = [
     (_wire_raw(nodes=[{"id": 0}, {"id": False}]), "nodes[1].id: expected an integer, got False"),
     (_wire_raw(edges=[[True, 2]]), "edges[0]: expected [child_id, parent_id]"),
     (_wire_raw(edges=[[1, 2], [0, True]]), "edges[1]: expected [child_id, parent_id]"),
+    # a label is the whole string: "x1" with a trailing newline is not x1
+    (
+        _wire_raw(nodes=[{"id": 0, "label": "x1"}, {"id": 1, "label": "x1\n"}]),
+        "nodes[1].label: expected 'x<j>', 'y<j>' or null, got 'x1\\n'",
+    ),
 ]
 
 
@@ -667,6 +676,34 @@ def test_export_is_deterministic_across_node_orderings(shared7_cyclic):
     # same structure imported twice must serialize identically
     text = dumps(shared7_cyclic)
     assert dumps(loads(text)) == text
+
+
+def renumbered(dag: Dag, rng: random.Random) -> Dag:
+    """``dag`` with its nodes numbered in a random order."""
+    new_id = list(range(dag.node_count))
+    rng.shuffle(new_id)
+    labels: list = [None] * dag.node_count
+    children: list = [()] * dag.node_count
+    for v, (lbl, cs) in enumerate(zip(dag.labels, dag.children)):
+        labels[new_id[v]] = lbl
+        children[new_id[v]] = tuple(sorted(new_id[c] for c in cs))
+    return Dag(n=dag.n, m=dag.m, labels=tuple(labels), children=tuple(children))
+
+
+def test_artifacts_do_not_depend_on_node_numbering(cm_steep, shared7_ascending):
+    rng = random.Random(11)
+    for dag in (
+        synthesize_star(60, cm_steep).structure,
+        synthesize_min_latency(60, cm_steep).structure,
+        shared7_ascending,
+    ):
+        text, dot = dumps(dag), to_dot(dag)
+        assert dumps(loads(text)) == text
+        assert to_dot(loads(text)) == dot
+        for _ in range(3):
+            shuffled = renumbered(dag, rng)
+            assert dumps(shuffled) == text
+            assert to_dot(shuffled) == dot
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
