@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -148,8 +151,6 @@ def test_report_labeling_checks_at_five(cm_unit):
 
 
 def test_report_serializes(cm_unit):
-    import json
-
     report = verify_report(4, cm_unit)
     raw = json.loads(json.dumps(report.to_json_dict()))
     assert raw["ok"] is True
@@ -211,3 +212,31 @@ def test_report_fails_checks_whose_structure_is_invalid(monkeypatch, cm_unit):
     failed = {c.name: c.witness for c in report.checks if not c.passed}
     assert set(failed) == {"star_latency", "labeling_minimality", "latency_dominance"}
     assert set(failed.values()) == {"structure fails outputs, distinct_subtrees"}
+
+
+# sha256 of json.dumps([{"ok", "checks"} of verify_report(n, cm) for n in
+# 2..12], sort_keys=True) per model, recorded with the Fraction star-tree
+# oracle that walked each leaf pair's path from the top.  Only "ok" and
+# "checks" enter the digest: keys the report gains later (such as
+# "skipped") leave it alone, while any change to a check's bytes moves it.
+VERIFY_REPORTS_SHA256 = {
+    "chain-m3": (CostModel.from_factors(3, [1, 2], [1, Fraction(7, 4)]),
+                 "7e518c69ac775c87d6fffc8dffa3c8229b48f5c3c01cb04a392d326265ad05a1"),
+    "ties-m3": (CostModel.from_factors(3, [1, Fraction(3, 2)], [1, Fraction(5, 3)]),
+                "aa02f945df3b94b12cba1d770e4f85472983d849b7a5ce07d981bd37699bc10a"),
+    "ties-m4": (
+        CostModel.from_factors(4, [1, Fraction(3, 2), 2], [1, Fraction(4, 3), Fraction(5, 3)]),
+        "f09b10562ba163cc6c1972ea043ce010f1973d21bd77f1466c908be278ce0fcd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_REPORTS_SHA256))
+def test_verify_reports_are_pinned(name):
+    cm, digest = VERIFY_REPORTS_SHA256[name]
+    reports = []
+    for n in range(2, 13):
+        raw = verify_report(n, cm).to_json_dict()
+        reports.append({"ok": raw["ok"], "checks": raw["checks"]})
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
