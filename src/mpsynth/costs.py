@@ -9,7 +9,8 @@ ones.
 
 Factors are :class:`fractions.Fraction` throughout so that every
 optimizer comparison and every test assertion is exact; no float
-tolerance exists anywhere in this package.
+tolerance exists anywhere in this package.  Hot loops read them as ints
+scaled by one LCM per sequence (:attr:`CostModel.scaled_l`, ``scaled_c``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 
@@ -41,6 +44,12 @@ def _as_fraction(value: object, field: str) -> Fraction:
     raise CostModelError(
         f"{field}: expected an int, decimal, or 'p/q' string, got {type(value).__name__}"
     )
+
+
+def _scaled(seq: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """``seq`` times ``scale``, the LCM of its denominators, as ints."""
+    scale = lcm(*(x.denominator for x in seq))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in seq)
 
 
 def _format_rational(x: Fraction) -> int | str:
@@ -85,6 +94,16 @@ class CostModel:
                         f"{name}[{i + 1}]: monotonicity violated at"
                         f" {name}[{i + 1}] = {seq[i + 1]} < {name}[{i}] = {seq[i]}"
                     )
+
+    @cached_property
+    def scaled_l(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, ints)``: ``l[i] == Fraction(ints[i], scale)``."""
+        return _scaled(self.l)
+
+    @cached_property
+    def scaled_c(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, ints)``: ``c[i] == Fraction(ints[i], scale)``."""
+        return _scaled(self.c)
 
     @classmethod
     def from_factors(

@@ -5,7 +5,8 @@ the representation is canonical: two values are equal iff the trees are
 isomorphic).  Internal nodes have fan-in ``len(node)``.
 
 These lightweight values back the forest-latency optimizer's witness
-reconstruction and the brute-force enumeration oracles.
+reconstruction and the brute-force enumeration oracles.  Each walk here
+uses an explicit stack, so no depth is too deep, and adds exact ints.
 """
 
 from __future__ import annotations
@@ -28,32 +29,39 @@ def rooted(children) -> Rooted:
     return kids
 
 
+def _internal_nodes(tree: Rooted) -> list[Rooted]:
+    """Every internal node of ``tree``, once per occurrence, each before
+    its children."""
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if t:  # not a leaf
+            out.append(t)
+            stack.extend(t)
+    return out
+
+
 def leaf_count(tree: Rooted) -> int:
-    if tree == LEAF:
-        return 1
-    return sum(leaf_count(c) for c in tree)
+    # each fan-in d node turns one leaf into d
+    return 1 + sum(len(t) - 1 for t in _internal_nodes(tree))
 
 
 def degree_vector(tree: Rooted, m: int) -> tuple[int, ...]:
     """Count internal nodes by fan-in: entry ``i`` (0-based) counts fan-in ``i+2``."""
     q = [0] * (m - 1)
-
-    def walk(t: Rooted) -> None:
-        if t == LEAF:
-            return
+    for t in _internal_nodes(tree):
         d = len(t)
         if d < 2 or d > m:
             raise ValueError(f"fan-in {d} outside [2, {m}]")
         q[d - 2] += 1
-        for c in t:
-            walk(c)
-
-    walk(tree)
     return tuple(q)
 
 
 def tree_latency(tree: Rooted, cm: CostModel) -> Fraction:
     """Longest leaf-to-root latency under the model's fan-in factors."""
-    if tree == LEAF:
-        return Fraction(0)
-    return cm.l[len(tree)] + max(tree_latency(c, cm) for c in tree)
+    scale, lat = cm.scaled_l
+    # keyed by id: every subtree stays alive inside ``tree``; leaves weigh 0
+    height: dict[int, int] = {}
+    for t in reversed(_internal_nodes(tree)):
+        height[id(t)] = lat[len(t)] + max(height.get(id(c), 0) for c in t)
+    return Fraction(height.get(id(tree), 0), scale)

@@ -12,7 +12,9 @@ builder), and a bundled :func:`verify_report` that cross-checks every
 optimizer answer and is exposed through the command line.
 
 Oracle values are compared to optimizer values with exact equality;
-there are no tolerances anywhere.
+there are no tolerances anywhere.  Path walks add the model's integer
+latencies (:attr:`CostModel.scaled_l`); no brute value comes from an
+optimizer's DP.
 """
 
 from __future__ import annotations
@@ -157,20 +159,13 @@ def _unrooted_code(adj: dict[int, list[int]], extra_leaves: dict[int, int]) -> s
 def _star_tree_from_skeleton(
     adj: dict[int, list[int]], target_degree: dict[int, int], m: int
 ) -> StarTree:
-    full_adj: list[list[int]] = []
-    ids: dict[int, int] = {}
-    for v in sorted(adj):
-        ids[v] = len(full_adj)
-        full_adj.append([])
-    for v in sorted(adj):
-        for u in adj[v]:
-            if v < u:
-                full_adj[ids[v]].append(ids[u])
-                full_adj[ids[u]].append(ids[v])
-    for v in sorted(adj):
+    """The skeleton (vertices 0..k-1) with its anonymous leaves hung on,
+    numbered k, k+1, ... in vertex order."""
+    full_adj = [list(adj[v]) for v in range(len(adj))]
+    for v in range(len(adj)):
         for _ in range(target_degree[v] - len(adj[v])):
-            full_adj.append([ids[v]])
-            full_adj[ids[v]].append(len(full_adj) - 1)
+            full_adj.append([v])
+            full_adj[v].append(len(full_adj) - 1)
     return StarTree.from_adjacency(full_adj, m)
 
 
@@ -193,57 +188,38 @@ def enumerate_star_trees(
     if n > budget.max_star_leaves:
         raise BudgetExceeded(f"n = {n} exceeds star-tree budget {budget.max_star_leaves}")
 
-    # state: internal skeleton adjacency + per-vertex target degree + remaining q
-    State = tuple  # (adj, targets, remaining)
-
-    def state_key(adj: dict[int, list[int]], targets: dict[int, int]) -> str:
-        extra = {v: targets[v] - len(adj[v]) for v in adj}
-        return _unrooted_code(adj, extra)
-
-    initial: list[State] = []
-    for k in range(m - 1):
-        if q[k] > 0:
-            rem = list(q)
-            rem[k] -= 1
-            adj = {0: []}
-            targets = {0: k + 3}
-            initial.append((adj, targets, tuple(rem)))
-    frontier: dict[str, State] = {}
-    for st in initial:
-        frontier[state_key(st[0], st[1])] = st
-
-    # Every state in a frontier has consumed the same number of internal
-    # nodes, so remaining counts are exhausted simultaneously.
-    while any(sum(st[2]) > 0 for st in frontier.values()):
-        nxt: dict[str, State] = {}
+    # A state is an internal skeleton's adjacency, each vertex's target
+    # degree, and the classes still to place.  The first step places one
+    # node on an empty skeleton; later steps hang one on each vertex that
+    # still owns an anonymous leaf.  Every state in a frontier has placed
+    # as many nodes, so remaining counts are exhausted simultaneously.
+    frontier: dict[str, tuple] = {"": ({}, {}, q)}
+    while any(sum(rem) > 0 for _, _, rem in frontier.values()):
+        nxt: dict[str, tuple] = {}
         for adj, targets, rem in frontier.values():
+            hooks = [v for v in adj if targets[v] > len(adj[v])] if adj else [None]
             for k in range(m - 1):
                 if rem[k] == 0:
                     continue
-                rem2 = list(rem)
-                rem2[k] -= 1
-                # expand each vertex that still owns an anonymous leaf
-                for v in adj:
-                    if targets[v] - len(adj[v]) <= 0:
-                        continue
+                rem2 = rem[:k] + (rem[k] - 1,) + rem[k + 1 :]
+                for v in hooks:
                     adj2 = {u: list(nb) for u, nb in adj.items()}
-                    new_v = max(adj2) + 1
-                    adj2[new_v] = [v]
-                    adj2[v].append(new_v)
-                    targets2 = dict(targets)
-                    targets2[new_v] = k + 3
-                    key = state_key(adj2, targets2)
-                    if key not in nxt:
-                        nxt[key] = (adj2, targets2, tuple(rem2))
+                    new_v = len(adj2)
+                    adj2[new_v] = [] if v is None else [v]
+                    if v is not None:
+                        adj2[v].append(new_v)
+                    targets2 = {**targets, new_v: k + 3}
+                    key = _unrooted_code(adj2, {u: targets2[u] - len(adj2[u]) for u in adj2})
+                    nxt.setdefault(key, (adj2, targets2, rem2))
             if len(nxt) > budget.max_count:
                 raise BudgetExceeded("star-tree enumeration exceeded max_count")
         frontier = nxt
 
-    trees = [
-        _star_tree_from_skeleton(adj, targets, m) for adj, targets, rem in frontier.values()
+    # a final key is the shape code of its tree: sort by the keys
+    return [
+        _star_tree_from_skeleton(adj, targets, m)
+        for _, (adj, targets, _) in sorted(frontier.items())
     ]
-    trees.sort(key=star_tree_shape_code)
-    return trees
 
 
 def star_tree_shape_codes_via_labeled_skeletons(q: Sequence[int]) -> set[str]:
@@ -413,35 +389,28 @@ def enumerate_rooted_trees_with_census(
 
 
 def oracle_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
-    """Literal definition: walk every leaf-to-leaf simple path and sum
-    ``l[degree(v) - 1]`` over its nodes."""
+    """Literal definition: the most, over leaf-to-leaf simple paths, of
+    ``l[degree(v) - 1]`` summed over the path's nodes.
 
-    def weight(v: int) -> Fraction:
-        return Fraction(0) if tree.labels[v] is not None else cm.l[len(tree.adj[v]) - 1]
-
-    leaves = tree.leaves()
-    best = Fraction(0)
-    for a in leaves:
-        # BFS parents from a
-        parent: dict[int, Optional[int]] = {a: None}
-        queue = [a]
-        while queue:
-            v = queue.pop()
-            for u in tree.adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    queue.append(u)
-        for b in leaves:
-            if b <= a:
-                continue
-            total = Fraction(0)
-            v: Optional[int] = b
-            while v is not None:
-                total += weight(v)
-                v = parent[v]
-            if total > best:
+    One walk from each leaf ``a`` carries the path sum from ``a``, so the
+    path to every leaf ``b > a`` is summed exactly once, on the model's
+    integer latencies (:attr:`CostModel.scaled_l`).
+    """
+    scale, lat = cm.scaled_l
+    adj = tree.adj
+    weight = [0 if lbl is not None else lat[len(nb) - 1] for lbl, nb in zip(tree.labels, adj)]
+    best = 0
+    for a in tree.leaves():
+        stack = [(a, a, 0)]  # (node, node the walk came from, path sum before node)
+        while stack:
+            v, came_from, total = stack.pop()
+            total += weight[v]
+            if v > a and total > best and len(adj[v]) == 1:  # a leaf b = v ends a path
                 best = total
-    return best
+            for u in adj[v]:
+                if u != came_from:
+                    stack.append((u, v, total))
+    return Fraction(best, scale)
 
 
 def oracle_structure_latency(
@@ -451,26 +420,20 @@ def oracle_structure_latency(
     if dag.node_count > 30:
         raise BudgetExceeded("path enumeration oracle is limited to 30 nodes")
     parents = dag.parent_map()
-    best = Fraction(0)
-    count = 0
-
-    def walk(v: int, acc: Fraction) -> None:
-        nonlocal best, count
-        acc = acc + cm.l[len(dag.children[v])]
+    scale, lat = cm.scaled_l
+    best = count = 0
+    # (node, latency of the path walked up to it): every path starts at a source
+    stack = [(v, 0) for v in range(dag.node_count) if not dag.children[v]]
+    while stack:
+        v, acc = stack.pop()
+        acc += lat[len(dag.children[v])]
         if not parents[v]:
             count += 1
             if count > budget.max_count:
                 raise BudgetExceeded("path enumeration exceeded max_count")
-            if acc > best:
-                best = acc
-            return
-        for p in parents[v]:
-            walk(p, acc)
-
-    for v in range(dag.node_count):
-        if not dag.children[v]:
-            walk(v, Fraction(0))
-    return best
+            best = max(best, acc)
+        stack.extend((p, acc) for p in parents[v])
+    return Fraction(best, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +567,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The checks that ran, and ``skipped``: a ``(name, reason)`` pair for
+    every kind of check that did not run at all.  ``ok`` reads the
+    checks only."""
+
     n: int
     checks: tuple[CheckResult, ...]
+    skipped: tuple[tuple[str, str], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -616,6 +584,7 @@ class VerifyReport:
             "n": self.n,
             "ok": self.ok,
             "checks": [c.to_json_dict() for c in self.checks],
+            "skipped": [{"name": name, "reason": reason} for name, reason in self.skipped],
         }
 
 
@@ -630,19 +599,34 @@ def verify_report(
 ) -> VerifyReport:
     """Run every optimizer-versus-oracle comparison feasible under the
     budget for input size ``n`` and report each with exact values; each
-    structure built must also pass :func:`validate`."""
+    structure built must also pass :func:`validate`.  A kind of check
+    that cannot run is listed in ``skipped`` with its reason."""
     checks: list[CheckResult] = []
+    skipped: list[tuple[str, str]] = []
     m = cm.m
+    type_vectors = enumerate_type_vectors(n, m)
+    small = (n < 3, f"n = {n} needs no computation node")
+    unfactored = (not type_vectors, f"n - 1 = {n - 1} has no factorization over [2, {m}]")
 
-    def record(name: str, params: dict, dp, oracle, witness: str | None = None) -> None:
-        dp_s = format_rational(dp) if isinstance(dp, Fraction) else str(dp)
-        or_s = format_rational(oracle) if isinstance(oracle, Fraction) else str(oracle)
+    def over(budget_name: str, size: str, value: int, cap: int) -> tuple[bool, str]:
+        return value > cap, f"{size} = {value} exceeds the {budget_name} budget {cap}"
+
+    def runs(name: str, *cases: tuple[bool, str]) -> bool:
+        """Whether check ``name`` runs: the first case that holds skips it
+        for its reason."""
+        for holds, reason in cases:
+            if holds:
+                skipped.append((name, reason))
+                return False
+        return True
+
+    def record(name: str, params: dict, dp: Fraction, oracle: Fraction, witness=None) -> None:
         checks.append(
             CheckResult(
                 name=name,
                 params=params,
-                dp_value=dp_s,
-                oracle_value=or_s,
+                dp_value=format_rational(dp),
+                oracle_value=format_rational(oracle),
                 passed=dp == oracle and witness is None,
                 witness=witness,
             )
@@ -664,9 +648,9 @@ def verify_report(
     record("star_complexity", {"n": n, "m": m}, table.value(), brute, witness)
 
     # 2. star latency per optimal degree vector vs exhaustive trees; one
-    # forest table over every optimal vector serves these and the spot
-    # checks of 3
-    if n >= 3 and n <= budget.max_star_leaves:
+    # forest table over every optimal vector (over the first alone when
+    # the trees are over budget) serves these and the spot checks of 3
+    if runs("star_latency", small, over("star-tree", "n", n, budget.max_star_leaves)):
         ftable = forest_latency_table(optima, cm)
         for q in optima:
             result = min_star_latency(q, cm, ftable)
@@ -680,45 +664,33 @@ def verify_report(
                 witness = "witness tree does not achieve the DP latency"
             elif witness is None and latency(induced, cm) != result.value:
                 witness = "induced structure disagrees with the tree latency"
-            record(
-                "star_latency",
-                {"n": n, "m": m, "q": list(q)},
-                result.value,
-                brute,
-                witness,
-            )
+            record("star_latency", {"n": n, "m": m, "q": list(q)}, result.value, brute, witness)
     elif n >= 3:
         ftable = forest_latency_table([optima[0]], cm)
 
     # 3. forest table spot checks against census-filtered tree enumeration
-    if n >= 3:
-        spots = 0
-        for u in vectors_below(optima[0]):
-            if sum(u) == 0 or spots >= 6:
-                continue
-            leaves = 1 + sum((k + 1) * uk for k, uk in enumerate(u))
-            if leaves > budget.max_tree_leaves:
-                continue
-            spots += 1
-            candidates = enumerate_rooted_trees_with_census(u, m, budget)
-            brute = min(tree_latency(t, cm) for t in candidates)
-            witness = None
-            rebuilt = ftable.rebuild_tree(u)
-            if degree_vector(rebuilt, m) != u:
-                witness = "rebuilt witness tree has the wrong census"
-            elif tree_latency(rebuilt, cm) != ftable.value(u, 1):
-                witness = "rebuilt witness tree does not achieve the table value"
-            record(
-                "forest_latency",
-                {"n": n, "m": m, "census": list(u)},
-                ftable.value(u, 1),
-                brute,
-                witness,
-            )
+    spots = 0
+    for u in vectors_below(optima[0]) if optima else ():
+        if sum(u) == 0 or spots >= 6:
+            continue
+        leaves = 1 + sum((k + 1) * uk for k, uk in enumerate(u))
+        if leaves > budget.max_tree_leaves:
+            continue
+        spots += 1
+        candidates = enumerate_rooted_trees_with_census(u, m, budget)
+        brute = min(tree_latency(t, cm) for t in candidates)
+        witness, value = None, ftable.value(u, 1)
+        rebuilt = ftable.rebuild_tree(u)
+        if degree_vector(rebuilt, m) != u:
+            witness = "rebuilt witness tree has the wrong census"
+        elif tree_latency(rebuilt, cm) != value:
+            witness = "rebuilt witness tree does not achieve the table value"
+        record("forest_latency", {"n": n, "m": m, "census": list(u)}, value, brute, witness)
+    no_spot = "no census below the first optimal degree vector fits the rooted-tree budget"
+    runs("forest_latency", small, (spots == 0, f"{no_spot} {budget.max_tree_leaves}"))
 
     # 4. uniform latency DP vs exhaustive type vectors
-    type_vectors = enumerate_type_vectors(n, m)
-    if type_vectors:
+    if runs("uniform_latency", unfactored):
         result = min_uniform_latency(n, cm)
         brute = min(type_vector_latency(w, cm) for w in type_vectors)
         witness = None
@@ -729,7 +701,8 @@ def verify_report(
         record("uniform_latency", {"n": n, "m": m}, result.value, brute, witness)
 
     # 5. cyclic labeling is the cheapest labeling of each feasible shape
-    if 3 <= n <= budget.max_labeling_inputs:
+    labeling_budget = over("labeling", "n", n, budget.max_labeling_inputs)
+    if runs("labeling_minimality", small, labeling_budget, unfactored):
         for w in type_vectors:
             best, _ = min_labeling_complexity(w, n, m, cm, budget)
             built = structure_from_uniform_tree(uniform_tree_from_type_vector(w), m)
@@ -738,23 +711,16 @@ def verify_report(
             witness = _validity_witness(built)
             if witness is None and achieved != formula:
                 witness = f"cyclic labeling complexity {achieved} != formula {formula}"
-            record(
-                "labeling_minimality",
-                {"n": n, "m": m, "w": list(w)},
-                formula,
-                best,
-                witness,
-            )
+            record("labeling_minimality", {"n": n, "m": m, "w": list(w)}, formula, best, witness)
 
     # 6. pruned synthesis matches the exhaustive rooted-tree lower bound
-    if n >= 3 and n - 1 <= budget.max_tree_leaves:
+    tree_budget = over("rooted-tree", "n - 1", n - 1, budget.max_tree_leaves)
+    if runs("latency_dominance", small, tree_budget):
         synthesis = synthesize_min_latency(n, cm)
-        brute = min(
-            tree_latency(t, cm) for t in enumerate_rooted_trees(n - 1, m, budget)
-        )
+        brute = min(tree_latency(t, cm) for t in enumerate_rooted_trees(n - 1, m, budget))
         witness = _validity_witness(synthesis.structure)
         if witness is None and latency(synthesis.structure, cm) != synthesis.latency:
             witness = "pruned structure does not achieve the DP latency"
         record("latency_dominance", {"n": n, "m": m}, synthesis.latency, brute, witness)
 
-    return VerifyReport(n=n, checks=tuple(checks))
+    return VerifyReport(n=n, checks=tuple(checks), skipped=tuple(skipped))

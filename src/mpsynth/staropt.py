@@ -18,9 +18,10 @@ Three exact dynamic programs, each with witness reconstruction:
   with a given degree vector, by scanning balanced two-sided splits
   whose side latencies come from the forest table.
 
-Every value is an exact rational at the API.  Inside, the forest table
-and the split scan run on ints: latencies scaled by the LCM of the
-denominators of ``l[2..m]``, converted back to ``Fraction`` only by
+Every value is an exact rational at the API.  Inside, all three run on
+ints, the model's integer views of ``c`` and ``l``
+(:attr:`CostModel.scaled_c`, :attr:`CostModel.scaled_l`), converted
+back to ``Fraction`` only by :meth:`ComplexityTable.value`,
 :meth:`ForestLatencyTable.value` and in :class:`StarLatencyResult`.
 Ties are broken toward the lexicographically smallest choice so results
 are reproducible.
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .costs import CostModel
@@ -61,19 +61,21 @@ def vectors_below(qmax: Vec) -> Iterator[Vec]:
 
 @dataclass(frozen=True)
 class ComplexityTable:
-    """``values[i]`` is the least structure complexity for input size
-    ``i`` (``i`` in 2..n); ``choices[i]`` lists every degree class
-    (1-based) achieving it.  ``ops`` counts DP inner steps."""
+    """``values[i - 2]`` is the least structure complexity for input
+    size ``i`` (``i`` in 2..n), times ``scale`` (the scale of
+    :attr:`CostModel.scaled_c`); ``choices[i - 2]`` lists every degree
+    class (1-based) achieving it.  ``ops`` counts DP inner steps."""
 
     n: int
     m: int
-    values: tuple[Fraction, ...]
+    scale: int
+    values: tuple[int, ...]
     choices: tuple[tuple[int, ...], ...]
     ops: int
 
     def value(self, i: int | None = None) -> Fraction:
         i = self.n if i is None else i
-        return self.values[i - 2]
+        return Fraction(self.values[i - 2], self.scale)
 
 
 def min_star_complexity(n: int, cm: CostModel) -> ComplexityTable:
@@ -82,24 +84,26 @@ def min_star_complexity(n: int, cm: CostModel) -> ComplexityTable:
     ``(t+2) * c[t+1]``.  Runs in O(m*n)."""
     if n < 2:
         raise ValueError(f"input size must be >= 2, got {n}")
-    values: list[Fraction] = [Fraction(0)]
+    scale, cost = cm.scaled_c
+    price = [(t + 2) * cost[t + 1] for t in range(cm.m)]  # of one class-t node
+    values: list[int] = [0]
     choices: list[tuple[int, ...]] = [()]
     ops = 0
     for i in range(3, n + 1):
-        best: Fraction | None = None
+        best: int | None = None
         argmin: list[int] = []
         for t in range(1, cm.m):
             if t > i - 2:
                 break
             ops += 1
-            cand = values[i - t - 2] + (t + 2) * cm.c[t + 1]
+            cand = values[i - t - 2] + price[t]
             if best is None or cand < best:
                 best, argmin = cand, [t]
             elif cand == best:
                 argmin.append(t)
         values.append(best)
         choices.append(tuple(argmin))
-    return ComplexityTable(n=n, m=cm.m, values=tuple(values), choices=tuple(choices), ops=ops)
+    return ComplexityTable(n, cm.m, scale, tuple(values), tuple(choices), ops)
 
 
 def optimal_degree_vectors(table: ComplexityTable) -> list[Vec]:
@@ -147,8 +151,8 @@ class ForestLatencyTable:
     A census is stored under one mixed-radix int, first component most
     significant, with digit ``k`` in ``0..radix[k]``; cell ``(u, t)``
     sits at ``(t - 1) * size + index(u)``.  Cells hold latencies scaled
-    by ``scale`` (the LCM of the denominators of ``l[2..m]``) as ints;
-    ``lat[k]`` is ``l[k]`` so scaled.  ``choices`` holds the witness of a
+    by ``scale`` as ints, and ``lat[k]`` is ``l[k]`` so scaled
+    (:attr:`CostModel.scaled_l`).  ``choices`` holds the witness of a
     cell: the root's fan-in class ``i`` (0-based) when ``t == 1``, the
     first tree's census index when ``t > 1``.  ``ops`` counts the split
     candidates scanned (first-tree censuses over all cells with
@@ -224,8 +228,8 @@ def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> Forest
     single tree (t = 1) chooses its root fan-in ``i+2`` and recurses on
     the child forest; a larger forest (t > 1) splits off the census of
     its first tree, the lexicographically smallest on ties.  All values
-    are ints scaled by the LCM of the denominators of ``l[2..m]``, so
-    the DP runs on exact integer arithmetic.  Runtime is
+    are ints on the model's integer view of ``l``, so the DP runs on
+    exact integer arithmetic.  Runtime is
     O(m * sum over filled censuses u of prod (u_i + 1)), the split scan
     running inside ``map``/``max``/``min``.
     """
@@ -241,8 +245,7 @@ def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> Forest
     for k in range(m - 3, -1, -1):
         strides[k] = strides[k + 1] * (radix[k + 1] + 1)
     size = strides[0] * (radix[0] + 1)
-    scale = lcm(*(x.denominator for x in cm.l[2:]))
-    lat = tuple(x.numerator * (scale // x.denominator) for x in cm.l)
+    scale, lat = cm.scaled_l
 
     values: dict[int, int] = {(t - 1) * size: 0 for t in range(1, m + 1)}
     choices: dict[int, int] = {}

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .costs import CostModel
@@ -499,12 +498,11 @@ def complexity(dag: Dag, cm: CostModel) -> Fraction:
 def latency(dag: Dag, cm: CostModel) -> Fraction:
     """Node-weighted longest path, node ``v`` weighing ``l[fan_in(v)]``.
 
-    The DP runs on ints, ``l`` scaled by the LCM of its denominators;
-    only the result is a ``Fraction``.
+    The DP runs on the model's integer view of ``l``
+    (:attr:`CostModel.scaled_l`); only the result is a ``Fraction``.
     """
     _check_fan_in(dag, cm)
-    scale = lcm(*(x.denominator for x in cm.l))
-    weight = [x.numerator * (scale // x.denominator) for x in cm.l]
+    scale, weight = cm.scaled_l
     children = dag.children
     dist = [0] * dag.node_count  # sources weigh l[0] = 0
     below = dist.__getitem__
@@ -700,26 +698,27 @@ def to_dot(dag: Dag) -> str:
     """Graphviz rendering: inputs ranked as sources, outputs as sinks,
     computation nodes annotated with their fan-in."""
     order = dag._canonical_order
-    renum = {v: i for i, v in enumerate(order)}
-
-    def name(v: int) -> str:
+    renum = [0] * dag.node_count
+    name = [""] * dag.node_count
+    for i, v in enumerate(order):
         lbl = dag.labels[v]
-        return f"{lbl[0]}{lbl[1]}" if lbl else f"v{renum[v]}"
+        renum[v] = i
+        name[v] = f"{lbl[0]}{lbl[1]}" if lbl else f"v{i}"
 
     lines = ["digraph structure {", "  rankdir=TB;"]
-    sources = [name(v) for v in order if dag.labels[v] and dag.labels[v][0] == "x"]
-    sinks = [name(v) for v in order if dag.labels[v] and dag.labels[v][0] == "y"]
+    sources = [name[v] for v in order if dag.labels[v] and dag.labels[v][0] == "x"]
+    sinks = [name[v] for v in order if dag.labels[v] and dag.labels[v][0] == "y"]
     lines.append("  { rank=source; " + "; ".join(sources) + "; }")
     lines.append("  { rank=sink; " + "; ".join(sinks) + "; }")
     for v in order:
         if dag.labels[v] is None:
-            lines.append(f'  v{renum[v]} [shape=circle, label="{len(dag.children[v])}-in"];')
+            lines.append(f'  {name[v]} [shape=circle, label="{len(dag.children[v])}-in"];')
         elif dag.labels[v][0] == "y":
-            lines.append(f"  {name(v)} [shape=doublecircle];")
+            lines.append(f"  {name[v]} [shape=doublecircle];")
         else:
-            lines.append(f"  {name(v)} [shape=plaintext];")
+            lines.append(f"  {name[v]} [shape=plaintext];")
     for p in order:
-        for c in sorted(dag.children[p], key=lambda u: renum[u]):
-            lines.append(f"  {name(c)} -> {name(p)};")
+        for c in sorted(dag.children[p], key=renum.__getitem__):
+            lines.append(f"  {name[c]} -> {name[p]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

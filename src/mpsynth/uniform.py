@@ -185,9 +185,10 @@ def _latency_dp(k: int, cm: CostModel, ceiling: bool) -> tuple[Fraction, set[Vec
     Peeling a fan-in ``t`` level leaves ``ceil(k/t)`` leaves to cover
     (``ceiling``), or exactly ``k/t`` when ``t`` divides ``k`` (exact
     sizes).  Only the sizes reachable from ``k`` are solved, smallest
-    first, without recursion.
+    first, without recursion, on the ints of :attr:`CostModel.scaled_l`.
     """
     m = cm.m
+    scale, lat = cm.scaled_l
 
     def steps(j: int) -> list[tuple[int, int]]:
         return [(t, -(-j // t)) for t in range(2, m + 1) if ceiling or j % t == 0]
@@ -199,15 +200,15 @@ def _latency_dp(k: int, cm: CostModel, ceiling: bool) -> tuple[Fraction, set[Vec
             if i not in sizes:
                 sizes.add(i)
                 stack.append(i)
-    best: dict[int, tuple[Fraction, set[Vec]]] = {1: (Fraction(0), {(0,) * (m - 1)})}
+    best: dict[int, tuple[int, set[Vec]]] = {1: (0, {(0,) * (m - 1)})}
     ops = 0
     for j in sorted(sizes - {1}):
-        entry: tuple[Fraction, set[Vec]] | None = None
+        entry: tuple[int, set[Vec]] | None = None
         for t, i in steps(j):
             if i not in best:
                 continue
             ops += 1
-            cand = best[i][0] + cm.l[t]
+            cand = best[i][0] + lat[t]
             grown = {w[: t - 2] + (w[t - 2] + 1,) + w[t - 1 :] for w in best[i][1]}
             if entry is None or cand < entry[0]:
                 entry = (cand, grown)
@@ -215,7 +216,7 @@ def _latency_dp(k: int, cm: CostModel, ceiling: bool) -> tuple[Fraction, set[Vec
                 entry[1].update(grown)
         if entry is not None:
             best[j] = entry
-    return None if k not in best else (*best[k], ops)
+    return None if k not in best else (Fraction(best[k][0], scale), best[k][1], ops)
 
 
 @dataclass(frozen=True)

@@ -41,3 +41,12 @@ def test_grid_records_a_raising_cell_and_goes_on(monkeypatch):
     }
     assert star["stages"] == {}
     assert isom["error"] is None
+
+
+def test_verify_row_times_and_traces_each_report():
+    bench = load_tool()
+    row = bench.run_verify_row(mpsynth, sizes=(5, 6), fan_ins=(3,))
+    assert [(c["m"], c["n"]) for c in row] == [(3, 5), (3, 6)]
+    for cell in row:
+        assert cell["error"] is None and cell["ok"] is True and cell["checks"] > 0
+        assert cell["cpu_s"] >= 0 and cell["peak_mib"] > 0

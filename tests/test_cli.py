@@ -145,6 +145,19 @@ def test_verify_all_pass(costs_file, capsys):
     assert all(check["pass"] for check in report["checks"])
 
 
+def test_verify_names_the_checks_it_skips(costs_file, capsys):
+    code = main(["verify", "20", "--costs", str(costs_file)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"] is True
+    assert {check["name"] for check in report["checks"]} == {"star_complexity", "forest_latency"}
+    assert report["skipped"] == [
+        {"name": "star_latency", "reason": "n = 20 exceeds the star-tree budget 12"},
+        {"name": "uniform_latency", "reason": "n - 1 = 19 has no factorization over [2, 3]"},
+        {"name": "labeling_minimality", "reason": "n = 20 exceeds the labeling budget 5"},
+        {"name": "latency_dominance", "reason": "n - 1 = 19 exceeds the rooted-tree budget 8"},
+    ]
+
+
 def test_every_emitted_structure_validates(tmp_path, costs_file, capsys):
     cases = [("star", "5", []), ("star", "9", []), ("isom", "7", []), ("isom", "11", ["--prune"])]
     for i, (mode, n, extra) in enumerate(cases):

@@ -9,7 +9,7 @@ import pytest
 
 from mpsynth import oracles, staropt
 from mpsynth.costs import CostModel
-from mpsynth.drt import LEAF, degree_vector, leaf_count
+from mpsynth.drt import LEAF, degree_vector, leaf_count, tree_latency
 from mpsynth.oracles import (
     BudgetExceeded,
     EnumerationBudget,
@@ -19,12 +19,13 @@ from mpsynth.oracles import (
     enumerate_rooted_trees_with_census,
     enumerate_star_trees,
     enumerate_type_vectors,
+    oracle_star_tree_latency,
     star_tree_shape_code,
     star_tree_shape_codes_via_labeled_skeletons,
     verify_report,
 )
 from mpsynth.staropt import min_star_complexity, optimal_degree_vectors
-from mpsynth.startree import degree_vector_of
+from mpsynth.startree import StarTree, degree_vector_of
 from mpsynth.structure import Dag
 
 
@@ -89,6 +90,87 @@ def test_star_budget_enforced():
         enumerate_star_trees((20,), EnumerationBudget(max_star_leaves=12))
 
 
+def test_enumeration_is_sorted_by_shape_code():
+    # the enumeration sorts by its final frontier keys, which are the codes
+    for m in (3, 4, 6):
+        for n in range(3, 13):
+            for q in enumerate_degree_vectors(n, m):
+                if sum(q) > 0:
+                    trees = enumerate_star_trees(q)
+                    assert trees == sorted(trees, key=star_tree_shape_code), q
+
+
+# ---------------------------------------------------------------------------
+# literal latency oracles on ints, against the Fraction versions they replaced
+
+MIXED_L = (1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7))
+
+
+def fraction_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
+    """Reference: walk every leaf pair's path from the top, adding Fractions."""
+
+    def weight(v: int) -> Fraction:
+        return Fraction(0) if tree.labels[v] is not None else cm.l[len(tree.adj[v]) - 1]
+
+    leaves = tree.leaves()
+    best = Fraction(0)
+    for a in leaves:
+        parent = {a: None}
+        queue = [a]
+        while queue:
+            v = queue.pop()
+            for u in tree.adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    queue.append(u)
+        for b in leaves:
+            if b <= a:
+                continue
+            total, v = Fraction(0), b
+            while v is not None:
+                total += weight(v)
+                v = parent[v]
+            best = max(best, total)
+    return best
+
+
+def fraction_tree_latency(tree, cm: CostModel) -> Fraction:
+    """Reference: the recursive definition, adding Fractions."""
+    if tree == LEAF:
+        return Fraction(0)
+    return cm.l[len(tree)] + max(fraction_tree_latency(c, cm) for c in tree)
+
+
+def test_star_tree_oracle_matches_fraction_reference():
+    for m in (3, 4, 6):
+        cm = CostModel.from_factors(m, [1] * (m - 1), MIXED_L[: m - 1])
+        for n in range(3, 11):
+            for q in enumerate_degree_vectors(n, m):
+                if sum(q) > 0:
+                    for tree in enumerate_star_trees(q):
+                        want = fraction_star_tree_latency(tree, cm)
+                        assert oracle_star_tree_latency(tree, cm) == want, (m, q)
+
+
+def test_tree_latency_matches_fraction_reference():
+    for m in (2, 3, 4, 6):
+        cm = CostModel.from_factors(m, [1] * (m - 1), MIXED_L[: m - 1])
+        for leaves in range(1, 9):
+            for tree in enumerate_rooted_trees(leaves, m):
+                assert tree_latency(tree, cm) == fraction_tree_latency(tree, cm), tree
+
+
+def test_tree_walks_take_a_deep_chain():
+    # the recursive versions raised RecursionError near depth 1000
+    chain = LEAF
+    for _ in range(5000):
+        chain = (LEAF, chain)
+    cm = CostModel.from_factors(3, [1, 2], [Fraction(3, 2), 2])
+    assert tree_latency(chain, cm) == 7500
+    assert leaf_count(chain) == 5001
+    assert degree_vector(chain, 3) == (5000, 0)
+
+
 # ---------------------------------------------------------------------------
 # rooted-tree enumeration, two strategies
 
@@ -142,6 +224,30 @@ def test_report_covers_dominance_at_six(cm_unit):
     assert report.ok
     assert any(c.name == "latency_dominance" for c in report.checks)
     assert any(c.name == "labeling_minimality" for c in report.checks) is False  # n > 5
+
+
+def test_report_names_what_it_skips_at_six(cm_steep):
+    raw = verify_report(6, cm_steep).to_json_dict()
+    assert raw["ok"] is True
+    assert raw["skipped"] == [
+        {"name": "uniform_latency", "reason": "n - 1 = 5 has no factorization over [2, 3]"},
+        {"name": "labeling_minimality", "reason": "n = 6 exceeds the labeling budget 5"},
+    ]
+
+
+def test_report_skips_are_complete():
+    # every kind of check either ran or is named with its reason, never both
+    kinds = {"star_complexity", "star_latency", "forest_latency", "uniform_latency",
+             "labeling_minimality", "latency_dominance"}
+    cm = CostModel.from_factors(4, [1, 2, 3], [1, Fraction(3, 2), 2])
+    budget = EnumerationBudget(max_star_leaves=6, max_tree_leaves=2)
+    for n in range(2, 14):
+        report = verify_report(n, cm, budget)
+        ran = {c.name for c in report.checks}
+        named = [name for name, _ in report.skipped]
+        assert len(set(named)) == len(named) and not ran & set(named), n
+        assert ran | set(named) == kinds, n
+    assert verify_report(2, cm).skipped[0] == ("star_latency", "n = 2 needs no computation node")
 
 
 def test_report_labeling_checks_at_five(cm_unit):

@@ -88,6 +88,28 @@ def test_dp_matches_exhaustive_over_models():
                 assert star_complexity(q, cm) == brute
 
 
+def fraction_star_complexity_values(n: int, cm: CostModel) -> list[Fraction]:
+    """Reference: the complexity DP on Fractions, as it ran before the
+    integer view of ``c``; entry ``i - 2`` is size ``i``."""
+    values = [Fraction(0)]
+    for i in range(3, n + 1):
+        values.append(
+            min(values[i - t - 2] + (t + 2) * cm.c[t + 1] for t in range(1, min(cm.m, i - 1)))
+        )
+    return values
+
+
+def test_integer_complexity_dp_matches_fraction_reference():
+    rng = random.Random(8)
+    ties = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]
+    models = [random_monotone_model(m, rng) for m in (2, 3, 4, 6) for _ in range(2)]
+    models += [CostModel.from_factors(m, ties[: m - 1], [1] * (m - 1)) for m in (3, 4, 6)]
+    for cm in models:
+        table = min_star_complexity(300, cm)
+        assert [table.value(i) for i in range(2, 301)] == fraction_star_complexity_values(300, cm)
+        assert all(isinstance(v, int) for v in table.values)
+
+
 def reference_optimal_degree_vectors(table) -> list[tuple[int, ...]]:
     """The recursive backtrack, once per size, that the bottom-up loop
     replaced: the reference for small n."""

@@ -18,6 +18,13 @@ stage that raises ends its cell: the cell records the stages before it
 and an ``error`` entry, and the grid goes on.  Standard library only;
 mpsynth is imported from ``--src`` (default: ``src/`` of this checkout),
 so one script measures any commit.  One process, one cell at a time.
+
+A separate ``verify`` row times :func:`mpsynth.verify_report` (the
+optimizer-versus-oracle report) for n in 5..12 and m in {3, 4}: CPU
+seconds of one untraced call, then the tracemalloc peak of a second,
+traced call.  Its cost model ties fan-ins 2 and 3 (``VERIFY_FACTORS``),
+so several degree vectors are optimal and each has its star trees
+enumerated, as in the ``ties-verify`` benchmark workload.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ MODES = ("star", "isom")
 SIZES = (64, 256, 1024, 4096)
 FAN_INS = (2, 3, 4, 6)
 STAGES = ("synthesize", "dumps", "to_dot", "loads", "validate", "complexity", "latency")
+VERIFY_SIZES = tuple(range(5, 13))
+VERIFY_FAN_INS = (3, 4)
+# c = (1, 3/2, 2) and l = (1, 3/2, 2) for fan-ins 2..4, cut to m: a
+# fan-in 2 and a fan-in 3 node cost the same per leaf they add
+VERIFY_FACTORS = ((1, "3/2", 2), (1, "3/2", 2))
 
 
 def cost_factors(m: int) -> tuple[list[int], list[int]]:
@@ -111,6 +123,34 @@ def run_grid(mpsynth, modes=MODES, sizes=SIZES, fan_ins=FAN_INS) -> list[dict]:
     return cells
 
 
+def run_verify_row(mpsynth, sizes=VERIFY_SIZES, fan_ins=VERIFY_FAN_INS) -> list[dict]:
+    row = []
+    for m in fan_ins:
+        for n in sizes:
+            c, l = (factors[: m - 1] for factors in VERIFY_FACTORS)
+            cm = mpsynth.CostModel.from_factors(m, c, l)
+            cell: dict = {"n": n, "m": m, "error": None}
+            try:
+                gc.collect()
+                start = time.process_time()
+                report = mpsynth.verify_report(n, cm)
+                seconds = time.process_time() - start
+                cell.update(cpu_s=round(seconds, 6), ok=report.ok, checks=len(report.checks))
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    mpsynth.verify_report(n, cm)
+                    cell["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+                finally:
+                    tracemalloc.stop()
+            except Exception as exc:  # a failing cell is data, not the end of the row
+                cell["error"] = {"type": type(exc).__name__, "message": str(exc)[:200]}
+            row.append(cell)
+            status = cell["error"]["type"] if cell["error"] else "ok"
+            print(f"verify m={m} n={n}: {cell.get('cpu_s', 0.0):.3f} s {status}", file=sys.stderr)
+    return row
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
@@ -121,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     import mpsynth
 
     cells = run_grid(mpsynth)
+    verify = run_verify_row(mpsynth)
     record = {
         "tag": args.tag,
         "mpsynth_version": mpsynth.__version__,
@@ -131,6 +172,8 @@ def main(argv: list[str] | None = None) -> int:
         "cost_model": "c[k] = k - 1, l[k] = 1 for k = 2..m",
         "stages": list(STAGES),
         "cells": cells,
+        "verify_cost_model": "c[k] = l[k] = (1, 3/2, 2)[k - 2] for k = 2..m",
+        "verify": verify,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
