@@ -13,7 +13,8 @@ Three exact dynamic programs, each with witness reconstruction:
   fan-in census is ``u``, tabulated for every census below one of a
   set of degree vectors: the union of their boxes, so
   :func:`synthesize_star` fills one table for all its optimal vectors.
-  Runtime is O(m * sum over filled censuses u of prod (u_i + 1)).
+  A census on one class (``u = a * e_k``) finds each split by bisection
+  in O(m log a); any other census scans its box, O(m * prod (u_i + 1)).
 * :func:`min_star_latency` - the least tree latency among star trees
   with a given degree vector, by scanning balanced two-sided splits
   whose side latencies come from the forest table.
@@ -140,6 +141,50 @@ def _census_box(u: Sequence[int], strides: Sequence[int]) -> list[int]:
     return box
 
 
+def _axis_split(values: dict[int, int], a: int, s: int, rest: int) -> tuple[int, int, int]:
+    """The best split of a forest on one class, ``u = a * e_k``, by
+    bisection: its value, the first tree's census index and the number
+    of candidates probed.
+
+    The first tree holds ``b`` of the ``a`` nodes.  ``F(b) = values[b * s]``
+    rates it alone and ``G(a - b) = values[rest + (a - b) * s]`` the rest
+    of the forest.  Both are non-decreasing in their node count: in an
+    optimal forest some node has only leaves as operands, and turning it
+    into a leaf removes one node and raises no latency.  So ``F`` rises
+    and ``G(a - b)`` falls with ``b``, and ``max(F, G)`` first falls, then
+    rises.  ``b0``, the least ``b`` with ``F(b) >= G(a - b)``, or the
+    least ``b`` with ``G(a - b)`` at the value left of ``b0``, is the
+    smallest minimizing split, as the box scan picks it.
+    """
+    lo, hi = 0, a  # G(0) = 0 <= F(a): b0 exists
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if values[mid * s] >= values[rest + (a - mid) * s]:
+            hi = mid
+        else:
+            lo = mid + 1
+    best = values[lo * s]
+    if lo == 0:
+        return best, 0, probes + 1
+    left = values[rest + (a - lo + 1) * s]
+    probes += 2  # b0 and b0 - 1
+    if left > best:
+        return best, lo * s, probes
+    # the value left of b0 is no worse: the least b reaching it wins
+    best = left
+    lo, hi = 0, lo - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if values[rest + (a - mid) * s] <= best:
+            hi = mid
+        else:
+            lo = mid + 1
+    return best, lo * s, probes
+
+
 @dataclass(frozen=True)
 class ForestLatencyTable:
     """``value(u, t)``: least achievable maximum latency over forests of
@@ -155,8 +200,8 @@ class ForestLatencyTable:
     (:attr:`CostModel.scaled_l`).  ``choices`` holds the witness of a
     cell: the root's fan-in class ``i`` (0-based) when ``t == 1``, the
     first tree's census index when ``t > 1``.  ``ops`` counts the split
-    candidates scanned (first-tree censuses over all cells with
-    ``t > 1``)."""
+    candidates probed over all cells with ``t > 1``: every first-tree
+    census of a scanned box, and each census a bisection rates."""
 
     m: int
     radix: Vec
@@ -227,11 +272,12 @@ def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> Forest
     cell (each lies componentwise below the census being filled).  A
     single tree (t = 1) chooses its root fan-in ``i+2`` and recurses on
     the child forest; a larger forest (t > 1) splits off the census of
-    its first tree, the lexicographically smallest on ties.  All values
+    its first tree, the lexicographically smallest on ties.  A census on
+    one class bisects for that split (:func:`_axis_split`), in O(m log a)
+    per census ``a * e_k``; any other census scans its box, in
+    O(m * prod (u_i + 1)), inside ``map``/``max``/``min``.  All values
     are ints on the model's integer view of ``l``, so the DP runs on
-    exact integer arithmetic.  Runtime is
-    O(m * sum over filled censuses u of prod (u_i + 1)), the split scan
-    running inside ``map``/``max``/``min``.
+    exact integer arithmetic.
     """
     m = cm.m
     tops = [tuple(q) for q in tops]
@@ -261,6 +307,14 @@ def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> Forest
                     best, pick = cand, i
         values[iu] = best
         choices[iu] = pick
+        if u[pick] * strides[pick] == iu:  # one class
+            for t in range(2, m + 1):
+                cell = (t - 1) * size + iu
+                values[cell], choices[cell], probes = _axis_split(
+                    values, u[pick], strides[pick], (t - 2) * size
+                )
+                ops += probes
+            continue
         # the first tree's census runs over the box below u, and the
         # rest of the forest over the same box reversed
         box = _census_box(u, strides)

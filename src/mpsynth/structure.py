@@ -587,20 +587,26 @@ def prune(dag: Dag, n: int) -> PruneResult:
 # serialization
 
 
-def to_json_dict(dag: Dag) -> dict:
-    """Deterministic JSON form: nodes in canonical order, edges sorted."""
-    order = dag._canonical_order
-    renum = {v: i for i, v in enumerate(order)}
-    nodes = []
-    for v in order:
-        lbl = dag.labels[v]
-        nodes.append({"id": renum[v], "label": None if lbl is None else f"{lbl[0]}{lbl[1]}"})
-    edges = sorted([renum[c], renum[p]] for p in order for c in dag.children[p])
-    return {"n": dag.n, "m": dag.m, "nodes": nodes, "edges": edges}
-
-
 def dumps(dag: Dag) -> str:
-    return json.dumps(to_json_dict(dag), sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text: nodes in canonical order, edges sorted,
+    written directly in the form ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` gives, keys sorted and no spaces."""
+    order = dag._canonical_order
+    renum = [0] * dag.node_count
+    names = []
+    for i, v in enumerate(order):
+        renum[v] = i
+        lbl = dag.labels[v]
+        names.append("null" if lbl is None else f'"{lbl[0]}{lbl[1]}"')
+    nodes = ",".join(f'{{"id":{i},"label":{name}}}' for i, name in enumerate(names))
+    # parents are appended in ascending order, so (child, parent) pairs
+    # come out sorted without a sort
+    parents: list[list[int]] = [[] for _ in order]
+    for p, v in enumerate(order):
+        for c in dag.children[v]:
+            parents[renum[c]].append(p)
+    edges = ",".join(f"[{c},{p}]" for c, ps in enumerate(parents) for p in ps)
+    return f'{{"edges":[{edges}],"m":{dag.m},"n":{dag.n},"nodes":[{nodes}]}}\n'
 
 
 def _edge_error(edges: list, ids: dict[int, int]) -> str:
@@ -621,9 +627,9 @@ def _edge_error(edges: list, ids: dict[int, int]) -> str:
 
 
 def from_json_dict(raw: object) -> Dag:
-    """Inverse of :func:`to_json_dict`; rejects malformed input with the
-    offending location, including cycles and duplicate labels.  Node ids
-    and edge endpoints are ints, booleans excluded."""
+    """Inverse of :func:`dumps`, on its parsed JSON; rejects malformed
+    input with the offending location, including cycles and duplicate
+    labels.  Node ids and edge endpoints are ints, booleans excluded."""
     if not isinstance(raw, dict):
         raise ValueError("structure: expected a JSON object")
     for key in ("n", "m", "nodes", "edges"):

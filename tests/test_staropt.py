@@ -310,6 +310,81 @@ def assert_cells_match_reference(table, q, cm):
             assert census(table, chosen) == pick, (q, u, t)
 
 
+def box_scan_forest_table(tops, cm):
+    """Reference: the integer forest table as it ran before censuses on
+    one class bisected their splits, every cell with t > 1 scanning
+    its whole box.  Returned as a table of the same layout."""
+    table = forest_latency_table(tops, cm)
+    m, size, strides, lat = cm.m, table.size, table.strides, table.lat
+    values = {(t - 1) * size: 0 for t in range(1, m + 1)}
+    choices = {}
+    for u in sorted(set().union(*(vectors_below(q) for q in tops)))[1:]:
+        iu = table.index(u)
+        best = None
+        for i, a in enumerate(u):
+            if a:
+                cand = values[(i + 1) * size + iu - strides[i]] + lat[i + 2]
+                if best is None or cand < best:
+                    best, pick = cand, i
+        values[iu], choices[iu] = best, pick
+        box = [table.index(first) for first in vectors_below(u)]
+        for t in range(2, m + 1):
+            cands = [max(values[f], values[(t - 2) * size + iu - f]) for f in box]
+            best = min(cands)
+            values[(t - 1) * size + iu] = best
+            choices[(t - 1) * size + iu] = box[cands.index(best)]
+    return replace(table, values=values, choices=choices, ops=None)
+
+
+def assert_table_matches_box_scan(table, tops, cm, cells):
+    """Equal values and choices everywhere, and equal rebuilt forests
+    on ``cells`` (censuses), for every t."""
+    ref = box_scan_forest_table(tops, cm)
+    assert table.values == ref.values, (tops, cm.l)
+    assert table.choices == ref.choices, (tops, cm.l)
+    for u in cells:
+        for t in range(1, cm.m + 1):
+            assert table.rebuild_forest(u, t) == ref.rebuild_forest(u, t), (u, t)
+
+
+def axis(m, k, a):
+    """The census ``a * e_k`` of length ``m - 1``."""
+    return tuple(a if i == k else 0 for i in range(m - 1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_one_class_bisection_matches_box_scan(m):
+    rng = random.Random(9000 + m)
+    models = [random_monotone_model(m, rng) for _ in range(4)]
+    models.append(CostModel.from_factors(m, [1] * (m - 1), [0] * (m - 1)))  # every split ties
+    for cm in models:
+        k = rng.randrange(m - 1)
+        a = rng.randint(200, 300)
+        table = forest_latency_table([axis(m, k, a)], cm)
+        cells = [axis(m, k, b) for b in sorted({a, a - 1, 1, *rng.sample(range(a), 8)})]
+        assert_table_matches_box_scan(table, [axis(m, k, a)], cm, cells)
+        # about 2 log2(a) probes per cell, against a + 1 for the scan
+        assert table.ops <= (m - 1) * a * (2 * a.bit_length() + 2)
+
+
+def test_axis_cells_of_many_class_tables_match_box_scan():
+    factors = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]
+    grid = [
+        (CostModel.from_factors(4, [1, Fraction(3, 2), 2], factors[1:4]), 13),
+        (CostModel.from_factors(6, factors, factors), 16),
+        (CostModel.from_factors(3, factors[:2], factors[:2]), 33),
+        (CostModel.from_factors(3, [2, 3], [0, 1]), 20),  # l2 = 0 ties splits
+    ]
+    for cm, n in grid:
+        tops = optimal_degree_vectors(min_star_complexity(n, cm))
+        assert len(tops) > 2
+        table = forest_latency_table(tops, cm)
+        cells = [axis(cm.m, k, a) for k in range(cm.m - 1) for a in range(1, table.radix[k] + 1)]
+        cells = [u for u in cells if any(all(x <= y for x, y in zip(u, q)) for q in tops)]
+        assert cells
+        assert_table_matches_box_scan(table, tops, cm, cells)
+
+
 # every q with sum(q) up to the bound, per m
 CROSS_CHECK_SUMS = {2: 12, 3: 7, 4: 5, 5: 4}
 
@@ -501,6 +576,45 @@ def test_pipeline_scans_all_optimal_vectors():
     syn = synthesize_star(7, cm)
     for q in syn.all_q:
         assert min_star_latency(q, cm).value >= syn.latency
+
+
+def least_cubic_diameter(n: int) -> int:
+    """The least diameter, in edges, of a tree with ``n`` leaves whose
+    inner nodes all have degree 3.  Diameter 2r holds at most
+    3 * 2**(r - 1) leaves (three full binary trees on a centre node),
+    2r + 1 at most 2**(r + 1) (two on a centre edge); dropping two
+    sibling leaves removes one leaf, so every smaller n fits too."""
+    d = 1
+    while (3 * 2 ** (d // 2 - 1) if d % 2 == 0 else 2 ** (d // 2 + 1)) < n:
+        d += 1
+    return d
+
+
+def cubic_model_checks(n: int) -> None:
+    """On m = 3, c = (1, 2), l = (1, 1) a fan-in 2 node buys a leaf for
+    3 and a fan-in 3 node two for 8, so only degree-3 star-tree nodes
+    are optimal.  The latency is l2 times the most inner nodes on one
+    leaf-to-leaf path, which is the diameter less one."""
+    cm = CostModel.from_factors(3, [1, 2], [1, 1])
+    syn = synthesize_star(n, cm)
+    knapsack = min(
+        3 * cm.c[2] * (n - 2 - 2 * q2) + 4 * cm.c[3] * q2 for q2 in range((n - 2) // 2 + 1)
+    )
+    assert syn.q == (n - 2, 0)
+    assert syn.complexity == knapsack == complexity(syn.structure, cm)
+    assert syn.latency == cm.l[2] * (least_cubic_diameter(n) - 1)
+    assert latency(syn.structure, cm) == syn.latency
+    assert validate(syn.structure).ok
+
+
+def test_cubic_closed_form_at_small_n():
+    for n in range(3, 70):
+        cubic_model_checks(n)
+
+
+def test_star_at_ten_thousand_inputs():
+    # a one-class table at n = 10**4, where the box scan took tens of seconds
+    cubic_model_checks(10_000)
 
 
 def test_pipeline_rejects_tiny_n(cm_unit):

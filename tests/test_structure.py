@@ -538,6 +538,23 @@ def test_json_round_trip_three_wheel_and_wires(cm_unit):
         assert signature(loads(dumps(dag))) == signature(dag)
 
 
+def test_json_text_is_sorted_compact_json(shared7_cyclic, cm_steep):
+    # dumps writes its text directly: keys sorted, no spaces, nodes
+    # numbered in order and edges sorted, as json.dumps would give it
+    for dag in (
+        shared7_cyclic,
+        three_wheel(),
+        wire_structure(),
+        synthesize_star(40, cm_steep).structure,
+        synthesize_min_latency(40, cm_steep).structure,
+    ):
+        text = dumps(dag)
+        raw = json.loads(text)
+        assert text == json.dumps(raw, sort_keys=True, separators=(",", ":")) + "\n"
+        assert [node["id"] for node in raw["nodes"]] == list(range(dag.node_count))
+        assert raw["edges"] == sorted(raw["edges"])
+
+
 def test_dot_ranks_sources_and_sinks(shared6_pruned):
     dot = to_dot(shared6_pruned)
     assert "{ rank=source; x1; x2; x3; x4; x5; x6; }" in dot

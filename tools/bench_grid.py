@@ -4,7 +4,7 @@
 
 writes ``BENCH_NAME.json`` at the root of the checkout, and one progress
 line per cell to standard error.  The grid is both modes, n in
-{64, 256, 1024, 4096} and m in {2, 3, 4, 6}.
+{64, 256, 1024, 4096, 10000} and m in {2, 3, 4, 6}.
 Each cell runs the stages one CLI request goes through, in order:
 ``synthesize`` (``synthesize_star`` or ``synthesize_min_latency``),
 ``dumps`` and ``to_dot`` of the result, ``loads`` of the JSON, then
@@ -41,7 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODES = ("star", "isom")
-SIZES = (64, 256, 1024, 4096)
+SIZES = (64, 256, 1024, 4096, 10000)
 FAN_INS = (2, 3, 4, 6)
 STAGES = ("synthesize", "dumps", "to_dot", "loads", "validate", "complexity", "latency")
 VERIFY_SIZES = tuple(range(5, 13))
