@@ -4,9 +4,10 @@ No structure can beat the best uniform replicated tree on latency, so
 the latency-first synthesizer optimizes over level fan-in sequences.
 A ceiling DP picks the fastest shape for any n; when n - 1 does not
 factor over the allowed fan-ins (say 7 inputs per output at fan-in
-<= 3), or when a larger shape is faster, it builds that shape at a
-workable size n' > n and prunes the surplus inputs and outputs away
-without losing a tick.  The exact-size DP is shown for comparison.
+<= 3), or when a larger shape is faster, it takes that shape at a
+workable size n' > n and builds it directly at n, as if the surplus
+inputs and outputs had been built and pruned away, without losing a
+tick.  The exact-size DP is shown for comparison.
 """
 
 from mpsynth import CostModel, complexity, latency, synthesize_min_latency, validate
@@ -20,19 +21,16 @@ for n in (3, 5, 7, 9, 13):
     result = min_uniform_latency(n, cm)
     print(f"  n={n:3d}: latency {result.value}, level profiles {result.type_vectors}")
 
-print("\nn=8 has no exact shape at fan-in <= 3 (7 is prime), so prune:")
+print("\nn=8 has no exact shape at fan-in <= 3 (7 is prime), so over-provision:")
 result = synthesize_min_latency(8, cm)
-print(f"  built at n'={result.n_prime} with profile {result.w},"
-      f" pruned to n=8: latency {result.latency},"
+print(f"  shape for n'={result.n_prime} with profile {result.w},"
+      f" built at n=8: latency {result.latency},"
       f" complexity {complexity(result.structure, cm)},"
       f" valid {validate(result.structure).ok}")
-for action in result.actions[:6]:
-    print(f"    {action}")
-print(f"    ... {len(result.actions)} cleanup actions total")
 
 nine = synthesize_min_latency(9, cm)
 print(f"\nn=9 fits exactly at latency {min_uniform_latency(9, cm).value}, but"
-      f" pruning from n'={nine.n_prime} reaches latency {nine.latency}")
+      f" the shape for n'={nine.n_prime} reaches latency {nine.latency}")
 
 print("\nshrinking a 7-input structure to 6 keeps the latency:")
 seven = synthesize_min_latency(7, cm)

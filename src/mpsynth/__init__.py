@@ -8,8 +8,8 @@ under a user-supplied per-fan-in cost model:
 
 * complexity-first: star-tree-based structures
   (:func:`mpsynth.staropt.synthesize_star`),
-* latency-first: uniform-replicated-tree structures, over-provisioned
-  and pruned (:func:`mpsynth.uniform.synthesize_min_latency`),
+* latency-first: uniform-replicated-tree structures, an over-provisioned
+  shape built directly at n (:func:`mpsynth.uniform.synthesize_min_latency`),
 
 and every optimizer result is reproducible by the brute-force oracles
 in :mod:`mpsynth.oracles`.

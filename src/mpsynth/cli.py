@@ -4,9 +4,10 @@ Subcommands:
 
 * ``synthesize {star|isom} N --costs FILE`` - run a synthesizer and
   emit the structure (JSON and/or DOT) plus a summary table; ``isom``
-  builds the latency-optimal uniform tree at a workable size
-  ``n' >= N`` and prunes it back to ``N`` (``--prune`` is accepted and
-  changes nothing),
+  picks the latency-optimal uniform tree at a workable size ``n' >= N``
+  and builds its structure directly at ``N``, as if built at ``n'`` and
+  pruned (``--prune`` is accepted for compatibility and changes
+  nothing),
 * ``validate FILE`` - check a structure file against the defining
   properties,
 * ``eval FILE --costs FILE`` - exact complexity and latency,
@@ -14,7 +15,10 @@ Subcommands:
 * ``verify N --costs FILE`` - run the optimizer-versus-oracle report.
 
 Exit codes: 0 success, 1 usage, config or artifact-write error, 3
-validation or verification failure.  All numbers print as exact rationals.
+validation or verification failure.  Every failure prints a JSON error
+on standard error, never a traceback; an exception no command documents
+(a bug) exits 1 as ``{"error": "internal error: <Type>: <message>"}``.
+All numbers print as exact rationals.
 Identical invocations write byte-identical artifacts.
 """
 
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument(
         "--prune",
         action="store_true",
-        help="accepted for compatibility; isom always over-provisions and prunes",
+        help="accepted for compatibility; changes nothing",
     )
     syn.set_defaults(func=_cmd_synthesize)
 
@@ -264,8 +268,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _Failure as exc:
         code, message = exc.args
-        print(json.dumps({"error": message}), file=sys.stderr)
-        return code
+    except Exception as exc:  # a bug: still a JSON error, not a traceback
+        code, message = USAGE_ERROR, f"internal error: {type(exc).__name__}: {exc}"
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ This module owns the graph plumbing every synthesizer shares:
   separately with a witness so it can double as a test oracle,
 * exact complexity (weighted node count) and latency (node-weighted
   longest path) evaluation, computed on ints,
-* pruning an ``n'``-input structure down to ``n`` inputs,
+* pruning an ``n'``-input structure down to ``n`` inputs, the reference
+  whose rules the latency-first builder applies as it builds,
 * deterministic JSON and DOT serialization, whose node order sorts
   computation nodes by the canonical integer ids that also decide the
   distinct-subtrees check; string canonical keys only name its witnesses.
@@ -141,11 +142,24 @@ class DagBuilder:
             return node
         return self._new_node(key, ("y", j), kids)
 
-    def build(self, n: int, m: int) -> Dag:
+    def build(self, n: int, m: int, keep: Iterable[int] | None = None) -> Dag:
+        """The structure built so far; with ``keep``, only the nodes that
+        feed one of those ids (themselves included), renumbered in id
+        order."""
         for cs in self._children:
             if len(cs) > m:
                 raise ValueError(f"fan-in {len(cs)} exceeds bound m = {m}")
-        return Dag(n=n, m=m, labels=tuple(self._labels), children=tuple(self._children))
+        dag = Dag(n=n, m=m, labels=tuple(self._labels), children=tuple(self._children))
+        if keep is None:
+            return dag
+        order = sorted(_ancestor_set(dag, keep))
+        renum = {v: i for i, v in enumerate(order)}
+        return Dag(
+            n=n,
+            m=m,
+            labels=tuple(dag.labels[v] for v in order),
+            children=tuple(tuple(renum[c] for c in dag.children[v]) for v in order),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +549,10 @@ def prune(dag: Dag, n: int) -> PruneResult:
     that operand's operands, and only what the outputs reach is kept.
     Each action is logged.  Latency and complexity never increase
     (weights are non-negative and nodes are only removed or merged).
+
+    This is the reference for :func:`mpsynth.uniform.structure_from_uniform_tree`,
+    which applies the same rules in one pass as it builds; the tests
+    hold the two to the same bytes.
     """
     if n < 2:
         raise ValueError(f"cannot prune to n = {n} < 2")
@@ -570,17 +588,8 @@ def prune(dag: Dag, n: int) -> PruneResult:
                 image[v] = builder.op(kids)
 
     # keep only what the outputs reach (absorbed operands and nodes that
-    # fed removed outputs alone fall away); renumbering keeps id order
-    full = builder.build(n, dag.m)
-    order = sorted(_ancestor_set(full, outputs))
-    renum = {v: i for i, v in enumerate(order)}
-    result = Dag(
-        n=n,
-        m=dag.m,
-        labels=tuple(full.labels[v] for v in order),
-        children=tuple(tuple(renum[c] for c in full.children[v]) for v in order),
-    )
-    return PruneResult(result, tuple(actions))
+    # fed removed outputs alone fall away)
+    return PruneResult(builder.build(n, dag.m, keep=outputs), tuple(actions))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ latency-first synthesizer lives here:
 
 * :func:`synthesize_min_latency` - the latency-first entry point: a
   ceiling DP finds the best over-provisioned size ``n' >= n``, and the
-  built structure is pruned back down to ``n`` without increasing
-  latency;
+  structure of that shape is built directly at ``n``, as if built at
+  ``n'`` and pruned, without increasing latency;
 * :func:`min_uniform_latency` - the exact-size reference: a DP over the
   divisors of ``n - 1`` (only when it factors over ``[2, m]``), never
   faster than the ceiling DP and sometimes slower.
@@ -35,6 +35,12 @@ at depth ``d`` whose first leaf is ``x_{s+1}`` covers
 ``x_{s+1}..x_{s+size}`` cyclically, so ``(d, s)`` names it exactly and
 the build takes time and memory proportional to the ``~n * height``
 nodes it makes rather than to the ``n * n`` leaves of all copies.
+
+Below the ring size, the builder applies the rules of
+:func:`mpsynth.structure.prune` to each ``(d, s)`` as it makes it: a
+leaf past ``x_n`` is dropped, a node left with one operand is that
+operand.  Only outputs ``y_1..y_n`` are built, so the ``n' - n``
+surplus inputs are never made and then thrown away.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from math import prod
 from typing import Sequence
 
 from .costs import CostModel
-from .structure import Dag, DagBuilder, prune
+from .structure import Dag, DagBuilder
 
 Vec = tuple[int, ...]
 
@@ -134,43 +140,72 @@ def type_vector_complexity(w: Sequence[int], cm: CostModel) -> Fraction:
 # structure construction
 
 
-def structure_from_uniform_tree(tree: UniformTree, m: int) -> Dag:
-    """Unite one cyclically labeled copy of ``tree`` per output, for
-    ``n = tree.leaf_count + 1`` inputs.
+def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None) -> Dag:
+    """Unite one cyclically labeled copy of ``tree`` per output on the
+    ring of ``n' = tree.leaf_count + 1`` inputs, keeping ``x_1..x_n`` and
+    ``y_1..y_n`` (``n`` defaults to ``n'``).
 
-    Copy ``j`` reads ``x_{j+1}..x_n, x_1..x_{j-1}`` left to right, so a
-    node at depth ``d`` whose first leaf sits at ring offset ``s`` (it
+    Copy ``j`` reads ``x_{j+1}..x_{n'}, x_1..x_{j-1}`` left to right, so
+    a node at depth ``d`` whose first leaf sits at ring offset ``s`` (it
     reads ``x_{s+1}``) covers as many inputs as it has leaves from there
     on, cyclically, in every copy that contains it.  Nodes are memoized
     on ``(d, s)``, so each shared node is emitted once.
+
+    Below ``n'`` the rules of :func:`mpsynth.structure.prune` apply as
+    the nodes are made: a leaf at offset ``s >= n`` is nothing, a node
+    with no surviving operand is nothing, a node with one is that
+    operand, and any other is the node over its operands' distinct
+    images.  An output left with one internal operand takes that
+    operand's operands; only then can a node be left unreached, and only
+    then are such nodes dropped.  The result equals
+    ``prune(structure_from_uniform_tree(tree, m), n)`` up to node
+    numbering, so it writes the same bytes.
     """
     levels = tree.levels
     if max(levels, default=2) > m:
         raise ValueError("tree fan-in exceeds m")
-    n = tree.leaf_count + 1
+    ring = tree.leaf_count + 1
+    if n is None:
+        n = ring
+    if not 2 <= n <= ring:
+        raise ValueError(f"need 2 <= n <= {ring} for a tree with {ring - 1} leaves, got n = {n}")
     span = [prod(levels[d:]) for d in range(len(levels) + 1)]
     builder = DagBuilder()
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, int], int | None] = {}
 
-    def emit(depth: int, start: int) -> int:
-        # the node at ``depth`` whose first leaf is ``x_{start+1}``
+    def images(depth: int, start: int) -> set[int]:
+        # the surviving images of the ``levels[depth - 1]`` nodes at
+        # ``depth`` under the parent whose first leaf is ``x_{start+1}``
+        step = span[depth]
+        found = {emit(depth, (start + k * step) % ring) for k in range(levels[depth - 1])}
+        found.discard(None)
+        return found
+
+    def emit(depth: int, start: int) -> int | None:
+        # the image of the node at ``depth`` whose first leaf is ``x_{start+1}``
         key = (depth, start)
         if key not in memo:
             if depth == len(levels):
-                memo[key] = builder.input(start + 1)
+                memo[key] = builder.input(start + 1) if start < n else None
             else:
-                step = span[depth + 1]
-                memo[key] = builder.op(
-                    [emit(depth + 1, (start + k * step) % n) for k in range(levels[depth])]
-                )
+                kids = images(depth + 1, start)
+                if len(kids) > 1:
+                    memo[key] = builder.op(kids)
+                else:  # one operand passes through; none leaves nothing
+                    memo[key] = kids.pop() if kids else None
         return memo[key]
 
+    outputs = []
+    absorbed = False
     for j in range(1, n + 1):
-        if not levels:
-            builder.output(j, [emit(0, j % n)])
-        else:
-            builder.output(j, [emit(1, (j + k * span[1]) % n) for k in range(levels[0])])
-    return builder.build(n, m)
+        kids = images(1, j) if levels else {emit(0, j % ring)}
+        if len(kids) == 1:
+            (only,) = kids
+            if builder._children[only]:  # one internal operand: take its operands
+                kids = builder._children[only]
+                absorbed = True
+        outputs.append(builder.output(j, kids))
+    return builder.build(n, m, keep=outputs if absorbed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +288,10 @@ def min_uniform_latency(n: int, cm: CostModel) -> UniformLatencyResult:
 @dataclass(frozen=True)
 class PrunedSynthesis:
     latency: Fraction
-    n_prime: int
+    n_prime: int  # the ring size of the winning shape, leaf count + 1
     w: Vec
     all_w: tuple[Vec, ...]  # every latency-optimal w, sorted
     structure: Dag
-    actions: tuple[str, ...]
 
 
 def synthesize_min_latency(n: int, cm: CostModel) -> PrunedSynthesis:
@@ -268,8 +302,9 @@ def synthesize_min_latency(n: int, cm: CostModel) -> PrunedSynthesis:
     at least ``ceil((n-1)/t)`` leaves, so the ceiling recursion
     ``lat(k) = min_t l[t] + lat(ceil(k/t))`` lower-bounds every
     structure.  The witness type vector realizes the bound with
-    ``n' - 1 >= n - 1`` leaves; building it at size ``n'`` with cyclic
-    labeling and pruning back to ``n`` meets the bound exactly.
+    ``n' - 1 >= n - 1`` leaves; its cyclic structure on ``n'`` inputs,
+    pruned to ``n``, meets the bound exactly, and it is built at ``n``
+    in one pass (:func:`structure_from_uniform_tree`).
 
     Among equally fast type vectors the cheapest by the cyclic-labeling
     complexity formula (at its own ``n'``) wins, then the smallest
@@ -281,13 +316,11 @@ def synthesize_min_latency(n: int, cm: CostModel) -> PrunedSynthesis:
 
     all_w = tuple(sorted(vectors))
     w = min(all_w, key=lambda cand: (type_vector_complexity(cand, cm), cand))
-    full = structure_from_uniform_tree(uniform_tree_from_type_vector(w), cm.m)
-    result = prune(full, n)
+    tree = uniform_tree_from_type_vector(w)
     return PrunedSynthesis(
         latency=value,
-        n_prime=full.n,
+        n_prime=tree.leaf_count + 1,
         w=w,
         all_w=all_w,
-        structure=result.structure,
-        actions=result.actions,
+        structure=structure_from_uniform_tree(tree, cm.m, n),
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mpsynth import dumps, loads, validate
+from mpsynth import cli, dumps, loads, validate
 from mpsynth.cli import build_parser, main
 
 from conftest import seven_input_structure
@@ -54,7 +54,7 @@ def test_synthesize_isom_summary(tmp_path, costs_file, capsys):
 
 
 def test_isom_without_prune_overprovisions(costs_file, capsys):
-    # n - 1 = 7 is prime, above m = 3: built at n' = 10 and pruned to 8
+    # n - 1 = 7 is prime, above m = 3: the shape for n' = 10, built at 8
     code = main(["synthesize", "isom", "8", "--costs", str(costs_file)])
     out = capsys.readouterr().out
     assert code == 0
@@ -62,8 +62,8 @@ def test_isom_without_prune_overprovisions(costs_file, capsys):
 
 
 def test_isom_beats_exact_size_latency(costs_file, capsys):
-    # the exact n' = 9 shape w = (3, 0) has latency 3; pruning (0, 2)
-    # from n' = 10 gives 2
+    # the exact n' = 9 shape w = (3, 0) has latency 3; the n' = 10 shape
+    # (0, 2), built at 9, gives 2
     code = main(["synthesize", "isom", "9", "--costs", str(costs_file), "--all-optima"])
     out = capsys.readouterr().out
     assert code == 0
@@ -228,6 +228,18 @@ def test_verify_bad_arguments_are_usage_errors(costs_file, capsys, argv, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": message}
+
+
+def test_undocumented_exception_is_a_json_error(monkeypatch, costs_file, capsys):
+    def broken(n, cm):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "synthesize_min_latency", broken)
+    assert main(["synthesize", "isom", "7", "--costs", str(costs_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err) == {"error": "internal error: RuntimeError: boom"}
 
 
 def test_successive_calls_share_one_parser(tmp_path, costs_file, capsys):

@@ -447,6 +447,10 @@ def test_prune_bytes_are_pinned(shared7_cyclic):
         for n, digest in golden.items():
             text = dumps(prune(dag, n).structure)
             assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, (dag.n, n)
+    # the latency-first builder prunes as it builds, to the same bytes
+    for n, digest in PRUNE_GOLDEN_3X3.items():
+        text = dumps(structure_from_uniform_tree(tree, 3, n))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, n
 
 
 # sha256 of dumps and to_dot, recorded with the per-output builders

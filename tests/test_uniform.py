@@ -13,8 +13,9 @@ from mpsynth.oracles import (
     min_labeling_complexity,
     structure_from_labeled_copies,
 )
-from mpsynth.structure import DagBuilder, complexity, latency, validate
+from mpsynth.structure import DagBuilder, complexity, dumps, latency, prune, to_dot, validate
 from mpsynth.uniform import (
+    UniformTree,
     leaf_count_of_type_vector,
     min_uniform_latency,
     structure_from_uniform_tree,
@@ -148,6 +149,35 @@ def test_cyclic_build_calls_op_once_per_node(monkeypatch):
     dag = structure_from_uniform_tree(uniform_tree_from_type_vector((10,)), 2)
     assert dag.n == 1025
     assert len(calls) == sum(1 for lbl in dag.labels if lbl is None) == 1025 * 9
+
+
+# level sequences with fan-ins 2..6 and at most 64 leaves; at (3, 3) and
+# n = 4 a whole root branch of some outputs empties
+ONE_PASS_SHAPES = [
+    (), (2,), (6,), (2, 2), (3, 3), (2, 5), (4, 2), (5, 3),
+    (2, 2, 2), (3, 2, 2), (2, 3, 4), (4, 4, 4),
+]
+
+
+def test_one_pass_build_writes_what_prune_writes():
+    pass_through_outputs = 0
+    for levels in ONE_PASS_SHAPES:
+        tree = UniformTree(levels)
+        full = structure_from_uniform_tree(tree, 6)
+        for n in range(2, full.n + 1):
+            want = prune(full, n)
+            got = structure_from_uniform_tree(tree, 6, n)
+            assert dumps(got) == dumps(want.structure), (levels, n)
+            assert to_dot(got) == to_dot(want.structure), (levels, n)
+            pass_through_outputs += any("pass-through output" in a for a in want.actions)
+    assert pass_through_outputs > 0
+
+
+def test_one_pass_build_rejects_sizes_off_the_ring():
+    tree = UniformTree((3, 3))
+    for n in (1, 0, 11):
+        with pytest.raises(ValueError, match="2 <= n <= 10"):
+            structure_from_uniform_tree(tree, 3, n)
 
 
 def test_labeling_must_be_bijective():
