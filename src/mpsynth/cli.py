@@ -5,9 +5,9 @@ Subcommands:
 * ``synthesize {star|isom} N --costs FILE`` - run a synthesizer and
   emit the structure (JSON and/or DOT) plus a summary table; ``isom``
   picks the latency-optimal uniform tree at a workable size ``n' >= N``
-  and builds its structure directly at ``N``, as if built at ``n'`` and
-  pruned (``--prune`` is accepted for compatibility and changes
-  nothing),
+  and builds its structure directly at ``N``, dropping the surplus
+  inputs as it builds (``--prune`` changes nothing; it is kept only
+  because existing scripts pass it),
 * ``validate FILE`` - check a structure file against the defining
   properties,
 * ``eval FILE --costs FILE`` - exact complexity and latency,
@@ -18,6 +18,8 @@ Exit codes: 0 success, 1 usage, config or artifact-write error, 3
 validation or verification failure.  Every failure prints a JSON error
 on standard error, never a traceback; an exception no command documents
 (a bug) exits 1 as ``{"error": "internal error: <Type>: <message>"}``.
+A reader that closes standard output early is not a bug: the command
+exits 1 and writes nothing to standard error.
 All numbers print as exact rationals.
 Identical invocations write byte-identical artifacts.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument(
         "--prune",
         action="store_true",
-        help="accepted for compatibility; changes nothing",
+        help="changes nothing; kept only because existing scripts pass it",
     )
     syn.set_defaults(func=_cmd_synthesize)
 
@@ -265,9 +268,18 @@ def main(argv: list[str] | None = None) -> int:
             return USAGE_ERROR
         raise
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a failed last write lands here too
+        return code
     except _Failure as exc:
         code, message = exc.args
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the interpreter's
+        # own flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE_ERROR
     except Exception as exc:  # a bug: still a JSON error, not a traceback
         code, message = USAGE_ERROR, f"internal error: {type(exc).__name__}: {exc}"
     print(json.dumps({"error": message}), file=sys.stderr)

@@ -713,14 +713,14 @@ def verify_report(
                 witness = f"cyclic labeling complexity {achieved} != formula {formula}"
             record("labeling_minimality", {"n": n, "m": m, "w": list(w)}, formula, best, witness)
 
-    # 6. pruned synthesis matches the exhaustive rooted-tree lower bound
+    # 6. latency-first synthesis matches the exhaustive rooted-tree lower bound
     tree_budget = over("rooted-tree", "n - 1", n - 1, budget.max_tree_leaves)
     if runs("latency_dominance", small, tree_budget):
         synthesis = synthesize_min_latency(n, cm)
         brute = min(tree_latency(t, cm) for t in enumerate_rooted_trees(n - 1, m, budget))
         witness = _validity_witness(synthesis.structure)
         if witness is None and latency(synthesis.structure, cm) != synthesis.latency:
-            witness = "pruned structure does not achieve the DP latency"
+            witness = "latency-first structure does not achieve the DP latency"
         record("latency_dominance", {"n": n, "m": m}, synthesis.latency, brute, witness)
 
     return VerifyReport(n=n, checks=tuple(checks), skipped=tuple(skipped))

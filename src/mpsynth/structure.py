@@ -12,8 +12,6 @@ This module owns the graph plumbing every synthesizer shares:
   separately with a witness so it can double as a test oracle,
 * exact complexity (weighted node count) and latency (node-weighted
   longest path) evaluation, computed on ints,
-* pruning an ``n'``-input structure down to ``n`` inputs, the reference
-  whose rules the latency-first builder applies as it builds,
 * deterministic JSON and DOT serialization, whose node order sorts
   computation nodes by the canonical integer ids that also decide the
   distinct-subtrees check; string canonical keys only name its witnesses.
@@ -525,71 +523,6 @@ def latency(dag: Dag, cm: CostModel) -> Fraction:
         if cs:
             dist[v] = weight[len(cs)] + max(map(below, cs))
     return Fraction(max(dist, default=0), scale)
-
-
-# ---------------------------------------------------------------------------
-# pruning
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    structure: Dag
-    actions: tuple[str, ...]
-
-
-def prune(dag: Dag, n: int) -> PruneResult:
-    """Shrink an ``n'``-input structure to ``n`` inputs.
-
-    Removes ``x_{n+1}..x_{n'}`` and ``y_{n+1}..y_{n'}`` and re-interns
-    the rest bottom-up into a fresh builder.  A computation node's image
-    is nothing when every operand is gone (dropped), its one surviving
-    operand (a pass-through, spliced out), or the interned node over its
-    operands' distinct images, so subtrees the removal made equal merge
-    on the way.  An output left with a single internal operand takes
-    that operand's operands, and only what the outputs reach is kept.
-    Each action is logged.  Latency and complexity never increase
-    (weights are non-negative and nodes are only removed or merged).
-
-    This is the reference for :func:`mpsynth.uniform.structure_from_uniform_tree`,
-    which applies the same rules in one pass as it builds; the tests
-    hold the two to the same bytes.
-    """
-    if n < 2:
-        raise ValueError(f"cannot prune to n = {n} < 2")
-    if n > dag.n:
-        raise ValueError(f"cannot prune to n = {n} > current input size {dag.n}")
-    if n == dag.n:
-        return PruneResult(dag, ())
-
-    builder = DagBuilder()
-    actions: list[str] = []
-    image: list[int | None] = [None] * dag.node_count
-    outputs: list[int] = []
-    for v in dag._order:
-        lbl = dag.labels[v]
-        if lbl is not None and lbl[1] > n:
-            actions.append(f"removed {lbl[0]}{lbl[1]}")
-        elif lbl is not None and lbl[0] == "x":
-            image[v] = builder.input(lbl[1])
-        else:
-            kids = sorted({image[c] for c in dag.children[v]} - {None})
-            if lbl is not None:
-                if len(kids) == 1 and builder._labels[kids[0]] is None:
-                    j = lbl[1]
-                    actions.append(f"relabeled y{j}'s only operand as y{j} (pass-through output)")
-                    kids = builder._children[kids[0]]
-                outputs.append(builder.output(lbl[1], kids))
-            elif not kids:
-                actions.append(f"dropped node {v}: all operands pruned away")
-            elif len(kids) == 1:
-                image[v] = kids[0]
-                actions.append(f"spliced pass-through node {v}")
-            else:
-                image[v] = builder.op(kids)
-
-    # keep only what the outputs reach (absorbed operands and nodes that
-    # fed removed outputs alone fall away)
-    return PruneResult(builder.build(n, dag.m, keep=outputs), tuple(actions))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ latency-first synthesizer lives here:
 
 * :func:`synthesize_min_latency` - the latency-first entry point: a
   ceiling DP finds the best over-provisioned size ``n' >= n``, and the
-  structure of that shape is built directly at ``n``, as if built at
-  ``n'`` and pruned, without increasing latency;
+  structure of that shape is built directly at ``n`` by the drop rules
+  below, without increasing latency;
 * :func:`min_uniform_latency` - the exact-size reference: a DP over the
   divisors of ``n - 1`` (only when it factors over ``[2, m]``), never
   faster than the ceiling DP and sometimes slower.
@@ -36,11 +36,13 @@ at depth ``d`` whose first leaf is ``x_{s+1}`` covers
 the build takes time and memory proportional to the ``~n * height``
 nodes it makes rather than to the ``n * n`` leaves of all copies.
 
-Below the ring size, the builder applies the rules of
-:func:`mpsynth.structure.prune` to each ``(d, s)`` as it makes it: a
-leaf past ``x_n`` is dropped, a node left with one operand is that
-operand.  Only outputs ``y_1..y_n`` are built, so the ``n' - n``
-surplus inputs are never made and then thrown away.
+Below the ring size, the builder cuts the ring of ``n'`` inputs down to
+``n`` as it makes each ``(d, s)``: a leaf past ``x_n`` is dropped, a
+node left with no operand is dropped, a node left with one operand is
+that operand, and an output left with one internal operand takes that
+operand's operands.  Only outputs ``y_1..y_n`` are built, so the
+``n' - n`` surplus inputs and outputs are never made.  Latency and
+complexity never increase: nodes are only removed or merged.
 """
 
 from __future__ import annotations
@@ -77,16 +79,6 @@ class UniformTree:
     @property
     def height(self) -> int:
         return len(self.levels)
-
-
-def type_vector_of(tree: UniformTree, m: int) -> Vec:
-    """Count levels by fan-in: entry ``i`` (0-based) counts fan-in ``i+2``."""
-    w = [0] * (m - 1)
-    for d in tree.levels:
-        if d > m:
-            raise ValueError(f"level fan-in {d} exceeds m = {m}")
-        w[d - 2] += 1
-    return tuple(w)
 
 
 def leaf_count_of_type_vector(w: Sequence[int]) -> int:
@@ -151,15 +143,13 @@ def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None)
     on, cyclically, in every copy that contains it.  Nodes are memoized
     on ``(d, s)``, so each shared node is emitted once.
 
-    Below ``n'`` the rules of :func:`mpsynth.structure.prune` apply as
-    the nodes are made: a leaf at offset ``s >= n`` is nothing, a node
-    with no surviving operand is nothing, a node with one is that
-    operand, and any other is the node over its operands' distinct
-    images.  An output left with one internal operand takes that
-    operand's operands; only then can a node be left unreached, and only
-    then are such nodes dropped.  The result equals
-    ``prune(structure_from_uniform_tree(tree, m), n)`` up to node
-    numbering, so it writes the same bytes.
+    Below ``n'`` the surplus inputs are dropped as the nodes are made: a
+    leaf at offset ``s >= n`` is nothing, a node with no surviving
+    operand is nothing, a node with one is that operand, and any other
+    is the node over its operands' distinct images, so subtrees the
+    removal made equal merge.  An output left with one internal operand
+    takes that operand's operands; only then can a node be left
+    unreached, and only then are such nodes dropped.
     """
     levels = tree.levels
     if max(levels, default=2) > m:
@@ -266,8 +256,8 @@ def min_uniform_latency(n: int, cm: CostModel) -> UniformLatencyResult:
     ``n`` inputs: DP over the divisors of ``n - 1``, peeling one level
     (a factor ``t`` in ``[2, m]``) at a time.
 
-    Raises when ``n - 1`` has no factorization over ``[2, m]``; the
-    pruned synthesizer handles those sizes.
+    Raises when ``n - 1`` has no factorization over ``[2, m]``;
+    :func:`synthesize_min_latency` handles those sizes.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -275,18 +265,18 @@ def min_uniform_latency(n: int, cm: CostModel) -> UniformLatencyResult:
     if found is None:
         raise ValueError(
             f"n - 1 = {n - 1} has no factorization into factors from [2, {cm.m}];"
-            " use the pruned synthesizer for this input size"
+            " use synthesize_min_latency for this input size"
         )
     value, vectors, ops = found
     return UniformLatencyResult(value=value, type_vectors=tuple(sorted(vectors)), ops=ops)
 
 
 # ---------------------------------------------------------------------------
-# pruned synthesis (any input size)
+# latency-first synthesis (any input size)
 
 
 @dataclass(frozen=True)
-class PrunedSynthesis:
+class LatencySynthesis:
     latency: Fraction
     n_prime: int  # the ring size of the winning shape, leaf count + 1
     w: Vec
@@ -294,7 +284,7 @@ class PrunedSynthesis:
     structure: Dag
 
 
-def synthesize_min_latency(n: int, cm: CostModel) -> PrunedSynthesis:
+def synthesize_min_latency(n: int, cm: CostModel) -> LatencySynthesis:
     """Globally latency-optimal structure for any ``n >= 3``.
 
     A tree computing one output must feed at least ``n - 1`` leaves
@@ -302,22 +292,22 @@ def synthesize_min_latency(n: int, cm: CostModel) -> PrunedSynthesis:
     at least ``ceil((n-1)/t)`` leaves, so the ceiling recursion
     ``lat(k) = min_t l[t] + lat(ceil(k/t))`` lower-bounds every
     structure.  The witness type vector realizes the bound with
-    ``n' - 1 >= n - 1`` leaves; its cyclic structure on ``n'`` inputs,
-    pruned to ``n``, meets the bound exactly, and it is built at ``n``
-    in one pass (:func:`structure_from_uniform_tree`).
+    ``n' - 1 >= n - 1`` leaves; its cyclic structure, built at ``n`` in
+    one pass with the surplus inputs dropped
+    (:func:`structure_from_uniform_tree`), meets the bound exactly.
 
     Among equally fast type vectors the cheapest by the cyclic-labeling
     complexity formula (at its own ``n'``) wins, then the smallest
     lexicographically.
     """
     if n < 3:
-        raise ValueError(f"pruned synthesis needs n >= 3, got {n}")
+        raise ValueError(f"synthesize_min_latency needs n >= 3, got {n}")
     value, vectors, _ = _latency_dp(n - 1, cm, ceiling=True)
 
     all_w = tuple(sorted(vectors))
     w = min(all_w, key=lambda cand: (type_vector_complexity(cand, cm), cand))
     tree = uniform_tree_from_type_vector(w)
-    return PrunedSynthesis(
+    return LatencySynthesis(
         latency=value,
         n_prime=tree.leaf_count + 1,
         w=w,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -8,7 +9,7 @@ import pytest
 from mpsynth.costs import CostModel
 from mpsynth.oracles import ascending_labeling, structure_from_labeled_copies
 from mpsynth.startree import StarTree, feasible_input_size
-from mpsynth.structure import Dag, DagBuilder, _topological_order, canonical_keys, prune
+from mpsynth.structure import Dag, DagBuilder, _topological_order, canonical_keys
 from mpsynth.uniform import structure_from_uniform_tree, uniform_tree_from_type_vector
 
 
@@ -67,6 +68,67 @@ def union(a: Dag, b: Dag) -> Dag:
             else:
                 mapped[v] = builder.op(kids)
     return builder.build(max(a.n, b.n), max(a.m, b.m))
+
+
+@dataclass(frozen=True)
+class PruneResult:
+    structure: Dag
+    actions: tuple[str, ...]
+
+
+def prune(dag: Dag, n: int) -> PruneResult:
+    """Shrink an ``n'``-input structure to ``n`` inputs.
+
+    Removes ``x_{n+1}..x_{n'}`` and ``y_{n+1}..y_{n'}`` and re-interns
+    the rest bottom-up into a fresh builder.  A computation node's image
+    is nothing when every operand is gone (dropped), its one surviving
+    operand (a pass-through, spliced out), or the interned node over its
+    operands' distinct images, so subtrees the removal made equal merge
+    on the way.  An output left with a single internal operand takes
+    that operand's operands, and only what the outputs reach is kept.
+    Each action is logged.  Latency and complexity never increase
+    (weights are non-negative and nodes are only removed or merged).
+
+    This is the reference for :func:`mpsynth.uniform.structure_from_uniform_tree`,
+    which applies the same rules in one pass as it builds; the tests
+    hold the two to the same bytes.
+    """
+    if n < 2:
+        raise ValueError(f"cannot prune to n = {n} < 2")
+    if n > dag.n:
+        raise ValueError(f"cannot prune to n = {n} > current input size {dag.n}")
+    if n == dag.n:
+        return PruneResult(dag, ())
+
+    builder = DagBuilder()
+    actions: list[str] = []
+    image: list[int | None] = [None] * dag.node_count
+    outputs: list[int] = []
+    for v in dag._order:
+        lbl = dag.labels[v]
+        if lbl is not None and lbl[1] > n:
+            actions.append(f"removed {lbl[0]}{lbl[1]}")
+        elif lbl is not None and lbl[0] == "x":
+            image[v] = builder.input(lbl[1])
+        else:
+            kids = sorted({image[c] for c in dag.children[v]} - {None})
+            if lbl is not None:
+                if len(kids) == 1 and builder._labels[kids[0]] is None:
+                    j = lbl[1]
+                    actions.append(f"relabeled y{j}'s only operand as y{j} (pass-through output)")
+                    kids = builder._children[kids[0]]
+                outputs.append(builder.output(lbl[1], kids))
+            elif not kids:
+                actions.append(f"dropped node {v}: all operands pruned away")
+            elif len(kids) == 1:
+                image[v] = kids[0]
+                actions.append(f"spliced pass-through node {v}")
+            else:
+                image[v] = builder.op(kids)
+
+    # keep only what the outputs reach (absorbed operands and nodes that
+    # fed removed outputs alone fall away)
+    return PruneResult(builder.build(n, dag.m, keep=outputs), tuple(actions))
 
 
 def seven_input_structure(labeling: str):

@@ -49,7 +49,6 @@ from mpsynth.structure import (
     DagBuilder,
     complexity,
     latency,
-    prune,
     validate,
 )
 from mpsynth.uniform import (
@@ -60,7 +59,7 @@ from mpsynth.uniform import (
     uniform_tree_from_type_vector,
 )
 
-from conftest import nodes_with_label, signature, union, wire_structure
+from conftest import nodes_with_label, prune, signature, union, wire_structure
 
 
 @contextlib.contextmanager
@@ -247,11 +246,11 @@ def test_c5_cyclic_labeling_minimality():
 
 
 # ---------------------------------------------------------------------------
-# 6. pruned synthesis equals the global rooted-tree latency bound
+# 6. latency-first synthesis equals the global rooted-tree latency bound
 
 
 def test_c6_global_latency_optimality():
-    with criterion("6 pruned synthesis equals exhaustive rooted-tree minimum"):
+    with criterion("6 latency-first synthesis equals exhaustive rooted-tree minimum"):
         model_ramps = [[1] * 4, [1, Fraction(3, 2), 2, 2], [0, 1, 1, 1]]
         for m in (2, 3):
             for ramp in model_ramps:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mpsynth import cli, dumps, loads, validate
+from mpsynth import cli, dumps, loads, synthesize_min_latency, to_dot, validate
 from mpsynth.cli import build_parser, main
 
 from conftest import seven_input_structure
@@ -240,6 +242,37 @@ def test_undocumented_exception_is_a_json_error(monkeypatch, costs_file, capsys)
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert json.loads(captured.err) == {"error": "internal error: RuntimeError: boom"}
+
+
+def run_cli_into_closed_pipe(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI with standard output on a pipe whose reader is gone,
+    block-buffered as a pipe is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "mpsynth", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("command", ["export", "validate"])
+def test_closed_stdout_exits_quietly(tmp_path, cm_steep, command):
+    dag = synthesize_min_latency(200, cm_steep).structure
+    path = tmp_path / "structure.json"
+    path.write_text(dumps(dag))
+    # export's DOT text overflows the stdout buffer, so print fails;
+    # validate's short report fails at the final flush
+    assert len(to_dot(dag)) > io.DEFAULT_BUFFER_SIZE
+    proc = run_cli_into_closed_pipe(command, str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_successive_calls_share_one_parser(tmp_path, costs_file, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import re
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,33 @@ def test_public_surface_is_what_the_cli_and_readme_use():
     assert "synthesize_star" in readme
     assert readme <= set(PUBLIC)
     assert set(PUBLIC) == readme | cli_imported_names()
+
+
+def referenced_names(node: ast.AST) -> Counter[str]:
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_definition_is_used_in_src():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "mpsynth").glob("*.py"))
+    }
+    everywhere = sum(map(referenced_names, modules.values()), Counter())
+    # oracles is exempt: it holds the references the tests check against
+    unused = [
+        f"{stem}.{node.name}"
+        for stem, tree in modules.items()
+        if stem != "oracles"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and everywhere[node.name] == referenced_names(node)[node.name]
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))

@@ -22,7 +22,6 @@ from mpsynth.structure import (
     dumps,
     latency,
     loads,
-    prune,
     to_dot,
     validate,
 )
@@ -34,6 +33,7 @@ from mpsynth.uniform import (
 
 from conftest import (
     nodes_with_label,
+    prune,
     signature,
     star_tree_from_degree_vector,
     union,

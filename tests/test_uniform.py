@@ -13,7 +13,7 @@ from mpsynth.oracles import (
     min_labeling_complexity,
     structure_from_labeled_copies,
 )
-from mpsynth.structure import DagBuilder, complexity, dumps, latency, prune, to_dot, validate
+from mpsynth.structure import DagBuilder, complexity, dumps, latency, to_dot, validate
 from mpsynth.uniform import (
     UniformTree,
     leaf_count_of_type_vector,
@@ -22,9 +22,10 @@ from mpsynth.uniform import (
     synthesize_min_latency,
     type_vector_complexity,
     type_vector_latency,
-    type_vector_of,
     uniform_tree_from_type_vector,
 )
+
+from conftest import prune
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_degenerate_single_leaf():
 def test_type_vector_round_trip():
     for w in [(1, 1), (2, 0), (0, 2), (3, 0), (1, 0, 1)]:
         tree = uniform_tree_from_type_vector(w)
-        assert type_vector_of(tree, len(w) + 1) == w
+        assert tuple(tree.levels.count(i + 2) for i in range(len(w))) == w
         assert tree.leaf_count == leaf_count_of_type_vector(w)
 
 
@@ -244,7 +245,7 @@ def test_dp_ops_grow_linearly(cm_unit):
 
 
 # ---------------------------------------------------------------------------
-# pruned synthesis
+# latency-first synthesis
 
 
 def test_pruned_seven_inputs_no_pruning_needed(cm_unit):
