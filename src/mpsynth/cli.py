@@ -14,8 +14,9 @@ Subcommands:
 * ``export FILE --format dot|json`` - re-serialize a structure,
 * ``verify N --costs FILE`` - run the optimizer-versus-oracle report.
 
-Exit codes: 0 success, 1 usage, config or artifact-write error, 3
-validation or verification failure.  Every failure prints a JSON error
+Exit codes: 0 success, 1 usage, config, unreadable-file or
+artifact-write error, 3 malformed structure file, validation or
+verification failure.  Every failure prints a JSON error
 on standard error, never a traceback; an exception no command documents
 (a bug) exits 1 as ``{"error": "internal error: <Type>: <message>"}``.
 A reader that closes standard output early is not a bug: the command
@@ -58,8 +59,12 @@ def _load_costs(path: str) -> CostModel:
 
 def _load_structure(path: str) -> Dag:
     try:
-        return loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:
+        text = Path(path).read_bytes()
+    except OSError as exc:
+        raise _Failure(USAGE_ERROR, f"cannot read structure: {exc}")
+    try:
+        return loads(text)
+    except ValueError as exc:
         raise _Failure(MISMATCH, f"cannot load structure: {exc}")
 
 
@@ -261,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to the documented code
-        if exc.code not in (0, None):
-            return USAGE_ERROR
-        raise
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 after --help or --version and 2 on usage
+            # errors; remap the latter to the documented code
+            code = 0 if exc.code in (0, None) else USAGE_ERROR
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # so a failed last write lands here too
         return code
     except _Failure as exc:

@@ -32,7 +32,6 @@ from .startree import (
     degree_vector_of,
     feasible_input_size,
     star_complexity,
-    star_tree_latency,
     structure_from_star_tree,
 )
 from .staropt import (
@@ -660,7 +659,7 @@ def verify_report(
             witness = _validity_witness(induced)
             if degree_vector_of(result.tree) != q:
                 witness = "witness tree has the wrong degree vector"
-            elif star_tree_latency(result.tree, cm) != result.value:
+            elif oracle_star_tree_latency(result.tree, cm) != result.value:
                 witness = "witness tree does not achieve the DP latency"
             elif witness is None and latency(induced, cm) != result.value:
                 witness = "induced structure disagrees with the tree latency"

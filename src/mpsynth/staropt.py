@@ -17,7 +17,9 @@ Three exact dynamic programs, each with witness reconstruction:
   in O(m log a); any other census scans its box, O(m * prod (u_i + 1)).
 * :func:`min_star_latency` - the least tree latency among star trees
   with a given degree vector, by scanning balanced two-sided splits
-  whose side latencies come from the forest table.
+  whose side latencies come from the forest table, and the tree the
+  best split realizes.  :func:`synthesize_star` scans each optimal
+  vector's splits once and realizes only the winner's.
 
 Every value is an exact rational at the API.  Inside, all three run on
 ints, the model's integer views of ``c`` and ``l``
@@ -403,6 +405,15 @@ def _best_split(q: Vec, table: ForestLatencyTable) -> tuple[int, tuple[Vec, int]
     return best, best_split
 
 
+def _realize(q: Vec, split: tuple[Vec, int], table: ForestLatencyTable) -> StarTree:
+    """The star tree of degree vector ``q`` that ``split`` (heavy census,
+    1-based root class) of :func:`_best_split` rates: the heavy root's
+    child forest and the light tree, both rebuilt from ``table``."""
+    u, root_class = split
+    forest = table.rebuild_forest(_minus_e(u, root_class - 1), root_class + 1)
+    return _star_tree_from_halves(forest, table.rebuild_tree(_sub(q, u)), table.m)
+
+
 def min_star_latency(
     q: Sequence[int], cm: CostModel, table: ForestLatencyTable | None = None
 ) -> StarLatencyResult:
@@ -430,12 +441,9 @@ def min_star_latency(
         raise ValueError("degree vector has no internal nodes (n = 2 has no star tree)")
     if table is None:
         table = forest_latency_table([q], cm)
-    best, (u, root_class) = _best_split(q, table)
-    forest = table.rebuild_forest(_minus_e(u, root_class - 1), root_class + 1)
-    light_tree = table.rebuild_tree(_sub(q, u))
-    tree = _star_tree_from_halves(forest, light_tree, cm.m)
+    best, split = _best_split(q, table)
     return StarLatencyResult(
-        value=Fraction(best, table.scale), split=(u, root_class), tree=tree
+        value=Fraction(best, table.scale), split=split, tree=_realize(q, split, table)
     )
 
 
@@ -455,27 +463,24 @@ class StarSynthesis:
 
 def synthesize_star(n: int, cm: CostModel) -> StarSynthesis:
     """Complexity-optimal structure, then the lowest-latency one among
-    those: backtrack every optimal degree vector, rate each from one
-    forest table over all of them, keep the best (ties to the smaller
-    vector), and realize it by :func:`min_star_latency`."""
+    those: backtrack every optimal degree vector, rate each once, by
+    :func:`_best_split` on one forest table over all of them, keep the
+    best (ties to the smaller vector), and realize it from the split
+    that rated it."""
     if n < 3:
         raise ValueError(f"star synthesis needs n >= 3, got {n}")
     table = min_star_complexity(n, cm)
     candidates = optimal_degree_vectors(table)
     forest = forest_latency_table(candidates, cm)
-    best: int | None = None
-    best_q: Vec | None = None
-    for q in candidates:
-        value, _ = _best_split(q, forest)
-        if best is None or value < best:
-            best, best_q = value, q
-    result = min_star_latency(best_q, cm, forest)
-    structure = structure_from_star_tree(result.tree)
+    rated = [(_best_split(q, forest), q) for q in candidates]
+    # min keeps the first of equal values: candidates are sorted
+    (value, split), q = min(rated, key=lambda r: r[0][0])
+    tree = _realize(q, split, forest)
     return StarSynthesis(
         complexity=table.value(),
-        latency=result.value,
-        q=best_q,
+        latency=Fraction(value, forest.scale),
+        q=q,
         all_q=tuple(candidates),
-        tree=result.tree,
-        structure=structure,
+        tree=tree,
+        structure=structure_from_star_tree(tree),
     )

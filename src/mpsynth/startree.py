@@ -13,13 +13,18 @@ degree vector ``q`` (entry ``q_i`` counts internal nodes of degree
 ``i+2``): each degree-``d`` internal node appears once per incident
 edge as a ``(d-1)``-input unit, giving ``sum (i+2) * q_i * c[i+1]``.
 Its latency equals the tree's own latency: the maximum over simple
-leaf-to-leaf paths of ``sum l[degree(v) - 1]``.
+leaf-to-leaf paths of ``sum l[degree(v) - 1]``, since a path in the
+tree maps to a path in the structure with every degree lowered by one
+(the edge toward the path is the one not consumed as an operand).
 
-This module evaluates star trees; it does not choose them.  The
-latency-optimal tree for a degree vector comes from
-:func:`mpsynth.staropt.min_star_latency`, and every tree of a degree
-vector from :func:`mpsynth.oracles.enumerate_star_trees`; both number
-the leaves through :meth:`StarTree.from_adjacency`.
+This module builds star trees and their structures; it does not choose
+them, and it does not rate their latency.  The latency-optimal tree for
+a degree vector comes from :func:`mpsynth.staropt.min_star_latency`,
+and every tree of a degree vector from
+:func:`mpsynth.oracles.enumerate_star_trees`; both number the leaves
+through :meth:`StarTree.from_adjacency`.  A tree's latency is read off
+its structure (:func:`mpsynth.structure.latency`) or walked leaf to
+leaf by :func:`mpsynth.oracles.oracle_star_tree_latency`.
 """
 
 from __future__ import annotations
@@ -98,9 +103,6 @@ class StarTree:
     def leaves(self) -> list[int]:
         return [v for v, lbl in enumerate(self.labels) if lbl is not None]
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(v, u) for v, nb in enumerate(self.adj) for u in nb if v < u]
-
 
 def degree_vector_of(tree: StarTree) -> tuple[int, ...]:
     """Entry ``i`` (1-based ``i``, 0-based index ``i-1``) counts internal
@@ -171,33 +173,3 @@ def star_complexity(q: Sequence[int], cm: CostModel) -> Fraction:
     if len(q) != cm.m - 1:
         raise ValueError(f"degree vector length {len(q)} != m - 1 = {cm.m - 1}")
     return sum(((i + 3) * qi * cm.c[i + 2] for i, qi in enumerate(q)), Fraction(0))
-
-
-def _edge_latencies(tree: StarTree, cm: CostModel) -> dict[tuple[int, int], Fraction]:
-    """For every directed edge (a, b): the worst leaf-to-a latency
-    within a's side of the edge (a's own weight included)."""
-
-    def weight(v: int) -> Fraction:
-        if tree.labels[v] is not None:
-            return Fraction(0)
-        return cm.l[len(tree.adj[v]) - 1]
-
-    memo: dict[tuple[int, int], Fraction] = {}
-    edges = [(a, b) for a, nb in enumerate(tree.adj) for b in nb]
-    for a, b in _post_order(tree, edges, memo):
-        branches = [memo[(u, a)] for u in tree.adj[a] if u != b]
-        memo[(a, b)] = weight(a) + (max(branches) if branches else Fraction(0))
-    return memo
-
-
-def star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
-    """Maximum over simple paths of ``sum l[degree(v) - 1]``.
-
-    Equals the latency of the induced structure: a path in the tree
-    maps to a path in the structure with every degree lowered by one
-    (the edge toward the path is the one not consumed as an operand).
-    """
-    if max(len(nb) for nb in tree.adj) - 1 > cm.m:
-        raise ValueError("tree degree exceeds cost model fan-in bound")
-    heights = _edge_latencies(tree, cm)
-    return max(heights[(a, b)] + heights[(b, a)] for a, b in tree.edges())

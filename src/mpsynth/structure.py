@@ -128,6 +128,10 @@ class DagBuilder:
             return self._key_to_id[key]
         return self._new_node(key, None, kids)
 
+    def operands(self, node: int) -> tuple[int, ...]:
+        """The sorted operands of ``node``; empty for an input."""
+        return self._children[node]
+
     def output(self, j: int, children: Iterable[int]) -> int:
         kids = tuple(sorted(children))
         if not kids:
@@ -253,11 +257,11 @@ def _ancestor_set(dag: Dag, roots: Iterable[int]) -> set[int]:
     return seen
 
 
-def _tree_pass(dag: Dag, order: list[int], outputs: dict[int, int]) -> set[int] | None:
+def _tree_pass(dag: Dag, order: list[int], outputs: dict[int, int]) -> set[int]:
     """Labels ``j`` of the outputs (``outputs[j]`` is y_j's node) whose
     ancestor graph is not a tree over exactly the other inputs, found in
-    one bottom-up pass over ``order``; ``None`` when the sources are not
-    exactly x_1..x_n, where the pass does not apply.
+    one bottom-up pass over ``order``.  Only for a graph whose inputs
+    check passed: its sources are then exactly x_1..x_n.
 
     Each node gets the set of inputs below it (bit ``i`` for x_i) and
     its number of paths down to them.  Output y_j passes iff its set is
@@ -265,24 +269,17 @@ def _tree_pass(dag: Dag, order: list[int], outputs: dict[int, int]) -> set[int] 
     from y_j would give every input below it a second path.
     """
     full = (1 << (dag.n + 1)) - 2
-    sources = 0
     below = [0] * dag.node_count
     paths = [0] * dag.node_count
     for v in order:
-        if not dag.children[v]:
-            lbl = dag.labels[v]
-            if not (lbl and lbl[0] == "x" and 1 <= lbl[1] <= dag.n) or sources >> lbl[1] & 1:
-                return None
-            sources |= 1 << lbl[1]
-            below[v], paths[v] = 1 << lbl[1], 1
-        else:
+        if dag.children[v]:
             bits = count = 0
             for c in dag.children[v]:
                 bits |= below[c]
                 count += paths[c]
             below[v], paths[v] = bits, count
-    if sources != full:
-        return None
+        else:
+            below[v], paths[v] = 1 << dag.labels[v][1], 1
     flagged: set[int] = set()
     for j, y in outputs.items():
         want = full ^ (1 << j) if 1 <= j <= dag.n else full
@@ -352,16 +349,13 @@ def _subtree_ids(dag: Dag, order: list[int]) -> list[int]:
     return ids
 
 
-def _ids_are_distinct(dag: Dag) -> bool:
-    """True when every source is an input with its own label, no other
-    node carries an input label, and no two other nodes have equal
-    operand tuples: then, by induction on height, no two nodes share a
-    canonical id, and the ids need not be computed."""
-    sources = [lbl for lbl, cs in zip(dag.labels, dag.children) if not cs]
-    inputs = [lbl for lbl in dag.labels if lbl and lbl[0] == "x"]
+def _operands_are_distinct(dag: Dag) -> bool:
+    """True when no two nodes with operands have equal operand tuples.  On
+    a graph whose inputs check passed, no two nodes then share a
+    canonical id (by induction on height), so the ids need not be
+    computed."""
     operands = [cs for cs in dag.children if cs]
-    # equal lists: the sources are exactly the input-labeled nodes
-    return sources == inputs and all(len(set(x)) == len(x) for x in (inputs, operands))
+    return len(set(operands)) == len(operands)
 
 
 def _shared_subtree_failures(dag: Dag, order: list[int]) -> list[str]:
@@ -370,8 +364,6 @@ def _shared_subtree_failures(dag: Dag, order: list[int]) -> list[str]:
     when there is one.  Distinctly labeled outputs are told apart by
     their labels (inputs share a group only with their own label), and
     a stray unlabeled source counts under "inputs"."""
-    if _ids_are_distinct(dag):
-        return []
     ids = _subtree_ids(dag, order)
     labels = dag.labels
     groups: dict[int, list[int]] = {}
@@ -429,15 +421,16 @@ def validate(dag: Dag) -> ValidationReport:
     bare wires (``y_1 = x_2``, ``y_2 = x_1``), so in-degree 1 outputs
     are accepted there and only there.
 
-    The output-tree property is decided for all outputs in one
-    bottom-up pass (:func:`_tree_pass`: per node, the inputs below it
-    as an int bitset and its number of paths down to them).  The
+    The inputs check is decided once and its verdict handed on.  When
+    it passed, the output-tree property is decided for all outputs in
+    one bottom-up pass (:func:`_tree_pass`: per node, the inputs below
+    it as an int bitset and its number of paths down to them), and the
     per-output ancestor walk, which writes the witnesses, runs only for
-    the outputs that pass flags, or for all of them when the sources
-    are not exactly x_1..x_n; so a valid structure is checked in one
-    pass, without parent lists, and a report never differs from walking
-    every output.  Distinct subtrees are decided on canonical ids, only
-    when a cheap test cannot rule them out (:func:`_ids_are_distinct`).
+    the outputs that pass flags; otherwise every output is walked.  So
+    a valid structure is checked in one pass, without parent lists, and
+    a report never differs from walking every output.  Distinct
+    subtrees are decided on canonical ids, unless the inputs passed and
+    no two nodes share an operand tuple (:func:`_operands_are_distinct`).
     """
     n = dag.n
     labels, children = dag.labels, dag.children
@@ -459,11 +452,12 @@ def validate(dag: Dag) -> ValidationReport:
     # inputs; property 4: no two nodes compute the same subtree
     trees = shared = ["not evaluated: graph contains a cycle"]
     if not cyclic:
-        flagged = _tree_pass(dag, order, seen_y)
+        flagged = _tree_pass(dag, order, seen_y) if inputs.passed else None
         walked = [j for j in sorted(seen_y) if flagged is None or j in flagged]
         parents = dag.parent_map() if walked else []
         trees = [f for j in walked for f in _output_tree_failures(dag, parents, j, seen_y[j])]
-        shared = _shared_subtree_failures(dag, order)
+        distinct = inputs.passed and _operands_are_distinct(dag)
+        shared = [] if distinct else _shared_subtree_failures(dag, order)
     checks.append(PropertyCheck("output_trees", not trees, "; ".join(trees) or None))
     checks.append(PropertyCheck("distinct_subtrees", not shared, "; ".join(shared) or None))
 

@@ -191,8 +191,8 @@ def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None)
         kids = images(1, j) if levels else {emit(0, j % ring)}
         if len(kids) == 1:
             (only,) = kids
-            if builder._children[only]:  # one internal operand: take its operands
-                kids = builder._children[only]
+            if builder.operands(only):  # one internal operand: take its operands
+                kids = builder.operands(only)
                 absorbed = True
         outputs.append(builder.output(j, kids))
     return builder.build(n, m, keep=outputs if absorbed else None)

@@ -139,6 +139,57 @@ def test_export_dot(tmp_path, costs_file, capsys):
     assert out.startswith("digraph structure {")
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_out_writes_the_serialized_file(tmp_path, capsys, fmt):
+    dag = seven_input_structure("cyclic")
+    source = tmp_path / "in.json"
+    source.write_text(dumps(dag))
+    out = tmp_path / "exported"
+    assert main(["export", str(source), "--format", fmt, "--out", str(out)]) == 0
+    written = out / f"structure.{fmt}"
+    assert written.read_text() == (dumps(dag) if fmt == "json" else to_dot(dag))
+    assert capsys.readouterr().out == f"wrote {written}\n"
+
+
+def test_eval_fan_in_above_the_cost_model_is_usage_error(tmp_path, capsys):
+    costs = tmp_path / "costs2.json"
+    costs.write_text('{"m": 2, "c": [1], "l": [1]}')
+    path = tmp_path / "structure.json"
+    path.write_text(dumps(seven_input_structure("cyclic")))  # has fan-in 3 nodes
+    assert main(["eval", str(path), "--costs", str(costs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].endswith("> cost model m = 2")
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "export"])
+def test_unreadable_structure_is_usage_error_malformed_is_mismatch(
+    tmp_path, costs_file, capsys, command
+):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"n": 3}')
+    extra = ["--costs", str(costs_file)] if command == "eval" else []
+    cases = [
+        (tmp_path / "missing.json", 1, "cannot read structure: "),
+        (tmp_path, 1, "cannot read structure: "),  # a directory
+        (malformed, 3, "cannot load structure: "),
+    ]
+    for path, code, prefix in cases:
+        assert main([command, str(path), *extra]) == code, path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(prefix), path
+
+
+def test_synthesize_star_all_optima(tmp_path, capsys):
+    # 3 * c2 == 4 * c3 / 2: every degree vector for n = 9 is optimal
+    costs = tmp_path / "ties.json"
+    costs.write_text('{"m": 3, "c": [2, 3], "l": [1, 1]}')
+    assert main(["synthesize", "star", "9", "--costs", str(costs), "--all-optima"]) == 0
+    out = capsys.readouterr().out
+    assert "all_q       [[1, 3], [3, 2], [5, 1], [7, 0]]\n" in out
+
+
 def test_verify_all_pass(costs_file, capsys):
     code = main(["verify", "7", "--costs", str(costs_file)])
     report = json.loads(capsys.readouterr().out)
@@ -223,6 +274,7 @@ def test_out_naming_a_file_is_usage_error(tmp_path, costs_file, capsys, command)
         (["verify", "0"], "verify needs n >= 2, got 0"),
         (["verify", "1"], "verify needs n >= 2, got 1"),
         (["verify", "5", "--budget-leaves", "0"], "--budget-leaves must be >= 1, got 0"),
+        (["synthesize", "star", "2"], "synthesis needs n >= 3, got 2"),
     ],
 )
 def test_verify_bad_arguments_are_usage_errors(costs_file, capsys, argv, message):
@@ -262,15 +314,25 @@ def run_cli_into_closed_pipe(*argv: str) -> subprocess.CompletedProcess:
         os.close(write_end)
 
 
-@pytest.mark.parametrize("command", ["export", "validate"])
-def test_closed_stdout_exits_quietly(tmp_path, cm_steep, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["export", "FILE"], id="export"),
+        pytest.param(["validate", "FILE"], id="validate"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["--version"], id="version"),
+        pytest.param(["synthesize", "--help"], id="synthesize-help"),
+    ],
+)
+def test_closed_stdout_exits_quietly(tmp_path, cm_steep, argv):
     dag = synthesize_min_latency(200, cm_steep).structure
     path = tmp_path / "structure.json"
     path.write_text(dumps(dag))
     # export's DOT text overflows the stdout buffer, so print fails;
-    # validate's short report fails at the final flush
+    # validate's short report, the help and the version fail at the
+    # final flush
     assert len(to_dot(dag)) > io.DEFAULT_BUFFER_SIZE
-    proc = run_cli_into_closed_pipe(command, str(path))
+    proc = run_cli_into_closed_pipe(*(str(path) if arg == "FILE" else arg for arg in argv))
     assert proc.returncode == 1
     assert proc.stderr == ""
 

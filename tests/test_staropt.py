@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from mpsynth import staropt
 from mpsynth.costs import CostModel
 from mpsynth.drt import LEAF, degree_vector, rooted, tree_latency
 from mpsynth.oracles import (
@@ -23,7 +24,7 @@ from mpsynth.staropt import (
     synthesize_star,
     vectors_below,
 )
-from mpsynth.startree import degree_vector_of, star_complexity, star_tree_latency
+from mpsynth.startree import degree_vector_of, star_complexity
 from mpsynth.structure import complexity, latency, validate
 
 
@@ -528,7 +529,7 @@ def test_dp_matches_enumeration_everywhere(m):
             assert result.value == brute, (m, q, cm.l)
             # the witness achieves the value
             assert degree_vector_of(result.tree) == q
-            assert star_tree_latency(result.tree, cm) == result.value
+            assert oracle_star_tree_latency(result.tree, cm) == result.value
 
 
 def test_accepted_split_satisfies_balance_conditions(cm_frac):
@@ -576,6 +577,23 @@ def test_pipeline_scans_all_optimal_vectors():
     syn = synthesize_star(7, cm)
     for q in syn.all_q:
         assert min_star_latency(q, cm).value >= syn.latency
+
+
+def test_pipeline_rates_each_optimal_vector_once(monkeypatch):
+    # 3 * c2 == 4 * c3 / 2: four optimal vectors, the first two tied in
+    # latency; the winner is realized from the split that rated it
+    cm = CostModel.from_factors(3, [2, 3], [1, 1])
+    calls = []
+    best_split = staropt._best_split
+    monkeypatch.setattr(
+        staropt, "_best_split", lambda q, table: calls.append(q) or best_split(q, table)
+    )
+    syn = synthesize_star(9, cm)
+    assert calls == list(syn.all_q) == [(1, 3), (3, 2), (5, 1), (7, 0)]
+    assert syn.q == (1, 3)  # the tie goes to the smaller vector
+    monkeypatch.undo()
+    alone = min_star_latency(syn.q, cm)
+    assert (syn.latency, syn.tree) == (alone.value, alone.tree)
 
 
 def least_cubic_diameter(n: int) -> int:

@@ -15,11 +15,10 @@ from mpsynth.oracles import (
 )
 from mpsynth.startree import (
     StarTree,
-    _edge_latencies,
+    _post_order,
     degree_vector_of,
     feasible_input_size,
     star_complexity,
-    star_tree_latency,
     structure_from_star_tree,
 )
 from mpsynth.structure import DagBuilder, complexity, latency, validate
@@ -168,28 +167,52 @@ def test_chain_at_n5000_builds_without_recursion(cm_frac):
     tree = star_tree_from_degree_vector(q)
     dag = structure_from_star_tree(tree)
     assert dag.node_count - tree.n == sum((i + 3) * qi for i, qi in enumerate(q))
-    assert latency(dag, cm_frac) == star_tree_latency(tree, cm_frac)
+    # the chain's 4998 degree-3 nodes all lie on one leaf-to-leaf path
+    assert latency(dag, cm_frac) == 4998 * cm_frac.l[2]
 
 
 # ---------------------------------------------------------------------------
 # latency
 
 
+def node_weight(tree: StarTree, cm: CostModel, v: int) -> Fraction:
+    return Fraction(0) if tree.labels[v] is not None else cm.l[len(tree.adj[v]) - 1]
+
+
+def edge_latencies(tree: StarTree, cm: CostModel) -> dict[tuple[int, int], Fraction]:
+    """For every directed edge (a, b): the worst leaf-to-a latency
+    within a's side of the edge (a's own weight included), in Fractions."""
+    memo: dict[tuple[int, int], Fraction] = {}
+    edges = [(a, b) for a, nb in enumerate(tree.adj) for b in nb]
+    for a, b in _post_order(tree, edges, memo):
+        branches = [memo[(u, a)] for u in tree.adj[a] if u != b]
+        memo[(a, b)] = node_weight(tree, cm, a) + max(branches, default=Fraction(0))
+    return memo
+
+
+def edge_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
+    """The tree latency as the most, over edges, of the two sides'
+    latencies summed."""
+    heights = edge_latencies(tree, cm)
+    return max(heights[(a, b)] + heights[(b, a)] for a, b in heights)
+
+
 def test_single_internal_node_latency(cm_unit):
     tree = star_tree_from_degree_vector((1, 0))
-    assert star_tree_latency(tree, cm_unit) == 1  # one 2-input stage
+    assert oracle_star_tree_latency(tree, cm_unit) == 1  # one 2-input stage
+    assert latency(structure_from_star_tree(tree), cm_unit) == 1
 
 
 def test_tree_latency_equals_structure_latency(cm_frac):
     for q, tree in all_trees_up_to(9, 3):
-        assert star_tree_latency(tree, cm_frac) == latency(
+        assert oracle_star_tree_latency(tree, cm_frac) == latency(
             structure_from_star_tree(tree), cm_frac
         )
 
 
 def test_tree_latency_matches_leaf_pair_oracle(cm_frac):
     for q, tree in all_trees_up_to(9, 3):
-        assert star_tree_latency(tree, cm_frac) == oracle_star_tree_latency(tree, cm_frac)
+        assert edge_tree_latency(tree, cm_frac) == oracle_star_tree_latency(tree, cm_frac)
 
 
 def relabel_leaves(tree: StarTree, permutation: Sequence[int]) -> StarTree:
@@ -204,10 +227,10 @@ def relabel_leaves(tree: StarTree, permutation: Sequence[int]) -> StarTree:
 
 def test_latency_is_leaf_label_invariant(cm_frac):
     tree = star_tree_from_degree_vector((3, 1))
-    base = star_tree_latency(tree, cm_frac)
+    base = oracle_star_tree_latency(tree, cm_frac)
     for perm in itertools.islice(itertools.permutations(range(1, tree.n + 1)), 24):
         shuffled = relabel_leaves(tree, perm)
-        assert star_tree_latency(shuffled, cm_frac) == base
+        assert oracle_star_tree_latency(shuffled, cm_frac) == base
         assert latency(structure_from_star_tree(shuffled), cm_frac) == base
 
 
@@ -232,17 +255,14 @@ def balanced_edge_split(tree: StarTree, cm: CostModel) -> LatencySplit:
     orientation with ``heavy > light`` strictly is preferred when one
     exists; under latency ties only the non-strict form is satisfiable.
     """
-    heights = _edge_latencies(tree, cm)
-
-    def weight(v: int) -> Fraction:
-        return Fraction(0) if tree.labels[v] is not None else cm.l[len(tree.adj[v]) - 1]
+    heights = edge_latencies(tree, cm)
 
     candidates: list[tuple[bool, tuple[int, int]]] = []
     for a, b in sorted(
         (a, b) for v, nb in enumerate(tree.adj) for a, b in [(v, u) for u in nb]
     ):
         heavy, light = heights[(a, b)], heights[(b, a)]
-        if heavy >= light and heavy - weight(a) <= light:
+        if heavy >= light and heavy - node_weight(tree, cm, a) <= light:
             candidates.append((heavy > light, (a, b)))
     if not candidates:
         raise RuntimeError("no balanced edge found; tree or cost model is inconsistent")
@@ -261,7 +281,7 @@ def test_split_sums_to_latency_everywhere(cm_frac):
     for cm in models:
         for q, tree in all_trees_up_to(9, 3):
             split = balanced_edge_split(tree, cm)
-            assert split.heavy + split.light == star_tree_latency(tree, cm)
+            assert split.heavy + split.light == oracle_star_tree_latency(tree, cm)
             assert split.heavy >= split.light
 
 
@@ -285,4 +305,4 @@ def test_split_handles_even_halves():
     tree = star_tree_from_degree_vector((0, 2))
     split = balanced_edge_split(tree, cm)
     assert split.heavy == split.light == 2
-    assert star_tree_latency(tree, cm) == 4
+    assert oracle_star_tree_latency(tree, cm) == 4
