@@ -89,16 +89,28 @@ def enumerate_degree_vectors(n: int, m: int) -> list[Vec]:
     out: list[Vec] = []
 
     def fill(k: int, left: int, acc: tuple[int, ...]) -> None:
-        if k == m - 1:
-            if left == 0:
-                out.append(acc)
-            return
         weight = k + 1
+        if k == m - 2:  # the last entry takes what is left, if it can
+            if left % weight == 0:
+                out.append(acc + (left // weight,))
+            return
         for count in range(left // weight + 1):
             fill(k + 1, left - weight * count, acc + (count,))
 
     fill(0, n - 2, ())
     return sorted(out)
+
+
+def count_degree_vectors(n: int, m: int) -> int:
+    """``len(enumerate_degree_vectors(n, m))`` without building them: the
+    partitions of ``n - 2`` into parts 1..m-1."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    ways = [1] + [0] * (n - 2)
+    for weight in range(1, m):
+        for total in range(weight, n - 1):
+            ways[total] += ways[total - weight]
+    return ways[n - 2]
 
 
 def enumerate_type_vectors(n: int, m: int) -> list[Vec]:
@@ -634,17 +646,16 @@ def verify_report(
     # 1. cheapest star complexity vs exhaustive degree vectors
     table = min_star_complexity(n, cm)
     optima = optimal_degree_vectors(table) if n > 2 else []
-    vectors = enumerate_degree_vectors(n, m)
-    if n == 2:
-        brute = Fraction(0)
-    else:
-        brute = min(star_complexity(q, cm) for q in vectors if sum(q) > 0)
-    witness = None
-    for q in optima:
-        if star_complexity(q, cm) != table.value():
-            witness = f"backtracked vector {q} does not achieve the DP value"
-            break
-    record("star_complexity", {"n": n, "m": m}, table.value(), brute, witness)
+    vector_count = over("count", "degree vectors", count_degree_vectors(n, m), budget.max_count)
+    if runs("star_complexity", vector_count):
+        vectors = enumerate_degree_vectors(n, m)
+        brute = min((star_complexity(q, cm) for q in vectors if sum(q) > 0), default=Fraction(0))
+        witness = None
+        for q in optima:
+            if star_complexity(q, cm) != table.value():
+                witness = f"backtracked vector {q} does not achieve the DP value"
+                break
+        record("star_complexity", {"n": n, "m": m}, table.value(), brute, witness)
 
     # 2. star latency per optimal degree vector vs exhaustive trees; one
     # forest table over every optimal vector (over the first alone when

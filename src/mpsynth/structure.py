@@ -18,8 +18,14 @@ This module owns the graph plumbing every synthesizer shares:
 
 Edges are stored child -> parent, i.e. pointing the way messages flow.
 Structures are immutable; every operation returns a fresh value.  Each
-structure computes its topological order and canonical node order at
-most once, so loading, checking and writing it walk one order.
+structure has one topological order and computes its canonical node
+order at most once, so loading, checking and writing it walk one order.
+The code that makes a structure hands over the order it already knows:
+:meth:`DagBuilder.build` its id order (every node is made after its
+operands), and :func:`from_json_dict` the file's own order whenever the
+file reads as :func:`dumps` writes it.  Kahn's sort runs only for a
+structure made any other way: by hand, or loaded from a file whose
+edges run backward or list a node's operands out of order.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse, islice
 from typing import Iterable, Optional, Sequence
 
 from .costs import CostModel
@@ -50,6 +56,10 @@ class Dag:
     fan-in bound the graph is meant to respect; neither is enforced
     here (see :func:`validate`), so invalid graphs can be represented
     and diagnosed.
+
+    Its topological order comes from the code that made it: the builder
+    and the loader store the one they know.  A ``Dag`` constructed
+    directly runs Kahn's sort on first use, which raises on a cycle.
     """
 
     n: int
@@ -72,9 +82,11 @@ class Dag:
                 parents[c].append(v)
         return parents
 
-    # safe to cache: the fields never change
+    # safe to cache: the fields never change.  The builder and the loader
+    # store the order they already know (see _with_order); any other
+    # Dag runs Kahn's sort here, once.
     @cached_property
-    def _order(self) -> list[int]:
+    def _order(self) -> Sequence[int]:
         return _topological_order(self)
 
     @cached_property
@@ -151,17 +163,26 @@ class DagBuilder:
         for cs in self._children:
             if len(cs) > m:
                 raise ValueError(f"fan-in {len(cs)} exceeds bound m = {m}")
+        # every node is made after its operands, and keep renumbers in id
+        # order, so id order is a topological order
         dag = Dag(n=n, m=m, labels=tuple(self._labels), children=tuple(self._children))
-        if keep is None:
-            return dag
-        order = sorted(_ancestor_set(dag, keep))
-        renum = {v: i for i, v in enumerate(order)}
-        return Dag(
-            n=n,
-            m=m,
-            labels=tuple(dag.labels[v] for v in order),
-            children=tuple(tuple(renum[c] for c in dag.children[v]) for v in order),
-        )
+        if keep is not None:
+            order = sorted(_ancestor_set(dag, keep))
+            renum = {v: i for i, v in enumerate(order)}
+            dag = Dag(
+                n=n,
+                m=m,
+                labels=tuple(dag.labels[v] for v in order),
+                children=tuple(tuple(renum[c] for c in dag.children[v]) for v in order),
+            )
+        return _with_order(dag, range(dag.node_count))
+
+
+def _with_order(dag: Dag, order: Sequence[int]) -> Dag:
+    """``dag`` with ``order`` (operands before the nodes they feed) as its
+    topological order, so Kahn's sort never runs for it."""
+    dag.__dict__["_order"] = order
+    return dag
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +278,57 @@ def _ancestor_set(dag: Dag, roots: Iterable[int]) -> set[int]:
     return seen
 
 
-def _tree_pass(dag: Dag, order: list[int], outputs: dict[int, int]) -> set[int]:
-    """Labels ``j`` of the outputs (``outputs[j]`` is y_j's node) whose
-    ancestor graph is not a tree over exactly the other inputs, found in
-    one bottom-up pass over ``order``.  Only for a graph whose inputs
-    check passed: its sources are then exactly x_1..x_n.
+def _tree_pass(
+    dag: Dag, order: Sequence[int], outputs: dict[int, int]
+) -> dict[int, list[str]]:
+    """The output-tree failures of each output y_j (``outputs[j]`` is its
+    node) whose ancestor graph is a tree, found in one bottom-up pass over
+    ``order``.  The outputs left out need the walk
+    (:func:`_output_tree_failures`), which for the outputs in writes the
+    same failures.
 
-    Each node gets the set of inputs below it (bit ``i`` for x_i) and
-    its number of paths down to them.  Output y_j passes iff its set is
-    the other inputs and it has one path to each: a node reached twice
-    from y_j would give every input below it a second path.
+    Each distinct source label gets one bit: x_i (1 <= i <= n) bit i,
+    any other label a bit above n.  Each node gets the bits of the
+    sources below it and its number of paths down to them.  A node
+    reached twice from y_j would give every source below it a second
+    path, so y_j's ancestor graph is a tree when its path count is its
+    bit count, and its leaves are then the labels of its bits.
     """
-    full = (1 << (dag.n + 1)) - 2
+    n = dag.n
+    labels, children = dag.labels, dag.children
+    bit_of: dict[Label, int] = {}  # the source labels that are not x_1..x_n
     below = [0] * dag.node_count
     paths = [0] * dag.node_count
     for v in order:
-        if dag.children[v]:
+        if children[v]:
             bits = count = 0
-            for c in dag.children[v]:
+            for c in children[v]:
                 bits |= below[c]
                 count += paths[c]
             below[v], paths[v] = bits, count
         else:
-            below[v], paths[v] = 1 << dag.labels[v][1], 1
-    flagged: set[int] = set()
+            lbl = labels[v]
+            if lbl and lbl[0] == "x" and 1 <= lbl[1] <= n:
+                bit = lbl[1]
+            else:
+                bit = bit_of.setdefault(lbl, n + 1 + len(bit_of))
+            below[v], paths[v] = 1 << bit, 1
+    others = list(bit_of)  # others[k] has bit n + 1 + k
+    full = (1 << (n + 1)) - 2
+    decided: dict[int, list[str]] = {}
     for j, y in outputs.items():
-        want = full ^ (1 << j) if 1 <= j <= dag.n else full
-        if below[y] != want or paths[y] != want.bit_count():
-            flagged.add(j)
-    return flagged
+        bits = below[y]
+        if paths[y] != bits.bit_count():
+            continue
+        if bits == (full ^ (1 << j) if 1 <= j <= n else full):
+            decided[j] = []
+            continue
+        high, extra = bits >> (n + 1), []
+        while high:
+            extra.append(others[(high & -high).bit_length() - 1])
+            high &= high - 1
+        decided[j] = [_leaves_failure(n, j, bits & full, extra)]
+    return decided
 
 
 def _output_tree_failures(
@@ -306,22 +349,77 @@ def _output_tree_failures(
                 " (ancestor graph is not a tree)"
             )
     leaves = {dag.labels[v] for v in anc if not dag.children[v]}
-    want = {("x", i) for i in range(1, n + 1) if i != j}
-    if leaves != want:
-        extra = sorted(
-            ("?" if lbl is None else lbl[0] + str(lbl[1])) for lbl in leaves - want
-        )
-        missing = sorted(lbl[0] + str(lbl[1]) for lbl in want - leaves)
-        parts = []
-        if extra:
-            parts.append("unexpected leaves " + ", ".join(extra))
-        if missing:
-            parts.append("missing leaves " + ", ".join(missing))
-        failures.append(f"y{j}: " + "; ".join(parts))
-    return failures
+    inputs = [lbl[1] for lbl in leaves if lbl and lbl[0] == "x" and 1 <= lbl[1] <= n]
+    others = leaves.difference(("x", i) for i in inputs)
+    witness = _leaves_failure(n, j, _mask(inputs, n), others)
+    return failures + [witness] if witness else failures
 
 
-def _subtree_ids(dag: Dag, order: list[int]) -> list[int]:
+# a label list in a witness names at most this many labels, then counts the rest
+_LISTED = 20
+
+
+def _mask(positions: Iterable[int], top: int) -> int:
+    """The bitset of ``positions``, none above ``top``."""
+    packed = bytearray(top // 8 + 1)
+    for i in positions:
+        packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _listed(names: list[str], total: int) -> str:
+    """``names``, the first of ``total`` labels, and a count of the rest."""
+    rest = total - len(names)
+    return ", ".join(names) + (f" and {rest} more" if rest else "")
+
+
+def _first_as_strings(mask: int) -> list[int]:
+    """The first ``_LISTED`` set bits of ``mask`` (bit 0 clear) in the
+    order of their decimal strings: a preorder walk of the decimal prefix
+    tree that skips the prefixes no set bit starts with."""
+    bits = bin(mask)[:1:-1]  # character i is bit i
+    size = len(bits)
+
+    def occupied(prefix: int) -> bool:
+        lo, hi = prefix, prefix + 1
+        while lo < size:
+            if bits.find("1", lo, hi) >= 0:
+                return True
+            lo, hi = lo * 10, hi * 10
+        return False
+
+    found: list[int] = []
+    stack = list(range(9, 0, -1))
+    while stack and len(found) < _LISTED:
+        prefix = stack.pop()
+        if occupied(prefix):
+            if bits[prefix] == "1":
+                found.append(prefix)
+            stack.extend(range(10 * prefix + 9, 10 * prefix - 1, -1))
+    return found
+
+
+def _leaves_failure(n: int, j: int, inputs: int, others: Iterable[Label]) -> str | None:
+    """The leaves witness of y_j, whose ancestor graph has the sources
+    x_i (1 <= i <= n) of bitset ``inputs`` and the other source labels
+    ``others``; None when the sources are exactly the other inputs."""
+    want = (1 << (n + 1)) - 2
+    extra = ["?" if lbl is None else lbl[0] + str(lbl[1]) for lbl in others]
+    if 1 <= j <= n:
+        want ^= 1 << j
+        if inputs >> j & 1:
+            extra.append(f"x{j}")
+    missing = want & ~inputs
+    parts = []
+    if extra:
+        parts.append("unexpected leaves " + _listed(sorted(extra)[:_LISTED], len(extra)))
+    if missing:
+        names = [f"x{i}" for i in _first_as_strings(missing)]
+        parts.append("missing leaves " + _listed(names, missing.bit_count()))
+    return f"y{j}: " + "; ".join(parts) if parts else None
+
+
+def _subtree_ids(dag: Dag, order: Sequence[int]) -> list[int]:
     """Canonical integer id per node (Aho-Hopcroft-Ullman), equal for two
     nodes iff their canonical keys are equal and independent of node
     numbering.  An input keys on its label and sits at height 0; any
@@ -358,7 +456,7 @@ def _operands_are_distinct(dag: Dag) -> bool:
     return len(set(operands)) == len(operands)
 
 
-def _shared_subtree_failures(dag: Dag, order: list[int]) -> list[str]:
+def _shared_subtree_failures(dag: Dag, order: Sequence[int]) -> list[str]:
     """The groups of nodes that compute one subtree, found on canonical
     ids; the string canonical keys that name the groups are built only
     when there is one.  Distinctly labeled outputs are told apart by
@@ -404,9 +502,12 @@ def _terminal_check(
             failures.append(f"{noun} {kind}{j} (node {v}) has {direction} edges")
         if not 1 <= j <= n:
             failures.append(f"{noun} label {kind}{j} outside 1..{n}")
-    missing = sorted(set(range(1, n + 1)) - set(seen))
+    missing = n - sum(1 for j in seen if 1 <= j <= n)
     if missing:
-        failures.append(f"missing {noun}s: {', '.join(f'{kind}{j}' for j in missing)}")
+        # stops after the first _LISTED: at most len(seen) + _LISTED probes
+        first = islice(filterfalse(seen.__contains__, range(1, n + 1)), _LISTED)
+        names = [f"{kind}{j}" for j in first]
+        failures.append(f"missing {noun}s: {_listed(names, missing)}")
     return PropertyCheck(f"{noun}s", not failures, "; ".join(failures) or None), seen
 
 
@@ -421,23 +522,28 @@ def validate(dag: Dag) -> ValidationReport:
     bare wires (``y_1 = x_2``, ``y_2 = x_1``), so in-degree 1 outputs
     are accepted there and only there.
 
-    The inputs check is decided once and its verdict handed on.  When
-    it passed, the output-tree property is decided for all outputs in
-    one bottom-up pass (:func:`_tree_pass`: per node, the inputs below
-    it as an int bitset and its number of paths down to them), and the
-    per-output ancestor walk, which writes the witnesses, runs only for
-    the outputs that pass flags; otherwise every output is walked.  So
-    a valid structure is checked in one pass, without parent lists, and
-    a report never differs from walking every output.  Distinct
-    subtrees are decided on canonical ids, unless the inputs passed and
-    no two nodes share an operand tuple (:func:`_operands_are_distinct`).
+    On an acyclic graph the output-tree property is decided in one
+    bottom-up pass (:func:`_tree_pass`: per node, the source labels
+    below it as an int bitset and its number of paths down to them).
+    The per-output ancestor walk, the reference that writes every
+    witness, runs only for the outputs whose path count shows that they
+    are not trees; for the others the pass writes the leaves witness
+    from the bits, as the walk would.  So a valid structure is checked
+    in one pass, without parent lists, a broken one in time linear in
+    its size plus the walks, and a report never differs from walking
+    every output.  A list of labels in a witness names its first
+    ``_LISTED`` labels and counts the rest, so a file that declares a
+    huge ``n`` gets a short report.  The inputs check is decided once:
+    distinct subtrees are decided on canonical ids, unless the inputs
+    passed and no two nodes share an operand tuple
+    (:func:`_operands_are_distinct`).
     """
     n = dag.n
     labels, children = dag.labels, dag.children
     feeding = set(chain.from_iterable(children))
 
     # acyclicity first; the order-based checks need it
-    order: list[int] | None
+    order: Sequence[int] | None
     try:
         order = dag._order
     except ValueError:
@@ -452,10 +558,14 @@ def validate(dag: Dag) -> ValidationReport:
     # inputs; property 4: no two nodes compute the same subtree
     trees = shared = ["not evaluated: graph contains a cycle"]
     if not cyclic:
-        flagged = _tree_pass(dag, order, seen_y) if inputs.passed else None
-        walked = [j for j in sorted(seen_y) if flagged is None or j in flagged]
-        parents = dag.parent_map() if walked else []
-        trees = [f for j in walked for f in _output_tree_failures(dag, parents, j, seen_y[j])]
+        decided = _tree_pass(dag, order, seen_y)
+        parents = dag.parent_map() if len(decided) < len(seen_y) else []
+        trees = []
+        for j in sorted(seen_y):
+            if j in decided:
+                trees += decided[j]
+            else:
+                trees += _output_tree_failures(dag, parents, j, seen_y[j])
         distinct = inputs.passed and _operands_are_distinct(dag)
         shared = [] if distinct else _shared_subtree_failures(dag, order)
     checks.append(PropertyCheck("output_trees", not trees, "; ".join(trees) or None))
@@ -565,7 +675,9 @@ def _edge_error(edges: list, ids: dict[int, int]) -> str:
 def from_json_dict(raw: object) -> Dag:
     """Inverse of :func:`dumps`, on its parsed JSON; rejects malformed
     input with the offending location, including cycles and duplicate
-    labels.  Node ids and edge endpoints are ints, booleans excluded."""
+    labels.  Node ids and edge endpoints are ints, booleans excluded.
+    A file that reads as :func:`dumps` writes it (see the edge pass)
+    loads without sets, sorts or Kahn's sort."""
     if not isinstance(raw, dict):
         raise ValueError("structure: expected a JSON object")
     for key in ("n", "m", "nodes", "edges"):
@@ -582,6 +694,10 @@ def from_json_dict(raw: object) -> Dag:
     ids: dict[int, int] = {}
     labels: list[Label] = []
     seen_labels: set[str] = set()
+    # rank[v]: v's place in the order "outputs last, every other node in
+    # file order"; a file dumps wrote is topologically sorted in it
+    rank: list[int] = []
+    outputs: list[int] = []
     for entry in nodes:
         # entry is nodes[len(labels)]
         if not isinstance(entry, dict) or "id" not in entry:
@@ -603,10 +719,20 @@ def from_json_dict(raw: object) -> Dag:
                 raise ValueError(f"nodes[{len(labels)}].label: duplicate label {lbl_raw}")
             seen_labels.add(lbl_raw)
             lbl = (match.group(1), int(match.group(2)))
-        ids[nid] = len(labels)
+        v = ids[nid] = len(labels)
         labels.append(lbl)
+        if lbl and lbl[0] == "y":
+            outputs.append(v)
+            v += len(nodes)
+        rank.append(v)
 
-    children: list[set[int]] = [set() for _ in labels]
+    # Operands collect in lists.  While every edge runs forward in rank
+    # and every node's operands arrive ascending, as in every file dumps
+    # writes, the lists are the sorted operand tuples (no duplicate edge)
+    # and rank order is a topological order (no cycle).
+    children: list[list[int]] = [[] for _ in labels]
+    last = [-1] * len(labels)
+    ordered = True
     get = ids.get
     for pair in edges:
         if isinstance(pair, (list, tuple)) and len(pair) == 2:
@@ -614,15 +740,23 @@ def from_json_dict(raw: object) -> Dag:
             if type(c) is int and type(p) is int:
                 ci, pi = get(c), get(p)
                 if ci is not None and pi is not None:
-                    children[pi].add(ci)
+                    if rank[ci] >= rank[pi] or last[pi] >= ci:
+                        ordered = False
+                    last[pi] = ci
+                    children[pi].append(ci)
                     continue
         raise ValueError(_edge_error(edges, ids))
-    kids = tuple(tuple(sorted(cs)) for cs in children)
+
+    if ordered:
+        order = [v for v, r in enumerate(rank) if r == v] + outputs
+        return _with_order(
+            Dag(n=n, m=m, labels=tuple(labels), children=tuple(map(tuple, children))), order
+        )
+    kids = tuple(tuple(sorted(set(cs))) for cs in children)
     if sum(map(len, kids)) != len(edges):  # a duplicate edge
         raise ValueError(_edge_error(edges, ids))
-
     dag = Dag(n=n, m=m, labels=tuple(labels), children=kids)
-    dag._order  # raises "graph contains a cycle"
+    dag._order  # Kahn's sort; raises "graph contains a cycle"
     return dag
 
 

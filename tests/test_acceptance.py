@@ -448,9 +448,18 @@ def test_c7_validator_mutation_suite():
         assert ran == 100
 
 
+def _relabeled_input(dag: Dag) -> Dag:
+    """``dag`` with its source x1 relabeled x_{n+5}: the inputs check fails,
+    and every output but y1 has x_{n+5} in place of its leaf x1."""
+    labels = [("x", dag.n + 5) if lbl == ("x", 1) else lbl for lbl in dag.labels]
+    return Dag(n=dag.n, m=dag.m, labels=tuple(labels), children=dag.children)
+
+
 def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
     pool = _c7_pool()
     mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
+    mutants += [_relabeled_input(dag) for dag in pool]
+    mutants += [_input_labeled_operator(dag) for dag in pool] + [_stray_sources()]
     tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
     cyclic = structure_from_uniform_tree(tree, 3)
     references = pool + [
@@ -459,28 +468,30 @@ def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
         prune(cyclic, 6).structure,
         wire_structure(),
     ]
-    flagged_by_dag = []
-    for dag in references + mutants:
+    # (decided with a witness, walked) outputs, over the mutants whose
+    # inputs check passes and over those whose inputs check fails
+    tally = {True: [0, 0], False: [0, 0]}
+    for index, dag in enumerate(references + mutants):
         try:
             order = structure._topological_order(dag)
         except ValueError:
             continue  # output trees are not evaluated on a cyclic graph
         outputs = {lbl[1]: v for v, lbl in enumerate(dag.labels) if lbl and lbl[0] == "y"}
         parents = dag.parent_map()
-        walked = {
-            j for j, y in outputs.items() if structure._output_tree_failures(dag, parents, j, y)
-        }
-        if not validate(dag).check("inputs").passed:
-            continue  # the pass runs only when the sources are exactly x_1..x_n
-        flagged = structure._tree_pass(dag, order, outputs)
-        assert flagged == walked
-        flagged_by_dag.append(flagged)
-    assert flagged_by_dag[: len(references)] == [set()] * len(references)
-    assert sum(1 for flagged in flagged_by_dag if flagged) >= 20
+        decided = structure._tree_pass(dag, order, outputs)
+        for j, failures in decided.items():
+            assert failures == structure._output_tree_failures(dag, parents, j, outputs[j])
+        if index < len(references):
+            assert decided == {j: [] for j in outputs}
+            continue
+        counts = tally[validate(dag).check("inputs").passed]
+        counts[0] += sum(1 for failures in decided.values() if failures)
+        counts[1] += len(outputs) - len(decided)
+    assert tally[True][1] >= 20 and min(tally[False]) >= 20, tally
 
     # with the pass off, every output is walked: the reports do not change
     reports = [validate(dag).to_json_dict() for dag in mutants]
-    monkeypatch.setattr(structure, "_tree_pass", lambda dag, order, outputs: None)
+    monkeypatch.setattr(structure, "_tree_pass", lambda dag, order, outputs: {})
     assert [validate(dag).to_json_dict() for dag in mutants] == reports
 
 

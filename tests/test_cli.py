@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,37 @@ def test_validate_flags_broken_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 3
     assert report["ok"] is False
+
+
+def test_validate_a_tiny_file_declaring_a_huge_n(tmp_path, capsys):
+    # the wire structure's four nodes, declared at n = 10^6: every label
+    # list in the report names its first labels and counts the rest
+    raw = {
+        "n": 10**6,
+        "m": 2,
+        "nodes": [
+            {"id": 0, "label": "x1"},
+            {"id": 1, "label": "x2"},
+            {"id": 2, "label": "y1"},
+            {"id": 3, "label": "y2"},
+        ],
+        "edges": [[1, 2], [0, 3]],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    start = time.process_time()
+    code = main(["validate", str(path)])
+    assert time.process_time() - start < 0.2
+    out = capsys.readouterr().out
+    assert code == 3 and len(out) < 4096
+    witness = {check["name"]: check["witness"] for check in json.loads(out)["checks"]}
+    assert witness["inputs"] == "missing inputs: " + ", ".join(
+        f"x{j}" for j in range(3, 23)
+    ) + " and 999978 more"
+    assert witness["output_trees"].startswith(
+        "y1: missing leaves x10, x100, x1000, x10000, x100000, x1000000, x100001,"
+    )
+    assert witness["output_trees"].count(" and 999978 more") == 2
 
 
 def test_eval_reference_structure(tmp_path, costs_file, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,28 @@ def test_report_skips_are_complete():
         assert len(set(named)) == len(named) and not ran & set(named), n
         assert ran | set(named) == kinds, n
     assert verify_report(2, cm).skipped[0] == ("star_latency", "n = 2 needs no computation node")
+
+
+def test_degree_vectors_are_counted_without_building_them():
+    for m in range(2, 7):
+        for n in range(2, 40):
+            assert oracles.count_degree_vectors(n, m) == len(enumerate_degree_vectors(n, m))
+    # the listing's work follows the vectors it lists: 83,500 at n = 1000, m = 4
+    start = time.process_time()
+    assert len(enumerate_degree_vectors(1000, 4)) == oracles.count_degree_vectors(1000, 4) == 83_500
+    assert time.process_time() - start < 1
+
+
+def test_report_skips_star_complexity_over_the_count_budget():
+    # 618,834 degree vectors at n = 200 on m = 6; 355 M at n = 1000
+    cm = CostModel.from_factors(6, [1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
+    for n, count in ((200, 618_834), (1000, 354_914_725)):
+        start = time.process_time()
+        report = verify_report(n, cm)
+        assert time.process_time() - start < 2
+        reason = f"degree vectors = {count} exceeds the count budget 500000"
+        assert report.skipped[0] == ("star_complexity", reason)
+        assert report.ok and "star_complexity" not in {c.name for c in report.checks}
 
 
 def test_report_labeling_checks_at_five(cm_unit):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -745,3 +746,157 @@ def test_round_trip_preserves_everything_property(n, latency_first, c3):
     assert complexity(again, cm) == complexity(dag, cm)
     assert latency(again, cm) == latency(dag, cm)
     assert dumps(again) == dumps(dag)
+
+
+# ---------------------------------------------------------------------------
+# the order a structure is handed
+
+
+def _is_topological(dag: Dag, order) -> bool:
+    """``order`` lists every node once, each after its operands."""
+    place = {v: i for i, v in enumerate(order)}
+    return (
+        len(place) == len(order) == dag.node_count
+        and all(place[c] < place[v] for v, cs in enumerate(dag.children) for c in cs)
+    )
+
+
+def _rebuilt(dag: Dag) -> Dag:
+    """``dag`` made again from its labels and children: no order is handed
+    over, so Kahn's sort runs."""
+    return Dag(n=dag.n, m=dag.m, labels=dag.labels, children=dag.children)
+
+
+def _reference_loads(text: str) -> Dag:
+    """What the loader makes of a file whose edges give no usable order:
+    the operand sets of each node, sorted, and Kahn's sort on demand."""
+    raw = json.loads(text)
+    index = {node["id"]: i for i, node in enumerate(raw["nodes"])}
+    labels = tuple(
+        None if node["label"] is None else (node["label"][0], int(node["label"][1:]))
+        for node in raw["nodes"]
+    )
+    children: list[set[int]] = [set() for _ in labels]
+    for c, p in raw["edges"]:
+        children[index[p]].add(index[c])
+    kids = tuple(tuple(sorted(cs)) for cs in children)
+    return Dag(n=raw["n"], m=raw["m"], labels=labels, children=kids)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_builder_and_loader_hand_over_a_topological_order(m, monkeypatch):
+    cm = CostModel.from_factors(m, list(range(1, m)), [1] * (m - 1))
+    made = []
+    # Kahn's sort off: synthesizing, writing, loading and checking never need it
+    with monkeypatch.context() as patched:
+        patched.setattr(structure, "_topological_order", None)
+        for n in (3, 7, 40, 129):
+            for dag in (synthesize_star(n, cm).structure, synthesize_min_latency(n, cm).structure):
+                text = dumps(dag)
+                loaded = loads(text)
+                made += [(dag, text), (loaded, text)]
+                for d in (dag, loaded):
+                    validate(d), to_dot(d), complexity(d, cm), latency(d, cm)
+    for dag, text in made:
+        assert _is_topological(dag, dag._order)
+        rebuilt = _rebuilt(dag)
+        assert "_order" not in vars(rebuilt)
+        assert validate(dag) == validate(rebuilt)
+        assert dumps(dag) == dumps(rebuilt) == text
+        assert to_dot(dag) == to_dot(rebuilt)
+        assert complexity(dag, cm) == complexity(rebuilt, cm)
+        assert latency(dag, cm) == latency(rebuilt, cm)
+        assert "_order" in vars(rebuilt)
+
+
+def _file_variants(dag: Dag, rng: random.Random) -> list[dict]:
+    """The file dumps writes for ``dag``, with its edges shuffled, with its
+    node ids renumbered, with its nodes listed in another order, and with
+    an output feeding a computation node (an invalid file)."""
+    raw = json.loads(dumps(dag))
+    nodes, edges = raw["nodes"], raw["edges"]
+    shuffled_edges = rng.sample(edges, len(edges))
+    new_id = dict(zip(range(len(nodes)), rng.sample(range(10 * len(nodes)), len(nodes))))
+    renumbered_nodes = [{"id": new_id[e["id"]], "label": e["label"]} for e in nodes]
+    renumbered_edges = [[new_id[c], new_id[p]] for c, p in edges]
+    variants = [
+        {**raw, "edges": shuffled_edges},
+        {**raw, "nodes": renumbered_nodes, "edges": renumbered_edges},
+        {**raw, "nodes": rng.sample(nodes, len(nodes))},
+    ]
+    y1 = next(e["id"] for e in nodes if e["label"] == "y1")
+    x1 = next(e["id"] for e in nodes if e["label"] == "x1")
+    # a computation node over x1 is not below y1, so the edge makes no cycle
+    over_x1 = sorted(p for c, p in edges if c == x1 and nodes[p]["label"] is None)
+    if over_x1:
+        variants.append({**raw, "edges": edges + [[y1, over_x1[0]]]})
+    return variants
+
+
+def test_files_dumps_did_not_write_load_as_before(cm_steep):
+    rng = random.Random(13)
+    loaded = 0
+    for dag in (
+        synthesize_star(30, cm_steep).structure,
+        synthesize_min_latency(30, cm_steep).structure,
+        three_wheel(),
+        wire_structure(),
+    ):
+        for raw in _file_variants(dag, rng):
+            text = json.dumps(raw)
+            again, reference = loads(text), _reference_loads(text)
+            assert again == reference
+            assert _is_topological(again, again._order)
+            assert validate(again) == validate(_rebuilt(reference))
+            assert dumps(again) == dumps(_rebuilt(reference))
+            loaded += 1
+    assert loaded == 14
+
+
+def test_written_files_with_a_duplicate_edge_or_a_cycle_are_rejected(cm_steep):
+    raw = json.loads(dumps(synthesize_star(9, cm_steep).structure))
+    edges = raw["edges"]
+    c, p = edges[5]
+    doubled = {**raw, "edges": edges[:6] + [[c, p]] + edges[6:]}
+    with pytest.raises(ValueError) as caught:
+        loads(json.dumps(doubled))
+    assert str(caught.value) == f"edges[6]: duplicate edge {c} -> {p}"
+    # y1 feeding a node below it closes a cycle
+    y1 = next(e["id"] for e in raw["nodes"] if e["label"] == "y1")
+    below_y1 = next(c for c, p in edges if p == y1)
+    with pytest.raises(ValueError, match="^graph contains a cycle$"):
+        loads(json.dumps({**raw, "edges": edges + [[y1, below_y1]]}))
+
+
+# ---------------------------------------------------------------------------
+# validation cost on broken files
+
+
+def test_validate_is_linear_when_the_inputs_check_fails():
+    cm = CostModel.from_factors(3, [1, 2], [1, 1])
+    n = 2000
+    raw = json.loads(dumps(synthesize_star(n, cm).structure))
+    for node in raw["nodes"]:
+        if node["label"] == "x1":
+            node["label"] = f"x{n + 5}"
+    dag = structure.from_json_dict(raw)
+    start = time.process_time()
+    report = validate(dag)
+    assert time.process_time() - start < 0.5
+    assert report.failed() == ("inputs", "output_trees")
+    inputs_witness = f"input label x{n + 5} outside 1..{n}; missing inputs: x1"
+    assert report.check("inputs").witness == inputs_witness
+    # y1 never reached x1; every other output reaches x_{n+5} in its place
+    assert report.check("output_trees").witness == "; ".join(
+        f"y{j}: unexpected leaves x{n + 5}; missing leaves x1" for j in range(2, n + 1)
+    )
+
+
+def test_leaf_lists_are_cut_in_string_order():
+    rng = random.Random(3)
+    listed = structure._LISTED
+    for top in (1, 9, 10, 11, 99, 100, 101, 2024):
+        for density in (0.01, 0.3, 1.0):
+            bits = [i for i in range(1, top + 1) if rng.random() < density]
+            mask = sum(1 << i for i in bits)
+            assert structure._first_as_strings(mask) == sorted(bits, key=str)[:listed]
