@@ -82,9 +82,7 @@ class Dag:
                 parents[c].append(v)
         return parents
 
-    # safe to cache: the fields never change.  The builder and the loader
-    # store the order they already know (see _with_order); any other
-    # Dag runs Kahn's sort here, once.
+    # safe to cache: the fields never change (_with_order fills it early)
     @cached_property
     def _order(self) -> Sequence[int]:
         return _topological_order(self)
