@@ -131,6 +131,24 @@ def prune(dag: Dag, n: int) -> PruneResult:
     return PruneResult(builder.build(n, dag.m, keep=outputs), tuple(actions))
 
 
+def with_extra_operand(dag: Dag) -> Dag:
+    """``dag`` with x3 added as an operand of x1's first computation
+    parent: every output whose ancestor graph holds that node reaches x3
+    along a second path, so it is no longer a tree."""
+    x1, x3 = dag.labels.index(("x", 1)), dag.labels.index(("x", 3))
+    p = next(p for p in dag.parent_map()[x1] if dag.labels[p] is None)
+    children = list(dag.children)
+    children[p] = tuple(sorted(children[p] + (x3,)))
+    return Dag(n=dag.n, m=dag.m, labels=dag.labels, children=tuple(children))
+
+
+def with_duplicate_node(dag: Dag) -> Dag:
+    """``dag`` plus a parentless copy of its last computation node (in a
+    loaded file, one on the highest level): the two compute one subtree."""
+    v = max(v for v, lbl in enumerate(dag.labels) if lbl is None)
+    return Dag(n=dag.n, m=dag.m, labels=dag.labels + (None,), children=dag.children + (dag.children[v],))
+
+
 def seven_input_structure(labeling: str):
     """The two 7-input reference structures: one replicated 2-over-3
     tree per output, leaves labeled either ascending or cyclically."""

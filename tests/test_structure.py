@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -39,6 +40,8 @@ from conftest import (
     star_tree_from_degree_vector,
     union,
     wire_structure,
+    with_duplicate_node,
+    with_extra_operand,
 )
 
 
@@ -900,3 +903,23 @@ def test_leaf_lists_are_cut_in_string_order():
             bits = [i for i in range(1, top + 1) if rng.random() < density]
             mask = sum(1 << i for i in bits)
             assert structure._first_as_strings(mask) == sorted(bits, key=str)[:listed]
+
+
+@functools.cache
+def _loaded_star(n: int) -> Dag:
+    """The star structure at ``n`` on m = 3, c = (1, 2), l = (1, 1), as
+    loaded from the file ``dumps`` writes."""
+    cm = CostModel.from_factors(3, [1, 2], [1, 1])
+    return loads(dumps(synthesize_star(n, cm).structure))
+
+
+# sha256 of the JSON report of with_duplicate_node on the n = 2000 star
+# structure, recorded when every node's string canonical key was built
+DUPLICATE_NODE_REPORT_SHA256 = "5dc8a1ded797bbbddfeade27e40b9d31f646670453d5833e5d3902fabacfa8e1"
+
+
+def test_duplicate_node_report_is_pinned():
+    report = validate(with_duplicate_node(_loaded_star(2000)))
+    assert report.failed() == ("outputs", "distinct_subtrees")
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == DUPLICATE_NODE_REPORT_SHA256
