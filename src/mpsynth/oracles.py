@@ -657,9 +657,20 @@ def verify_report(
                 break
         record("star_complexity", {"n": n, "m": m}, table.value(), brute, witness)
 
+    # the censuses the spot checks of 3 read: the first six below the
+    # first optimal vector that fit the rooted-tree budget
+    spots: list[tuple[int, ...]] = []
+    for u in vectors_below(optima[0]) if optima else ():
+        leaves = 1 + sum((k + 1) * uk for k, uk in enumerate(u))
+        if sum(u) and leaves <= budget.max_tree_leaves:
+            spots.append(u)
+            if len(spots) == 6:
+                break
+
     # 2. star latency per optimal degree vector vs exhaustive trees; one
-    # forest table over every optimal vector (over the first alone when
-    # the trees are over budget) serves these and the spot checks of 3
+    # forest table over every optimal vector (over the spot censuses alone
+    # when the trees are over budget; a cell reads only the cells below
+    # it) serves these and the spot checks of 3
     if runs("star_latency", small, over("star-tree", "n", n, budget.max_star_leaves)):
         ftable = forest_latency_table(optima, cm)
         for q in optima:
@@ -675,18 +686,11 @@ def verify_report(
             elif witness is None and latency(induced, cm) != result.value:
                 witness = "induced structure disagrees with the tree latency"
             record("star_latency", {"n": n, "m": m, "q": list(q)}, result.value, brute, witness)
-    elif n >= 3:
-        ftable = forest_latency_table([optima[0]], cm)
+    elif spots:
+        ftable = forest_latency_table(spots, cm)
 
     # 3. forest table spot checks against census-filtered tree enumeration
-    spots = 0
-    for u in vectors_below(optima[0]) if optima else ():
-        if sum(u) == 0 or spots >= 6:
-            continue
-        leaves = 1 + sum((k + 1) * uk for k, uk in enumerate(u))
-        if leaves > budget.max_tree_leaves:
-            continue
-        spots += 1
+    for u in spots:
         candidates = enumerate_rooted_trees_with_census(u, m, budget)
         brute = min(tree_latency(t, cm) for t in candidates)
         witness, value = None, ftable.value(u, 1)
@@ -697,7 +701,7 @@ def verify_report(
             witness = "rebuilt witness tree does not achieve the table value"
         record("forest_latency", {"n": n, "m": m, "census": list(u)}, value, brute, witness)
     no_spot = "no census below the first optimal degree vector fits the rooted-tree budget"
-    runs("forest_latency", small, (spots == 0, f"{no_spot} {budget.max_tree_leaves}"))
+    runs("forest_latency", small, (not spots, f"{no_spot} {budget.max_tree_leaves}"))
 
     # 4. uniform latency DP vs exhaustive type vectors
     if runs("uniform_latency", unfactored):

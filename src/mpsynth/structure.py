@@ -14,7 +14,7 @@ This module owns the graph plumbing every synthesizer shares:
   longest path) evaluation, computed on ints,
 * deterministic JSON and DOT serialization, whose node order sorts
   computation nodes by the canonical integer ids that also decide the
-  distinct-subtrees check; string canonical keys only name its witnesses.
+  distinct-subtrees check.
 
 Edges are stored child -> parent, i.e. pointing the way messages flow.
 Structures are immutable; every operation returns a fresh value.  Each
@@ -184,7 +184,7 @@ def _with_order(dag: Dag, order: Sequence[int]) -> Dag:
 
 
 # ---------------------------------------------------------------------------
-# canonical keys
+# topological order
 
 
 def _topological_order(dag: Dag) -> list[int]:
@@ -203,26 +203,6 @@ def _topological_order(dag: Dag) -> list[int]:
     if len(order) != dag.node_count:
         raise ValueError("graph contains a cycle")
     return order
-
-
-def canonical_keys(dag: Dag) -> tuple[str, ...]:
-    """Canonical key per node.
-
-    Two nodes receive equal keys iff their computation trees are the
-    same once internal labels are erased: inputs match by label, and
-    every other node matches by the multiset of its operand keys (the
-    node function is treated as commutative, so operand order never
-    matters).  Output labels are deliberately not part of the key; the
-    validity checker layers label identity on top.
-    """
-    keys: list[str] = [""] * dag.node_count
-    for v in dag._order:
-        lbl = dag.labels[v]
-        if lbl is not None and lbl[0] == "x":
-            keys[v] = f"x{lbl[1]}"
-        else:
-            keys[v] = "(" + ",".join(sorted(keys[c] for c in dag.children[v])) + ")"
-    return tuple(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +258,17 @@ def _ancestor_set(dag: Dag, roots: Iterable[int]) -> set[int]:
 
 def _tree_pass(
     dag: Dag, order: Sequence[int], outputs: dict[int, int]
-) -> dict[int, list[str]]:
-    """The output-tree failures of each output y_j (``outputs[j]`` is its
-    node) whose ancestor graph is a tree, found in one bottom-up pass over
-    ``order``.  The outputs left out need the walk
-    (:func:`_output_tree_failures`), which for the outputs in writes the
-    same failures.
+) -> tuple[dict[int, str | None], list[int]]:
+    """The leaves witness of each output y_j (``outputs[j]`` is its node),
+    and the outputs whose ancestor graph is not a tree, in order of j,
+    found in one bottom-up pass over ``order``.
 
     Each distinct source label gets one bit: x_i (1 <= i <= n) bit i,
     any other label a bit above n.  Each node gets the bits of the
     sources below it and its number of paths down to them.  A node
     reached twice from y_j would give every source below it a second
     path, so y_j's ancestor graph is a tree when its path count is its
-    bit count, and its leaves are then the labels of its bits.
+    bit count.  Its leaves are the labels of its bits either way.
     """
     n = dag.n
     labels, children = dag.labels, dag.children
@@ -313,56 +291,39 @@ def _tree_pass(
             below[v], paths[v] = 1 << bit, 1
     others = list(bit_of)  # others[k] has bit n + 1 + k
     full = (1 << (n + 1)) - 2
-    decided: dict[int, list[str]] = {}
-    for j, y in outputs.items():
+    leaves: dict[int, str | None] = {}
+    tangled = []
+    for j in sorted(outputs):
+        y = outputs[j]
         bits = below[y]
         if paths[y] != bits.bit_count():
-            continue
-        if bits == (full ^ (1 << j) if 1 <= j <= n else full):
-            decided[j] = []
+            tangled.append(j)
+        elif bits == (full ^ (1 << j) if 1 <= j <= n else full):
+            leaves[j] = None
             continue
         high, extra = bits >> (n + 1), []
         while high:
             extra.append(others[(high & -high).bit_length() - 1])
             high &= high - 1
-        decided[j] = [_leaves_failure(n, j, bits & full, extra)]
-    return decided
+        leaves[j] = _leaves_failure(n, j, bits & full, extra)
+    return leaves, tangled
 
 
-def _output_tree_failures(
-    dag: Dag, parents: list[list[int]], j: int, y: int
-) -> list[str]:
-    """Why y_j's ancestor graph is not a tree over the other inputs
-    (empty when it is), by walking the graph: the witnesses."""
-    failures = []
-    n = dag.n
+def _walk_failures(dag: Dag, parents: list[list[int]], j: int, y: int) -> list[str]:
+    """The nodes that feed y_j along other than one edge, found by walking
+    its ancestor graph: the witnesses that it is not a tree."""
     anc = _ancestor_set(dag, [y])
-    for v in anc:
-        if v == y:
-            continue
-        outs_inside = [p for p in parents[v] if p in anc]
-        if len(outs_inside) != 1:
-            failures.append(
-                f"y{j}: node {v} feeds it along {len(outs_inside)} edges"
-                " (ancestor graph is not a tree)"
-            )
-    leaves = {dag.labels[v] for v in anc if not dag.children[v]}
-    inputs = [lbl[1] for lbl in leaves if lbl and lbl[0] == "x" and 1 <= lbl[1] <= n]
-    others = leaves.difference(("x", i) for i in inputs)
-    witness = _leaves_failure(n, j, _mask(inputs, n), others)
-    return failures + [witness] if witness else failures
+    fed = ((v, sum(p in anc for p in parents[v])) for v in anc if v != y)
+    return [
+        f"y{j}: node {v} feeds it along {k} edges (ancestor graph is not a tree)"
+        for v, k in fed
+        if k != 1
+    ]
 
 
-# a label list in a witness names at most this many labels, then counts the rest
+# a label list in a witness names at most this many labels, then counts
+# the rest; the ancestor walk runs for at most this many outputs
 _LISTED = 20
-
-
-def _mask(positions: Iterable[int], top: int) -> int:
-    """The bitset of ``positions``, none above ``top``."""
-    packed = bytearray(top // 8 + 1)
-    for i in positions:
-        packed[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(packed, "little")
 
 
 def _listed(names: list[str], total: int) -> str:
@@ -419,11 +380,12 @@ def _leaves_failure(n: int, j: int, inputs: int, others: Iterable[Label]) -> str
 
 def _subtree_ids(dag: Dag, order: Sequence[int]) -> list[int]:
     """Canonical integer id per node (Aho-Hopcroft-Ullman), equal for two
-    nodes iff their canonical keys are equal and independent of node
-    numbering.  An input keys on its label and sits at height 0; any
-    other node keys on the sorted tuple of its operands' ids, one level
-    above its highest operand.  Ids are given out level by level, and
-    within a level to the distinct keys in sorted order."""
+    nodes iff they compute the same tree once internal labels are erased
+    (see :func:`_keys_below`), and independent of node numbering.  An
+    input keys on its label and sits at height 0; any other node keys on
+    the sorted tuple of its operands' ids, one level above its highest
+    operand.  Ids are given out level by level, and within a level to
+    the distinct keys in sorted order."""
     labels, children = dag.labels, dag.children
     # x_j keys as (-1, j): no operand tuple starts with -1
     input_key = {v: (-1, lbl[1]) for v, lbl in enumerate(labels) if lbl and lbl[0] == "x"}
@@ -454,12 +416,30 @@ def _operands_are_distinct(dag: Dag) -> bool:
     return len(set(operands)) == len(operands)
 
 
+def _keys_below(dag: Dag, order: Sequence[int], roots: Iterable[int]) -> dict[int, str]:
+    """The string key of each node that feeds one of ``roots``, the roots
+    included: an input keys on its label, any other node on the sorted
+    keys of its operands (the node function is commutative), so two nodes
+    get equal keys iff they compute the same tree once internal labels
+    are erased.  Only witnesses name subtrees this way."""
+    inside = _ancestor_set(dag, roots)
+    keys: dict[int, str] = {}
+    for v in order:
+        if v in inside:
+            lbl = dag.labels[v]
+            if lbl is not None and lbl[0] == "x":
+                keys[v] = f"x{lbl[1]}"
+            else:
+                keys[v] = "(" + ",".join(sorted(keys[c] for c in dag.children[v])) + ")"
+    return keys
+
+
 def _shared_subtree_failures(dag: Dag, order: Sequence[int]) -> list[str]:
     """The groups of nodes that compute one subtree, found on canonical
-    ids; the string canonical keys that name the groups are built only
-    when there is one.  Distinctly labeled outputs are told apart by
-    their labels (inputs share a group only with their own label), and
-    a stray unlabeled source counts under "inputs"."""
+    ids and named by the string key of their subtree, which is rendered
+    only for the nodes below the groups.  Distinctly labeled outputs are
+    told apart by their labels (inputs share a group only with their own
+    label), and a stray unlabeled source counts under "inputs"."""
     ids = _subtree_ids(dag, order)
     labels = dag.labels
     groups: dict[int, list[int]] = {}
@@ -471,7 +451,9 @@ def _shared_subtree_failures(dag: Dag, order: Sequence[int]) -> list[str]:
         names = {labels[v] for v in group}
         if len(group) > 1 and (None in names or len(names) < len(group)):
             shared.append(group)
-    keys = canonical_keys(dag) if shared else ()
+    if not shared:
+        return []
+    keys = _keys_below(dag, order, [g[0] for g in shared])
     return [f"nodes {g} all compute {keys[g[0]]}" for g in sorted(shared, key=lambda g: keys[g[0]])]
 
 
@@ -522,19 +504,20 @@ def validate(dag: Dag) -> ValidationReport:
 
     On an acyclic graph the output-tree property is decided in one
     bottom-up pass (:func:`_tree_pass`: per node, the source labels
-    below it as an int bitset and its number of paths down to them).
-    The per-output ancestor walk, the reference that writes every
-    witness, runs only for the outputs whose path count shows that they
-    are not trees; for the others the pass writes the leaves witness
-    from the bits, as the walk would.  So a valid structure is checked
-    in one pass, without parent lists, a broken one in time linear in
-    its size plus the walks, and a report never differs from walking
-    every output.  A list of labels in a witness names its first
-    ``_LISTED`` labels and counts the rest, so a file that declares a
-    huge ``n`` gets a short report.  The inputs check is decided once:
+    below it as an int bitset and its number of paths down to them),
+    which writes every output's leaves witness.  The ancestor walk
+    (:func:`_walk_failures`) names the nodes that feed an output along
+    more than one edge.  Like a list of labels in a witness, which names
+    its first ``_LISTED`` labels, it runs for the first ``_LISTED``
+    outputs that are not trees, and the witness counts the rest.  So a
+    file that declares a huge ``n`` gets a short report, a valid
+    structure is checked in one pass without parent lists, and a broken
+    one in that pass plus at most ``_LISTED`` walks, each linear in the
+    size of the graph.  The inputs check is decided once:
     distinct subtrees are decided on canonical ids, unless the inputs
     passed and no two nodes share an operand tuple
-    (:func:`_operands_are_distinct`).
+    (:func:`_operands_are_distinct`); string keys name the shared
+    subtrees only.
     """
     n = dag.n
     labels, children = dag.labels, dag.children
@@ -556,14 +539,18 @@ def validate(dag: Dag) -> ValidationReport:
     # inputs; property 4: no two nodes compute the same subtree
     trees = shared = ["not evaluated: graph contains a cycle"]
     if not cyclic:
-        decided = _tree_pass(dag, order, seen_y)
-        parents = dag.parent_map() if len(decided) < len(seen_y) else []
+        leaves, tangled = _tree_pass(dag, order, seen_y)
+        walked = set(tangled[:_LISTED])
+        parents = dag.parent_map() if walked else []
         trees = []
-        for j in sorted(seen_y):
-            if j in decided:
-                trees += decided[j]
-            else:
-                trees += _output_tree_failures(dag, parents, j, seen_y[j])
+        for j, witness in leaves.items():
+            if j in walked:
+                trees += _walk_failures(dag, parents, j, seen_y[j])
+            if witness:
+                trees.append(witness)
+        if len(tangled) > _LISTED:
+            rest = len(tangled) - _LISTED
+            trees.append(f"and {rest} more outputs reach a leaf label along two or more paths")
         distinct = inputs.passed and _operands_are_distinct(dag)
         shared = [] if distinct else _shared_subtree_failures(dag, order)
     checks.append(PropertyCheck("output_trees", not trees, "; ".join(trees) or None))

@@ -2,14 +2,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 
 from mpsynth.costs import CostModel
 from mpsynth.oracles import ascending_labeling, structure_from_labeled_copies
 from mpsynth.startree import StarTree, feasible_input_size
-from mpsynth.structure import Dag, DagBuilder, _topological_order, canonical_keys
+from mpsynth.structure import (
+    Dag,
+    DagBuilder,
+    _ancestor_set,
+    _leaves_failure,
+    _topological_order,
+)
 from mpsynth.uniform import structure_from_uniform_tree, uniform_tree_from_type_vector
 
 
@@ -34,6 +40,67 @@ def cm_frac() -> CostModel:
 def nodes_with_label(dag: Dag, kind: str) -> dict[int, int]:
     """Map label index -> node id for all ``("x", j)`` or ``("y", j)`` nodes."""
     return {lbl[1]: v for v, lbl in enumerate(dag.labels) if lbl is not None and lbl[0] == kind}
+
+
+def canonical_keys(dag: Dag) -> tuple[str, ...]:
+    """Canonical key per node.
+
+    Two nodes receive equal keys iff their computation trees are the
+    same once internal labels are erased: inputs match by label, and
+    every other node matches by the multiset of its operand keys (the
+    node function is treated as commutative, so operand order never
+    matters).  Output labels are deliberately not part of the key; the
+    validity checker layers label identity on top.
+
+    The reference for :func:`mpsynth.structure._subtree_ids`, which
+    must partition the nodes alike, and for the keys the validator
+    renders below the subtrees it names.
+    """
+    keys: list[str] = [""] * dag.node_count
+    for v in dag._order:
+        lbl = dag.labels[v]
+        if lbl is not None and lbl[0] == "x":
+            keys[v] = f"x{lbl[1]}"
+        else:
+            keys[v] = "(" + ",".join(sorted(keys[c] for c in dag.children[v])) + ")"
+    return tuple(keys)
+
+
+def _mask(positions: Iterable[int], top: int) -> int:
+    """The bitset of ``positions``, none above ``top``."""
+    packed = bytearray(top // 8 + 1)
+    for i in positions:
+        packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
+
+
+def output_tree_failures(
+    dag: Dag, parents: list[list[int]], j: int, y: int
+) -> list[str]:
+    """Why y_j's ancestor graph is not a tree over the other inputs
+    (empty when it is), by walking the graph: the witnesses.
+
+    The reference for the validator's output-tree witness, which takes
+    the leaves from its one bottom-up pass and walks only the first
+    outputs that are not trees.
+    """
+    failures = []
+    n = dag.n
+    anc = _ancestor_set(dag, [y])
+    for v in anc:
+        if v == y:
+            continue
+        outs_inside = [p for p in parents[v] if p in anc]
+        if len(outs_inside) != 1:
+            failures.append(
+                f"y{j}: node {v} feeds it along {len(outs_inside)} edges"
+                " (ancestor graph is not a tree)"
+            )
+    leaves = {dag.labels[v] for v in anc if not dag.children[v]}
+    inputs = [lbl[1] for lbl in leaves if lbl and lbl[0] == "x" and 1 <= lbl[1] <= n]
+    others = leaves.difference(("x", i) for i in inputs)
+    witness = _leaves_failure(n, j, _mask(inputs, n), others)
+    return failures + [witness] if witness else failures
 
 
 def signature(dag: Dag) -> tuple:
@@ -146,7 +213,8 @@ def with_duplicate_node(dag: Dag) -> Dag:
     """``dag`` plus a parentless copy of its last computation node (in a
     loaded file, one on the highest level): the two compute one subtree."""
     v = max(v for v, lbl in enumerate(dag.labels) if lbl is None)
-    return Dag(n=dag.n, m=dag.m, labels=dag.labels + (None,), children=dag.children + (dag.children[v],))
+    labels, children = dag.labels + (None,), dag.children + (dag.children[v],)
+    return Dag(n=dag.n, m=dag.m, labels=labels, children=children)
 
 
 def seven_input_structure(labeling: str):

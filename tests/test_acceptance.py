@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,7 +59,15 @@ from mpsynth.uniform import (
     uniform_tree_from_type_vector,
 )
 
-from conftest import nodes_with_label, prune, signature, union, wire_structure
+from conftest import (
+    canonical_keys,
+    nodes_with_label,
+    output_tree_failures,
+    prune,
+    signature,
+    union,
+    wire_structure,
+)
 
 
 @contextlib.contextmanager
@@ -455,7 +464,7 @@ def _relabeled_input(dag: Dag) -> Dag:
     return Dag(n=dag.n, m=dag.m, labels=tuple(labels), children=dag.children)
 
 
-def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
+def test_tree_pass_flags_what_the_ancestor_walk_flags():
     pool = _c7_pool()
     mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
     mutants += [_relabeled_input(dag) for dag in pool]
@@ -468,8 +477,9 @@ def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
         prune(cyclic, 6).structure,
         wire_structure(),
     ]
-    # (decided with a witness, walked) outputs, over the mutants whose
-    # inputs check passes and over those whose inputs check fails
+    # (trees with a leaves witness, outputs that are not trees), over the
+    # mutants whose inputs check passes and over those whose inputs check
+    # fails
     tally = {True: [0, 0], False: [0, 0]}
     for index, dag in enumerate(references + mutants):
         try:
@@ -478,21 +488,25 @@ def test_tree_pass_flags_what_the_ancestor_walk_flags(monkeypatch):
             continue  # output trees are not evaluated on a cyclic graph
         outputs = {lbl[1]: v for v, lbl in enumerate(dag.labels) if lbl and lbl[0] == "y"}
         parents = dag.parent_map()
-        decided = structure._tree_pass(dag, order, outputs)
-        for j, failures in decided.items():
-            assert failures == structure._output_tree_failures(dag, parents, j, outputs[j])
+        walks = [output_tree_failures(dag, parents, j, outputs[j]) for j in sorted(outputs)]
+        # at most _LISTED outputs, so every one that is not a tree is walked
+        assert len(outputs) <= structure._LISTED
+        expected = "; ".join(line for walk in walks for line in walk) or None
+        report = validate(dag)
+        assert report.check("output_trees").witness == expected
+        leaves, tangled = structure._tree_pass(dag, order, outputs)
+        # a tree with two sources of one label is tangled too
+        fed_twice = {
+            j for j, walk in zip(sorted(outputs), walks) if any("feeds it" in w for w in walk)
+        }
+        assert fed_twice <= set(tangled)
         if index < len(references):
-            assert decided == {j: [] for j in outputs}
+            assert expected is None
             continue
-        counts = tally[validate(dag).check("inputs").passed]
-        counts[0] += sum(1 for failures in decided.values() if failures)
-        counts[1] += len(outputs) - len(decided)
+        counts = tally[report.check("inputs").passed]
+        counts[0] += sum(1 for j, witness in leaves.items() if witness and j not in tangled)
+        counts[1] += len(tangled)
     assert tally[True][1] >= 20 and min(tally[False]) >= 20, tally
-
-    # with the pass off, every output is walked: the reports do not change
-    reports = [validate(dag).to_json_dict() for dag in mutants]
-    monkeypatch.setattr(structure, "_tree_pass", lambda dag, order, outputs: {})
-    assert [validate(dag).to_json_dict() for dag in mutants] == reports
 
 
 def _partition(keys) -> set[frozenset[int]]:
@@ -538,20 +552,27 @@ def test_subtree_ids_partition_like_canonical_keys(
     mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
     mutants += [_input_labeled_operator(dag) for dag in pool] + [_stray_sources()]
     fixtures = pool + [shared7_ascending, shared7_cyclic, shared6_pruned, wire_structure()]
-    compared = early = 0
+    compared = early = named = 0
     for dag in fixtures + mutants:
         try:
             order = structure._topological_order(dag)
         except ValueError:
             continue  # neither is defined on a cyclic graph
         ids = structure._subtree_ids(dag, order)
-        assert _partition(ids) == _partition(structure.canonical_keys(dag))
+        keys = canonical_keys(dag)
+        assert _partition(ids) == _partition(keys)
+        # each shared subtree is named as the reference keys name it
+        report = validate(dag)
+        witness = report.check("distinct_subtrees").witness or ""
+        for group, key in re.findall(r"nodes \[([0-9, ]+)\] all compute ([^ ;]+)", witness):
+            assert {keys[int(v)] for v in group.split(", ")} == {key}
+            named += 1
         # the early return's claim
-        if validate(dag).check("inputs").passed and structure._operands_are_distinct(dag):
+        if report.check("inputs").passed and structure._operands_are_distinct(dag):
             assert len(set(ids)) == len(ids)
             early += 1
         compared += 1
-    assert compared >= 95 and early >= len(fixtures)
+    assert compared >= 95 and early >= len(fixtures) and named >= 20, (compared, early, named)
     for dag in mutants[100:]:
         assert validate(dag).check("distinct_subtrees").witness
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import mpsynth
 
+from conftest import with_duplicate_node, with_extra_operand
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_grid.py"
 
 
@@ -50,3 +52,19 @@ def test_verify_row_times_and_traces_each_report():
     for cell in row:
         assert cell["error"] is None and cell["ok"] is True and cell["checks"] > 0
         assert cell["cpu_s"] >= 0 and cell["peak_mib"] > 0
+
+
+def test_broken_row_times_and_traces_validate_on_both_variants():
+    bench = load_tool()
+    row = bench.run_broken_row(mpsynth, sizes=(9, 15))
+    assert [(c["variant"], c["n"], c["m"]) for c in row] == [
+        (variant, n, 3) for n in (9, 15) for variant in ("extra_operand", "duplicate_node")
+    ]
+    for cell in row:
+        assert cell["error"] is None and cell["failed"]
+        assert cell["cpu_s"] >= 0 and cell["peak_mib"] > 0
+    # the variants are the ones the tests check
+    cm = mpsynth.CostModel.from_factors(3, [1, 2], [1, 1])
+    dag = mpsynth.loads(mpsynth.dumps(mpsynth.synthesize_star(15, cm).structure))
+    assert bench.with_extra_operand(mpsynth.Dag, dag) == with_extra_operand(dag)
+    assert bench.with_duplicate_node(mpsynth.Dag, dag) == with_duplicate_node(dag)

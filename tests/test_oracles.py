@@ -303,10 +303,14 @@ def test_report_builds_one_forest_table(monkeypatch):
     assert len(optima) == 4
     assert verify_report(9, cm).ok
     assert built == [optima]
-    # above the star-tree budget only the spot checks run, on the first vector
+    # above the star-tree budget only the spot checks run, on a table over
+    # the censuses they read: the first six below the first vector
     built.clear()
-    assert verify_report(9, cm, EnumerationBudget(max_star_leaves=8)).ok
-    assert built == [optima[:1]]
+    report = verify_report(9, cm, EnumerationBudget(max_star_leaves=8))
+    assert report.ok
+    spots = [tuple(c.params["census"]) for c in report.checks if c.name == "forest_latency"]
+    assert len(spots) == 6
+    assert built == [spots]
 
 
 def _with_shadow_node(dag: Dag) -> Dag:

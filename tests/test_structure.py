@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +19,6 @@ from mpsynth.startree import structure_from_star_tree
 from mpsynth.structure import (
     Dag,
     DagBuilder,
-    canonical_keys,
     complexity,
     dumps,
     latency,
@@ -34,7 +33,9 @@ from mpsynth.uniform import (
 )
 
 from conftest import (
+    canonical_keys,
     nodes_with_label,
+    output_tree_failures,
     prune,
     signature,
     star_tree_from_degree_vector,
@@ -905,7 +906,6 @@ def test_leaf_lists_are_cut_in_string_order():
             assert structure._first_as_strings(mask) == sorted(bits, key=str)[:listed]
 
 
-@functools.cache
 def _loaded_star(n: int) -> Dag:
     """The star structure at ``n`` on m = 3, c = (1, 2), l = (1, 1), as
     loaded from the file ``dumps`` writes."""
@@ -913,13 +913,56 @@ def _loaded_star(n: int) -> Dag:
     return loads(dumps(synthesize_star(n, cm).structure))
 
 
+def test_only_the_first_outputs_that_are_not_trees_are_walked():
+    base = _loaded_star(2000)
+    dag = with_extra_operand(base)
+    start = time.process_time()
+    report = validate(dag)
+    assert time.process_time() - start < 1.0
+    assert report.failed() == ("output_trees",)
+    # the node that took x3 as an operand did not reach x3 before, so
+    # every output above it but y3 now reaches x3 twice; the others keep
+    # their trees and their leaves
+    parents = dag.parent_map()
+    x1, x3 = dag.labels.index(("x", 1)), dag.labels.index(("x", 3))
+    took = next(p for p in parents[x1] if dag.labels[p] is None)
+    assert x3 not in structure._ancestor_set(base, [took])
+    above, stack = {took}, [took]
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in above:
+                above.add(p)
+                stack.append(p)
+    outputs = nodes_with_label(dag, "y")
+    tangled = sorted(j for j, y in outputs.items() if y in above and j != 3)
+    listed = structure._LISTED
+    assert len(tangled) > listed
+    lines = [
+        line
+        for j in sorted(outputs)
+        if j <= tangled[listed - 1]
+        for line in output_tree_failures(dag, parents, j, outputs[j])
+    ]
+    rest = len(tangled) - listed
+    lines.append(f"and {rest} more outputs reach a leaf label along two or more paths")
+    assert report.check("output_trees").witness == "; ".join(lines)
+
+
 # sha256 of the JSON report of with_duplicate_node on the n = 2000 star
 # structure, recorded when every node's string canonical key was built
 DUPLICATE_NODE_REPORT_SHA256 = "5dc8a1ded797bbbddfeade27e40b9d31f646670453d5833e5d3902fabacfa8e1"
 
 
-def test_duplicate_node_report_is_pinned():
-    report = validate(with_duplicate_node(_loaded_star(2000)))
+def test_a_duplicate_node_is_named_in_small_memory():
+    dag = with_duplicate_node(_loaded_star(2000))
+    tracemalloc.start()
+    try:
+        report = validate(dag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # keys are rendered only below the duplicated node
+    assert peak < 10 * 2**20
     assert report.failed() == ("outputs", "distinct_subtrees")
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == DUPLICATE_NODE_REPORT_SHA256

@@ -25,6 +25,14 @@ seconds of one untraced call, then the tracemalloc peak of a second,
 traced call.  Its cost model ties fan-ins 2 and 3 (``VERIFY_FACTORS``),
 so several degree vectors are optimal and each has its star trees
 enumerated, as in the ``ties-verify`` benchmark workload.
+
+A ``broken`` row times :func:`mpsynth.validate` on two broken variants
+of the loaded star structure, for m = 3 and n in {64, 256, 1024, 4096}:
+``extra_operand`` (x3 added as an operand of x1's first computation
+parent, so most outputs are not trees) and ``duplicate_node`` (a
+parentless copy of the last computation node, which sits on the highest
+level).  CPU seconds of one untraced call, then the tracemalloc peak of
+a second, traced call on a fresh copy of the variant.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ VERIFY_FAN_INS = (3, 4)
 # c = (1, 3/2, 2) and l = (1, 3/2, 2) for fan-ins 2..4, cut to m: a
 # fan-in 2 and a fan-in 3 node cost the same per leaf they add
 VERIFY_FACTORS = ((1, "3/2", 2), (1, "3/2", 2))
+BROKEN_SIZES = (64, 256, 1024, 4096)
+BROKEN_FAN_IN = 3
 
 
 def cost_factors(m: int) -> tuple[list[int], list[int]]:
@@ -151,6 +161,56 @@ def run_verify_row(mpsynth, sizes=VERIFY_SIZES, fan_ins=VERIFY_FAN_INS) -> list[
     return row
 
 
+def with_extra_operand(Dag, dag):
+    """``dag`` with x3 added as an operand of x1's first computation parent."""
+    x1, x3 = dag.labels.index(("x", 1)), dag.labels.index(("x", 3))
+    p = next(p for p in dag.parent_map()[x1] if dag.labels[p] is None)
+    children = list(dag.children)
+    children[p] = tuple(sorted(children[p] + (x3,)))
+    return Dag(n=dag.n, m=dag.m, labels=dag.labels, children=tuple(children))
+
+
+def with_duplicate_node(Dag, dag):
+    """``dag`` plus a parentless copy of its last computation node."""
+    v = max(v for v, lbl in enumerate(dag.labels) if lbl is None)
+    labels, children = dag.labels + (None,), dag.children + (dag.children[v],)
+    return Dag(n=dag.n, m=dag.m, labels=labels, children=children)
+
+
+BROKEN_VARIANTS = (("extra_operand", with_extra_operand), ("duplicate_node", with_duplicate_node))
+
+
+def run_broken_row(mpsynth, sizes=BROKEN_SIZES, m=BROKEN_FAN_IN) -> list[dict]:
+    row = []
+    cm = mpsynth.CostModel.from_factors(m, *cost_factors(m))
+    for n in sizes:
+        dag = mpsynth.loads(mpsynth.dumps(mpsynth.synthesize_star(n, cm).structure))
+        for name, variant in BROKEN_VARIANTS:
+            cell: dict = {"variant": name, "n": n, "m": m, "error": None}
+            try:
+                gc.collect()
+                broken = variant(mpsynth.Dag, dag)
+                start = time.process_time()
+                report = mpsynth.validate(broken)
+                seconds = time.process_time() - start
+                cell.update(cpu_s=round(seconds, 6), failed=list(report.failed()))
+                broken = variant(mpsynth.Dag, dag)  # its order is worked out again
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    mpsynth.validate(broken)
+                    cell["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+                finally:
+                    tracemalloc.stop()
+            except Exception as exc:  # a failing cell is data, not the end of the row
+                cell["error"] = {"type": type(exc).__name__, "message": str(exc)[:200]}
+            row.append(cell)
+            status = cell["error"]["type"] if cell["error"] else "ok"
+            seconds = cell.get("cpu_s", 0.0)
+            print(f"broken {name} m={m} n={n}: {seconds:.3f} s {status}", file=sys.stderr)
+    return row
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
@@ -162,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cells = run_grid(mpsynth)
     verify = run_verify_row(mpsynth)
+    broken = run_broken_row(mpsynth)
     record = {
         "tag": args.tag,
         "mpsynth_version": mpsynth.__version__,
@@ -174,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         "cells": cells,
         "verify_cost_model": "c[k] = l[k] = (1, 3/2, 2)[k - 2] for k = 2..m",
         "verify": verify,
+        "broken_cost_model": "c[k] = k - 1, l[k] = 1 for k = 2..3",
+        "broken": broken,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
