@@ -494,9 +494,11 @@ def _terminal_check(
 def validate(dag: Dag) -> ValidationReport:
     """Check the five defining properties plus acyclicity.
 
-    Every failure is reported (not just the first) with a witness node
-    or edge, so the report can serve as a mutation-test oracle.  A
-    graph passes iff it is a valid structure with input size ``n``.
+    Every failing property is reported (not just the first) with a
+    witness node or edge, so the report can serve as a mutation-test
+    oracle; the ancestor-walk witnesses are capped at ``_LISTED``
+    outputs, as below.  A graph passes iff it is a valid structure with
+    input size ``n``.
 
     The single degenerate exception: for ``n == 2`` the two outputs are
     bare wires (``y_1 = x_2``, ``y_2 = x_1``), so in-degree 1 outputs

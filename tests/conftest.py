@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import pytest
@@ -17,6 +20,22 @@ from mpsynth.structure import (
     _topological_order,
 )
 from mpsynth.uniform import structure_from_uniform_tree, uniform_tree_from_type_vector
+
+BENCH_GRID = Path(__file__).resolve().parent.parent / "tools" / "bench_grid.py"
+
+
+def load_tool():
+    """``tools/bench_grid.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("bench_grid", BENCH_GRID)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the broken variants the benchmark's ``broken`` row times
+_bench_grid = load_tool()
+with_extra_operand = partial(_bench_grid.with_extra_operand, Dag)
+with_duplicate_node = partial(_bench_grid.with_duplicate_node, Dag)
 
 
 @pytest.fixture
@@ -196,25 +215,6 @@ def prune(dag: Dag, n: int) -> PruneResult:
     # keep only what the outputs reach (absorbed operands and nodes that
     # fed removed outputs alone fall away)
     return PruneResult(builder.build(n, dag.m, keep=outputs), tuple(actions))
-
-
-def with_extra_operand(dag: Dag) -> Dag:
-    """``dag`` with x3 added as an operand of x1's first computation
-    parent: every output whose ancestor graph holds that node reaches x3
-    along a second path, so it is no longer a tree."""
-    x1, x3 = dag.labels.index(("x", 1)), dag.labels.index(("x", 3))
-    p = next(p for p in dag.parent_map()[x1] if dag.labels[p] is None)
-    children = list(dag.children)
-    children[p] = tuple(sorted(children[p] + (x3,)))
-    return Dag(n=dag.n, m=dag.m, labels=dag.labels, children=tuple(children))
-
-
-def with_duplicate_node(dag: Dag) -> Dag:
-    """``dag`` plus a parentless copy of its last computation node (in a
-    loaded file, one on the highest level): the two compute one subtree."""
-    v = max(v for v, lbl in enumerate(dag.labels) if lbl is None)
-    labels, children = dag.labels + (None,), dag.children + (dag.children[v],)
-    return Dag(n=dag.n, m=dag.m, labels=labels, children=children)
 
 
 def seven_input_structure(labeling: str):

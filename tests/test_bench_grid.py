@@ -1,20 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import mpsynth
 
-from conftest import with_duplicate_node, with_extra_operand
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_grid.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("bench_grid", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_tool
 
 
 def test_grid_cells_time_and_trace_every_stage():
@@ -63,8 +51,3 @@ def test_broken_row_times_and_traces_validate_on_both_variants():
     for cell in row:
         assert cell["error"] is None and cell["failed"]
         assert cell["cpu_s"] >= 0 and cell["peak_mib"] > 0
-    # the variants are the ones the tests check
-    cm = mpsynth.CostModel.from_factors(3, [1, 2], [1, 1])
-    dag = mpsynth.loads(mpsynth.dumps(mpsynth.synthesize_star(15, cm).structure))
-    assert bench.with_extra_operand(mpsynth.Dag, dag) == with_extra_operand(dag)
-    assert bench.with_duplicate_node(mpsynth.Dag, dag) == with_duplicate_node(dag)

@@ -162,7 +162,10 @@ def run_verify_row(mpsynth, sizes=VERIFY_SIZES, fan_ins=VERIFY_FAN_INS) -> list[
 
 
 def with_extra_operand(Dag, dag):
-    """``dag`` with x3 added as an operand of x1's first computation parent."""
+    """``dag`` with x3 added as an operand of x1's first computation
+    parent: every output whose ancestor graph holds that node reaches x3
+    along a second path, so it is no longer a tree.  ``Dag`` is the class
+    of the mpsynth under test."""
     x1, x3 = dag.labels.index(("x", 1)), dag.labels.index(("x", 3))
     p = next(p for p in dag.parent_map()[x1] if dag.labels[p] is None)
     children = list(dag.children)
@@ -171,7 +174,8 @@ def with_extra_operand(Dag, dag):
 
 
 def with_duplicate_node(Dag, dag):
-    """``dag`` plus a parentless copy of its last computation node."""
+    """``dag`` plus a parentless copy of its last computation node (in a
+    loaded file, one on the highest level): the two compute one subtree."""
     v = max(v for v, lbl in enumerate(dag.labels) if lbl is None)
     labels, children = dag.labels + (None,), dag.children + (dag.children[v],)
     return Dag(n=dag.n, m=dag.m, labels=labels, children=children)
@@ -180,8 +184,8 @@ def with_duplicate_node(Dag, dag):
 BROKEN_VARIANTS = (("extra_operand", with_extra_operand), ("duplicate_node", with_duplicate_node))
 
 
-def run_broken_row(mpsynth, sizes=BROKEN_SIZES, m=BROKEN_FAN_IN) -> list[dict]:
-    row = []
+def run_broken_row(mpsynth, sizes=BROKEN_SIZES) -> list[dict]:
+    row, m = [], BROKEN_FAN_IN
     cm = mpsynth.CostModel.from_factors(m, *cost_factors(m))
     for n in sizes:
         dag = mpsynth.loads(mpsynth.dumps(mpsynth.synthesize_star(n, cm).structure))
@@ -235,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         "cells": cells,
         "verify_cost_model": "c[k] = l[k] = (1, 3/2, 2)[k - 2] for k = 2..m",
         "verify": verify,
-        "broken_cost_model": "c[k] = k - 1, l[k] = 1 for k = 2..3",
+        "broken_cost_model": f"c[k] = k - 1, l[k] = 1 for k = 2..{BROKEN_FAN_IN}",
         "broken": broken,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
