@@ -160,6 +160,8 @@ def load_cost_model(source: bytes | str) -> CostModel:
         raw = json.loads(source, parse_float=lambda s: Fraction(s))
     except json.JSONDecodeError as exc:
         raise CostModelError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CostModelError(f"config is nested too deeply: {exc}") from exc
     if not isinstance(raw, dict):
         raise CostModelError("config: expected a JSON object")
     for key in ("m", "c", "l"):

@@ -3,9 +3,10 @@
 Everything the optimizers compute has an independent, enumeration-based
 counterpart here, runnable at desk scale: exhaustive degree/type-vector
 generation, star-tree and rooted-tree enumeration up to isomorphism
-(each with a second, independently derived generation or counting
-strategy, because a single enumerator validating itself proves
-nothing), literal path-walking latency oracles, a per-copy builder of
+(the tests check each against a second, independently derived
+generation or counting strategy, because a single enumerator
+validating itself proves nothing), a literal path-walking star-tree
+latency oracle, a per-copy builder of
 replicated structures under any leaf labeling
 (:func:`structure_from_labeled_copies`, the reference for the cyclic
 builder), and a bundled :func:`verify_report` that cross-checks every
@@ -19,11 +20,10 @@ optimizer's DP.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .costs import CostModel, format_rational
 from .drt import LEAF, Rooted, degree_vector, tree_latency
@@ -233,67 +233,8 @@ def enumerate_star_trees(
     ]
 
 
-def star_tree_shape_codes_via_labeled_skeletons(q: Sequence[int]) -> set[str]:
-    """Independent second strategy: enumerate labeled internal skeletons
-    from coding sequences (every labeled tree on k vertices appears once),
-    assign the degree multiset in all distinct ways, canonicalize, and
-    collect shape codes.  Used to cross-check :func:`enumerate_star_trees`.
-    """
-    q = tuple(q)
-    if sum(q) == 0:
-        raise ValueError("degree vector has no internal nodes")
-    degree_pool = [k + 3 for k, c in enumerate(q) for _ in range(c)]
-    k = len(degree_pool)
-
-    skeletons: list[dict[int, list[int]]] = []
-    if k == 1:
-        skeletons.append({0: []})
-    else:
-        for seq in itertools.product(range(k), repeat=k - 2):
-            # decode the coding sequence into a labeled tree
-            count = [1] * k
-            for s in seq:
-                count[s] += 1
-            adj: dict[int, list[int]] = {v: [] for v in range(k)}
-            heap = [v for v in range(k) if count[v] == 1]
-            heapq.heapify(heap)
-            for s in seq:
-                v = heapq.heappop(heap)
-                adj[v].append(s)
-                adj[s].append(v)
-                count[s] -= 1
-                if count[s] == 1:
-                    heapq.heappush(heap, s)
-            a = heapq.heappop(heap)
-            b = heapq.heappop(heap)
-            adj[a].append(b)
-            adj[b].append(a)
-            skeletons.append(adj)
-
-    # distinct orderings of the degree multiset, grown by insertion so
-    # repeated degrees never multiply the count
-    perms: set[tuple[int, ...]] = {()}
-    for d in degree_pool:
-        perms = {p[:i] + (d,) + p[i:] for p in perms for i in range(len(p) + 1)}
-    codes: set[str] = set()
-    for adj in skeletons:
-        for perm in perms:
-            if all(perm[v] >= len(adj[v]) for v in adj):
-                extra = {v: perm[v] - len(adj[v]) for v in adj}
-                codes.add(_unrooted_code(adj, extra))
-    return codes
-
-
-def star_tree_shape_code(tree: StarTree) -> str:
-    """Canonical unlabeled-leaf shape code of a star tree."""
-    internal = tree.internal_nodes()
-    adj = {v: [u for u in tree.adj[v] if tree.labels[u] is None] for v in internal}
-    extra = {v: sum(1 for u in tree.adj[v] if tree.labels[u] is not None) for v in internal}
-    return _unrooted_code(adj, extra)
-
-
 # ---------------------------------------------------------------------------
-# rooted-tree enumeration (two strategies)
+# rooted-tree enumeration
 
 
 def enumerate_rooted_trees(
@@ -345,42 +286,6 @@ def enumerate_rooted_trees(
     return trees
 
 
-def count_rooted_trees(leaves: int, m: int) -> int:
-    """Arithmetic second strategy: count the same family through the
-    multiset-of-children recursion without building any tree."""
-    from math import comb
-
-    memo: dict[int, int] = {1: 1}
-
-    def count(k: int) -> int:
-        if k in memo:
-            return memo[k]
-        total = 0
-
-        def partitions(left: int, slots: int, max_part: int) -> Iterator[tuple[int, ...]]:
-            if slots == 0:
-                if left == 0:
-                    yield ()
-                return
-            for part in range(min(left - slots + 1, max_part), 0, -1):
-                for rest in partitions(left - part, slots - 1, part):
-                    yield (part,) + rest
-
-        for t in range(2, m + 1):
-            if t > k:
-                break
-            for parts in partitions(k, t, k - 1 if t > 1 else k):
-                ways = 1
-                for size in set(parts):
-                    mult = parts.count(size)
-                    ways *= comb(count(size) + mult - 1, mult)
-                total += ways
-        memo[k] = total
-        return total
-
-    return count(leaves)
-
-
 def enumerate_rooted_trees_with_census(
     u: Sequence[int], m: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> list[Rooted]:
@@ -421,29 +326,6 @@ def oracle_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
             for u in adj[v]:
                 if u != came_from:
                     stack.append((u, v, total))
-    return Fraction(best, scale)
-
-
-def oracle_structure_latency(
-    dag: Dag, cm: CostModel, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> Fraction:
-    """Literal definition: enumerate every source-to-sink path."""
-    if dag.node_count > 30:
-        raise BudgetExceeded("path enumeration oracle is limited to 30 nodes")
-    parents = dag.parent_map()
-    scale, lat = cm.scaled_l
-    best = count = 0
-    # (node, latency of the path walked up to it): every path starts at a source
-    stack = [(v, 0) for v in range(dag.node_count) if not dag.children[v]]
-    while stack:
-        v, acc = stack.pop()
-        acc += lat[len(dag.children[v])]
-        if not parents[v]:
-            count += 1
-            if count > budget.max_count:
-                raise BudgetExceeded("path enumeration exceeded max_count")
-            best = max(best, acc)
-        stack.extend((p, acc) for p in parents[v])
     return Fraction(best, scale)
 
 

@@ -26,17 +26,23 @@ operands), and :func:`from_json_dict` the file's own order whenever the
 file reads as :func:`dumps` writes it.  Kahn's sort runs only for a
 structure made any other way: by hand, or loaded from a file whose
 edges run backward or list a node's operands out of order.
+:func:`loads` reads the exact text :func:`dumps` writes with a scanner
+that parses only its ints, with no JSON dict per node or list per edge,
+and hands over the same operands and order :func:`from_json_dict`
+would; any other text goes through ``json.loads`` and
+:func:`from_json_dict`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
+from operator import and_, eq, ge, le, lt
 from typing import Iterable, Optional, Sequence
 
 from .costs import CostModel
@@ -747,13 +753,127 @@ def from_json_dict(raw: object) -> Dag:
     return dag
 
 
+# The scanner's pieces.  No regex repeats over the node or edge text: a
+# backtracking `(?:...)*` keeps state for every repetition, and the
+# possessive quantifiers and atomic groups that avoid it need Python
+# 3.11, while the package supports 3.10.  str.translate and string
+# equality check that text in C instead.
+_COUNTS_RE = re.compile(r'\],"m":([1-9][0-9]{0,8}),"n":([1-9][0-9]{0,8}),"nodes":\[')
+_NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
+_NO_BRACKETS = dict.fromkeys(map(ord, "[]"))
+_NUMBERS_ONLY = dict.fromkeys(map(ord, '{}":abdeilxy'))
+
+
+def _ints(digit_runs: str) -> list[int] | None:
+    """The ints of comma-separated digit runs; None when a run is empty
+    or has a leading zero, as ``json.loads`` rejects both."""
+    try:
+        return json.loads(digit_runs.join("[]"))
+    except ValueError:
+        return None
+
+
+def _nodes_as_written(nodes: str, n: int, ids: list[int]) -> bool:
+    """``nodes`` lists ids 0..len(ids)-1 in order, labeled x1..xn, then
+    y1..yn, then null, as dumps writes them."""
+    skeleton = '{"id":,"label":"x"},' * n + '{"id":,"label":"y"},' * n
+    skeleton += '{"id":,"label":null},' * (len(ids) - 2 * n)
+    if nodes.translate(_NO_DIGITS) + "," != skeleton:
+        return False
+    # '{"id":0,"label":"x1"},...,{"id":2n,"label":null}' -> "0,1,...,2n"
+    numbers = _ints(nodes.replace(',"label":null', "").translate(_NUMBERS_ONLY))
+    return (
+        numbers is not None
+        and numbers[: 4 * n : 2] == ids[: 2 * n]
+        and numbers[1 : 4 * n : 2] == ids[1 : n + 1] * 2
+        and numbers[4 * n :] == ids[2 * n :]
+    )
+
+
+def _edge_ends(edges: str, ids: list[int]) -> tuple[list[int], list[int]] | None:
+    """The operands and the parents of ``edges`` written as
+    ``[c,p],[c,p],...``, each end the int of ``ids`` it names; None for
+    any other text or an id past the last node."""
+    pairs = edges.translate(_NO_DIGITS)
+    if pairs + "," != "[,]," * ((len(pairs) + 1) // 4):
+        return None
+    ends = _ints(edges.translate(_NO_BRACKETS))
+    if ends is None:
+        return None
+    try:
+        ends = list(map(ids.__getitem__, ends))
+    except IndexError:  # an id past the last node
+        return None
+    return ends[0::2], ends[1::2]
+
+
+def _scan(text: str) -> Dag | None:
+    """The structure of ``text`` when it is exactly what :func:`dumps`
+    writes for one with inputs x1..xn and outputs y1..yn, read with no
+    JSON dict per node or list per edge; None for any other text.
+
+    It makes every check :func:`from_json_dict` makes (ids in range,
+    edges forward in rank, each node's operands ascending, no duplicate
+    edge), so where it reads a structure it returns the same ``Dag`` and
+    order, with one int per node id as there."""
+    if not (text.startswith('{"edges":[') and text.endswith("]}\n")):
+        return None
+    mid = text.find('],"m":')
+    counts = _COUNTS_RE.match(text, mid) if mid > 0 else None
+    if counts is None:
+        return None
+    m, n = int(counts[1]), int(counts[2])
+    size = text.count("{", counts.end())  # one per node
+    if m < 2 or n < 2 or size < 2 * n:  # before any text of n's size is made
+        return None
+    ids = list(range(size))
+    if not _nodes_as_written(text[counts.end() : -3], n, ids):
+        return None
+    edges = _edge_ends(text[10:mid], ids)
+    if edges is None:
+        return None
+    operands, parents = edges
+    # rank as in from_json_dict: outputs last, every other node in id order
+    rank = ids[:n] + list(range(size + n, size + 2 * n)) + ids[2 * n :]
+    if not all(map(lt, map(rank.__getitem__, operands), map(rank.__getitem__, parents))):
+        return None
+    # edges sorted by (operand, parent) with no repeat: each node's
+    # operands arrive ascending, and no edge is listed twice
+    if not all(map(le, operands, islice(operands, 1, None))):
+        return None
+    same = map(eq, operands, islice(operands, 1, None))
+    if any(map(and_, same, map(ge, parents, islice(parents, 1, None)))):
+        return None
+    children: list[list[int]] = list(map(list, repeat((), size)))
+    deque(map(list.append, map(children.__getitem__, parents), operands), maxlen=0)
+    inputs = ids[1 : n + 1]
+    labels = tuple(zip(repeat("x"), inputs)) + tuple(zip(repeat("y"), inputs))
+    dag = Dag(
+        n=n,
+        m=m,
+        labels=labels + (None,) * (size - 2 * n),
+        children=tuple(map(tuple, children)),
+    )
+    return _with_order(dag, ids[:n] + ids[2 * n :] + ids[n : 2 * n])
+
+
 def loads(text: str | bytes) -> Dag:
+    """The structure in a JSON file (text or UTF-8 bytes), as
+    :func:`from_json_dict` reads it; raises ``ValueError`` on a file that
+    is not JSON or not a structure.  The text :func:`dumps` writes is
+    read by a scanner that parses only its ints; any other text goes
+    through ``json.loads``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    dag = _scan(text)
+    if dag is not None:
+        return dag
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"structure file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"structure file is nested too deeply: {exc}") from exc
     return from_json_dict(raw)
 
 

@@ -1,16 +1,25 @@
 from __future__ import annotations
 
+import heapq
 import importlib.util
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 
 from mpsynth.costs import CostModel
-from mpsynth.oracles import ascending_labeling, structure_from_labeled_copies
+from mpsynth.oracles import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    EnumerationBudget,
+    _unrooted_code,
+    ascending_labeling,
+    structure_from_labeled_copies,
+)
 from mpsynth.startree import StarTree, feasible_input_size
 from mpsynth.structure import (
     Dag,
@@ -313,3 +322,125 @@ def star_tree_from_degree_vector(
             leaf_stack.append(leaf)
 
     return StarTree.from_adjacency(adj, len(q) + 1)
+
+
+# ---------------------------------------------------------------------------
+# oracles only the tests call: second strategies and a literal path walk
+
+
+def star_tree_shape_codes_via_labeled_skeletons(q: Sequence[int]) -> set[str]:
+    """Independent second strategy: enumerate labeled internal skeletons
+    from coding sequences (every labeled tree on k vertices appears once),
+    assign the degree multiset in all distinct ways, canonicalize, and
+    collect shape codes.  Used to cross-check :func:`enumerate_star_trees`.
+    """
+    q = tuple(q)
+    if sum(q) == 0:
+        raise ValueError("degree vector has no internal nodes")
+    degree_pool = [k + 3 for k, c in enumerate(q) for _ in range(c)]
+    k = len(degree_pool)
+
+    skeletons: list[dict[int, list[int]]] = []
+    if k == 1:
+        skeletons.append({0: []})
+    else:
+        for seq in itertools.product(range(k), repeat=k - 2):
+            # decode the coding sequence into a labeled tree
+            count = [1] * k
+            for s in seq:
+                count[s] += 1
+            adj: dict[int, list[int]] = {v: [] for v in range(k)}
+            heap = [v for v in range(k) if count[v] == 1]
+            heapq.heapify(heap)
+            for s in seq:
+                v = heapq.heappop(heap)
+                adj[v].append(s)
+                adj[s].append(v)
+                count[s] -= 1
+                if count[s] == 1:
+                    heapq.heappush(heap, s)
+            a = heapq.heappop(heap)
+            b = heapq.heappop(heap)
+            adj[a].append(b)
+            adj[b].append(a)
+            skeletons.append(adj)
+
+    # distinct orderings of the degree multiset, grown by insertion so
+    # repeated degrees never multiply the count
+    perms: set[tuple[int, ...]] = {()}
+    for d in degree_pool:
+        perms = {p[:i] + (d,) + p[i:] for p in perms for i in range(len(p) + 1)}
+    codes: set[str] = set()
+    for adj in skeletons:
+        for perm in perms:
+            if all(perm[v] >= len(adj[v]) for v in adj):
+                extra = {v: perm[v] - len(adj[v]) for v in adj}
+                codes.add(_unrooted_code(adj, extra))
+    return codes
+
+
+def star_tree_shape_code(tree: StarTree) -> str:
+    """Canonical unlabeled-leaf shape code of a star tree."""
+    internal = tree.internal_nodes()
+    adj = {v: [u for u in tree.adj[v] if tree.labels[u] is None] for v in internal}
+    extra = {v: sum(1 for u in tree.adj[v] if tree.labels[u] is not None) for v in internal}
+    return _unrooted_code(adj, extra)
+
+
+def count_rooted_trees(leaves: int, m: int) -> int:
+    """Arithmetic second strategy: count the same family through the
+    multiset-of-children recursion without building any tree."""
+    from math import comb
+
+    memo: dict[int, int] = {1: 1}
+
+    def count(k: int) -> int:
+        if k in memo:
+            return memo[k]
+        total = 0
+
+        def partitions(left: int, slots: int, max_part: int) -> Iterator[tuple[int, ...]]:
+            if slots == 0:
+                if left == 0:
+                    yield ()
+                return
+            for part in range(min(left - slots + 1, max_part), 0, -1):
+                for rest in partitions(left - part, slots - 1, part):
+                    yield (part,) + rest
+
+        for t in range(2, m + 1):
+            if t > k:
+                break
+            for parts in partitions(k, t, k - 1 if t > 1 else k):
+                ways = 1
+                for size in set(parts):
+                    mult = parts.count(size)
+                    ways *= comb(count(size) + mult - 1, mult)
+                total += ways
+        memo[k] = total
+        return total
+
+    return count(leaves)
+
+
+def oracle_structure_latency(
+    dag: Dag, cm: CostModel, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> Fraction:
+    """Literal definition: enumerate every source-to-sink path."""
+    if dag.node_count > 30:
+        raise BudgetExceeded("path enumeration oracle is limited to 30 nodes")
+    parents = dag.parent_map()
+    scale, lat = cm.scaled_l
+    best = count = 0
+    # (node, latency of the path walked up to it): every path starts at a source
+    stack = [(v, 0) for v in range(dag.node_count) if not dag.children[v]]
+    while stack:
+        v, acc = stack.pop()
+        acc += lat[len(dag.children[v])]
+        if not parents[v]:
+            count += 1
+            if count > budget.max_count:
+                raise BudgetExceeded("path enumeration exceeded max_count")
+            best = max(best, acc)
+        stack.extend((p, acc) for p in parents[v])
+    return Fraction(best, scale)

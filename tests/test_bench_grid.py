@@ -13,7 +13,12 @@ def test_grid_cells_time_and_trace_every_stage():
         assert cell["error"] is None
         assert cell["report_ok"] is True
         assert list(cell["stages"]) == list(bench.STAGES)
-        assert all(set(stage) == {"cpu_s", "peak_mib"} for stage in cell["stages"].values())
+        for name, stage in cell["stages"].items():
+            extra = {"kept_mib"} if name == "loads" else set()
+            assert set(stage) == {"cpu_s", "peak_mib"} | extra
+        # the loaded structure outlives its stage, and the stage's peak holds it
+        loads = cell["stages"]["loads"]
+        assert 0 < loads["kept_mib"] <= loads["peak_mib"]
 
 
 def test_grid_records_a_raising_cell_and_goes_on(monkeypatch):

@@ -213,6 +213,26 @@ def test_unreadable_structure_is_usage_error_malformed_is_mismatch(
         assert json.loads(captured.err)["error"].startswith(prefix), path
 
 
+def test_a_deeply_nested_structure_file_is_a_load_error(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    assert main(["validate", str(nested)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("cannot load structure: structure file is nested too deeply: ")
+
+
+def test_a_deeply_nested_cost_model_is_a_cost_model_error(tmp_path, capsys):
+    nested = tmp_path / "costs.json"
+    nested.write_text('{"m": 3, "c": ' + "[" * 200_000)
+    assert main(["synthesize", "star", "7", "--costs", str(nested)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("cost model: config is nested too deeply: ")
+
+
 def test_synthesize_star_all_optima(tmp_path, capsys):
     # 3 * c2 == 4 * c3 / 2: every degree vector for n = 9 is optimal
     costs = tmp_path / "ties.json"

@@ -14,20 +14,23 @@ from mpsynth.drt import LEAF, degree_vector, leaf_count, tree_latency
 from mpsynth.oracles import (
     BudgetExceeded,
     EnumerationBudget,
-    count_rooted_trees,
     enumerate_degree_vectors,
     enumerate_rooted_trees,
     enumerate_rooted_trees_with_census,
     enumerate_star_trees,
     enumerate_type_vectors,
     oracle_star_tree_latency,
-    star_tree_shape_code,
-    star_tree_shape_codes_via_labeled_skeletons,
     verify_report,
 )
 from mpsynth.staropt import min_star_complexity, optimal_degree_vectors
 from mpsynth.startree import StarTree, degree_vector_of
 from mpsynth.structure import Dag
+
+from conftest import (
+    count_rooted_trees,
+    star_tree_shape_code,
+    star_tree_shape_codes_via_labeled_skeletons,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,15 @@ def test_every_public_definition_is_used_in_src():
     assert unused == []
 
 
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in (ROOT / "src" / "mpsynth").glob("*.py"))
+)
+def test_every_module_parses_as_python_3_10(module):
+    # pyproject.toml says requires-python = ">=3.10"
+    source = (ROOT / "src" / "mpsynth" / module).read_text(encoding="utf-8")
+    ast.parse(source, filename=module, feature_version=(3, 10))
+
+
 @pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from mpsynth import structure
 from mpsynth.costs import CostModel
-from mpsynth.oracles import oracle_structure_latency
 from mpsynth.staropt import synthesize_star
 from mpsynth.startree import structure_from_star_tree
 from mpsynth.structure import (
@@ -35,6 +35,7 @@ from mpsynth.uniform import (
 from conftest import (
     canonical_keys,
     nodes_with_label,
+    oracle_structure_latency,
     output_tree_failures,
     prune,
     signature,
@@ -870,6 +871,138 @@ def test_written_files_with_a_duplicate_edge_or_a_cycle_are_rejected(cm_steep):
     below_y1 = next(c for c, p in edges if p == y1)
     with pytest.raises(ValueError, match="^graph contains a cycle$"):
         loads(json.dumps({**raw, "edges": edges + [[y1, below_y1]]}))
+
+
+# ---------------------------------------------------------------------------
+# the scanner for the text dumps writes
+
+
+def _json_path(text: str) -> Dag | str:
+    """What ``loads`` made of ``text`` before it had a scanner: the
+    structure, or the message of the ValueError it raised."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"structure file is not valid JSON: {exc}"
+    try:
+        return structure.from_json_dict(raw)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _loaded(text: str) -> Dag | str:
+    """``loads(text)``, or the message of the ValueError it raised."""
+    try:
+        return loads(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _as_loaded(dag: Dag) -> tuple:
+    return dag.n, dag.m, dag.labels, dag.children, list(dag._order)
+
+
+SCANNER_MODELS = {
+    "m2": CostModel.from_factors(2, [1], [1]),
+    "m3": CostModel.from_factors(3, [1, 2], [1, 1]),
+    "m4": CostModel.from_factors(4, [1, 2, 3], [1, 1, 2]),
+    # fan-ins 2 and 3 tie: several degree vectors are optimal
+    "tied": CostModel.from_factors(3, [1, Fraction(3, 2)], [1, Fraction(3, 2)]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SCANNER_MODELS))
+def test_the_scanner_reads_what_json_reads(model):
+    cm = SCANNER_MODELS[model]
+    for n in (3, 4, 7, 12, 40, 129):
+        modes = [synthesize_min_latency]
+        # star synthesis on a tied model takes seconds at n = 129
+        if model != "tied" or n <= 40:
+            modes.append(synthesize_star)
+        for synthesize in modes:
+            text = dumps(synthesize(n, cm).structure)
+            scanned = structure._scan(text)
+            assert scanned is not None, (model, n)
+            assert _as_loaded(scanned) == _as_loaded(_json_path(text)), (model, n)
+
+
+def _text_mutants(text: str) -> dict[str, str]:
+    """Texts near one ``dumps`` wrote, none of them its exact form."""
+    raw = json.loads(text)
+    edges, nodes = raw["edges"], raw["nodes"]
+    size = len(nodes)
+    first = "[{},{}]".format(*edges[0])
+    swapped = text.replace('"x1"', '"x?"').replace('"x2"', '"x1"').replace('"x?"', '"x2"')
+    reordered = {key: raw[key] for key in ("n", "m", "nodes", "edges")}
+    # the last computation node, the first one is node 2n: an edge from
+    # the last to the first runs backward and keeps the edges sorted
+    top = size - 1
+    backward = edges + [[top, 2 * raw["n"]]]
+    compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    return {
+        "space after a comma": text.replace(",", ", ", 1),
+        "keys reordered": json.dumps(reordered, separators=(",", ":")) + "\n",
+        "no trailing newline": text[:-1],
+        "leading zero": text.replace(first, "[01,5]", 1),
+        "empty slot": text.replace(first, "[,5]", 1),
+        "three ends": text.replace(first, "[1,2,3]", 1),
+        "leading zero in m": text.replace('"m":3', '"m":03', 1),
+        "n past the node count": text.replace(f'"n":{raw["n"]},', '"n":1000000,', 1),
+        "non-ASCII digit": text.replace(first, first.replace("0", "٠", 1), 1),
+        "true as an id": text.replace('{"id":0,', '{"id":true,', 1),
+        "gap in the ids": text.replace(f'{{"id":{top},', f'{{"id":{top + 1},', 1),
+        "two labels swapped": swapped,
+        "an input labeled as an output": text.replace('"x1"', '"y1"', 1),
+        "edge end past the last node": text.replace('],"m"', f',[{top},{size}]],"m"', 1),
+        "duplicate edge": text.replace(first, f"{first},{first}", 1),
+        # largest operand first; each operand's parents still ascend
+        "edges out of order": compact({**raw, "edges": sorted(edges, key=lambda e: -e[0])})
+        + "\n",
+        "edge running backward": compact({**raw, "edges": backward}) + "\n",
+    }
+
+
+def _traced(call):
+    """The traced peak of ``call()`` and the traced size of what it
+    returns, both above what was traced before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - before, kept - before
+
+
+def test_texts_dumps_did_not_write_load_as_json_reads_them(cm_steep):
+    text = dumps(synthesize_star(9, cm_steep).structure)
+    assert structure._scan(text) is not None
+    mutants, outcomes = _text_mutants(text), set()
+    for name, mutant in mutants.items():
+        assert mutant != text, name
+        assert structure._scan(mutant) is None, name
+        got, want = _loaded(mutant), _json_path(mutant)
+        if isinstance(want, str):
+            assert got == want, name
+        else:
+            assert _as_loaded(got) == _as_loaded(want), name
+        outcomes.add(type(want))
+    assert outcomes == {str, Dag}  # some mutants load, some are refused
+    # a declared n past the node count is refused in small memory
+    peak, _ = _traced(lambda: structure._scan(mutants["n past the node count"]))
+    assert peak < 2**20
+
+
+def test_the_scanner_peaks_at_most_three_fifths_of_json():
+    cm = CostModel.from_factors(2, [1], [1])
+    text = dumps(synthesize_min_latency(2000, cm).structure)
+    assert structure._scan(text) is not None
+    scan_peak, scan_kept = _traced(lambda: loads(text))
+    json_peak, json_kept = _traced(lambda: structure.from_json_dict(json.loads(text)))
+    assert scan_peak <= 0.6 * json_peak
+    assert scan_kept <= json_kept
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ Each cell runs the stages one CLI request goes through, in order:
 
 Each cell runs twice from scratch: once untraced for the CPU seconds of
 every stage (``time.process_time``), then under ``tracemalloc`` for the
-peak traced memory during each stage (reset between stages, so it
-counts what earlier stages left alive plus the stage's own work).  A
-stage that raises ends its cell: the cell records the stages before it
-and an ``error`` entry, and the grid goes on.  Standard library only;
-mpsynth is imported from ``--src`` (default: ``src/`` of this checkout),
-so one script measures any commit.  One process, one cell at a time.
+peak traced memory during each stage (reset between stages after a
+full collection, so it counts what earlier stages left alive plus the
+stage's own work).  The ``loads`` stage also records ``kept_mib``, the
+traced size the loaded structure keeps once the stage returns.  A stage that raises ends its
+cell: the cell records the stages before it and an ``error`` entry, and
+the grid goes on.  Standard library only; mpsynth is imported from
+``--src`` (default: ``src/`` of this checkout), so one script measures
+any commit.  One process, one cell at a time.
 
 A separate ``verify`` row times :func:`mpsynth.verify_report` (the
 optimizer-versus-oracle report) for n in 5..12 and m in {3, 4}: CPU
@@ -91,7 +93,9 @@ def run_cell(mpsynth, mode: str, n: int, m: int) -> dict:
         try:
             for name, call in stage_calls(mpsynth, mode, n, cm):
                 if traced:
+                    gc.collect()  # no garbage of earlier stages is freed inside this one
                     tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
                 start = time.process_time()
                 try:
                     results[name] = call(results)
@@ -102,7 +106,10 @@ def run_cell(mpsynth, mode: str, n: int, m: int) -> dict:
                 seconds = time.process_time() - start
                 entry = cell["stages"].setdefault(name, {})
                 if traced:
-                    entry["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+                    current, peak = tracemalloc.get_traced_memory()
+                    entry["peak_mib"] = round(peak / 2**20, 3)
+                    if name == "loads":  # what the loaded structure keeps
+                        entry["kept_mib"] = round((current - before) / 2**20, 3)
                 else:
                     entry["cpu_s"] = round(seconds, 6)
         finally:
