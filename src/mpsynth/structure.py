@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, filterfalse, islice, repeat
 from operator import and_, eq, ge, le, lt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .costs import CostModel
 
@@ -756,53 +756,52 @@ def from_json_dict(raw: object) -> Dag:
 # The scanner's pieces.  No regex repeats over the node or edge text: a
 # backtracking `(?:...)*` keeps state for every repetition, and the
 # possessive quantifiers and atomic groups that avoid it need Python
-# 3.11, while the package supports 3.10.  str.translate and string
-# equality check that text in C instead.
+# 3.11, while the package supports 3.10.  The scanner compares that text
+# with what dumps writes for it instead, a few thousand nodes or edges
+# at a time.
 _COUNTS_RE = re.compile(r'\],"m":([1-9][0-9]{0,8}),"n":([1-9][0-9]{0,8}),"nodes":\[')
 _NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
 _NO_BRACKETS = dict.fromkeys(map(ord, "[]"))
-_NUMBERS_ONLY = dict.fromkeys(map(ord, '{}":abdeilxy'))
+# the shortest node dumps writes, '{"id":0,"label":null}', and a comma
+_NODE_MIN = 22
 
 
-def _ints(digit_runs: str) -> list[int] | None:
-    """The ints of comma-separated digit runs; None when a run is empty
-    or has a leading zero, as ``json.loads`` rejects both."""
-    try:
-        return json.loads(digit_runs.join("[]"))
-    except ValueError:
-        return None
+def _blocks(piece: str, ints: list[int], per: int) -> Iterator[str]:
+    """``piece % args`` for each ``per`` ints of ``ints`` in turn, joined
+    with commas 4096 at a time, so only that many are held at once."""
+    step = 4096 * per
+    for i in range(0, len(ints), step):
+        args = tuple(ints[i : i + step])
+        yield ",".join(repeat(piece, len(args) // per)) % args
 
 
-def _nodes_as_written(nodes: str, n: int, ids: list[int]) -> bool:
-    """``nodes`` lists ids 0..len(ids)-1 in order, labeled x1..xn, then
-    y1..yn, then null, as dumps writes them."""
-    skeleton = '{"id":,"label":"x"},' * n + '{"id":,"label":"y"},' * n
-    skeleton += '{"id":,"label":null},' * (len(ids) - 2 * n)
-    if nodes.translate(_NO_DIGITS) + "," != skeleton:
-        return False
-    # '{"id":0,"label":"x1"},...,{"id":2n,"label":null}' -> "0,1,...,2n"
-    numbers = _ints(nodes.replace(',"label":null', "").translate(_NUMBERS_ONLY))
-    return (
-        numbers is not None
-        and numbers[: 4 * n : 2] == ids[: 2 * n]
-        and numbers[1 : 4 * n : 2] == ids[1 : n + 1] * 2
-        and numbers[4 * n :] == ids[2 * n :]
-    )
+def _written(text: str, start: int, end: int, blocks: Iterable[str]) -> bool:
+    """``text[start:end]`` is ``blocks`` joined with commas."""
+    sep = ""
+    for block in blocks:
+        if not (text.startswith(sep, start) and text.startswith(block, start + len(sep))):
+            return False
+        start += len(sep) + len(block)
+        sep = ","
+    return start == end
 
 
 def _edge_ends(edges: str, ids: list[int]) -> tuple[list[int], list[int]] | None:
     """The operands and the parents of ``edges`` written as
     ``[c,p],[c,p],...``, each end the int of ``ids`` it names; None for
     any other text or an id past the last node."""
+    # only digits between the brackets and commas, so the ends parse as
+    # ints; json.loads rejects an empty slot and a leading zero
     pairs = edges.translate(_NO_DIGITS)
     if pairs + "," != "[,]," * ((len(pairs) + 1) // 4):
         return None
-    ends = _ints(edges.translate(_NO_BRACKETS))
-    if ends is None:
-        return None
     try:
+        ends = json.loads(edges.translate(_NO_BRACKETS).join("[]"))
         ends = list(map(ids.__getitem__, ends))
-    except IndexError:  # an id past the last node
+    except (ValueError, IndexError):  # not ints, or an id past the last node
+        return None
+    # every digit in its slot: not '[1,]5' or '[1,2]3'
+    if not _written(edges, 0, len(edges), _blocks("[%d,%d]", ends, 2)):
         return None
     return ends[0::2], ends[1::2]
 
@@ -824,10 +823,20 @@ def _scan(text: str) -> Dag | None:
         return None
     m, n = int(counts[1]), int(counts[2])
     size = text.count("{", counts.end())  # one per node
-    if m < 2 or n < 2 or size < 2 * n:  # before any text of n's size is made
+    nodes_end = len(text) - 3
+    # before anything of size n or size is made
+    if m < 2 or n < 2 or size < 2 * n or _NODE_MIN * size > nodes_end - counts.end() + 1:
         return None
     ids = list(range(size))
-    if not _nodes_as_written(text[counts.end() : -3], n, ids):
+    inputs = ids[1 : n + 1]
+    # id and label number of x1..xn, then of y1..yn
+    labeled = list(chain.from_iterable(zip(ids, inputs + inputs)))
+    nodes = chain(
+        _blocks('{"id":%d,"label":"x%d"}', labeled[: 2 * n], 2),
+        _blocks('{"id":%d,"label":"y%d"}', labeled[2 * n :], 2),
+        _blocks('{"id":%d,"label":null}', ids[2 * n :], 1),
+    )
+    if not _written(text, counts.end(), nodes_end, nodes):
         return None
     edges = _edge_ends(text[10:mid], ids)
     if edges is None:
@@ -846,7 +855,6 @@ def _scan(text: str) -> Dag | None:
         return None
     children: list[list[int]] = list(map(list, repeat((), size)))
     deque(map(list.append, map(children.__getitem__, parents), operands), maxlen=0)
-    inputs = ids[1 : n + 1]
     labels = tuple(zip(repeat("x"), inputs)) + tuple(zip(repeat("y"), inputs))
     dag = Dag(
         n=n,

@@ -939,6 +939,10 @@ def _text_mutants(text: str) -> dict[str, str]:
     top = size - 1
     backward = edges + [[top, 2 * raw["n"]]]
     compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    # the first edge's parent moved out of its slot, '[1,]23', or one
+    # digit of it past its bracket, '[1,2]3'
+    c, p = map(str, edges[0])
+    assert len(p) > 1
     return {
         "space after a comma": text.replace(",", ", ", 1),
         "keys reordered": json.dumps(reordered, separators=(",", ":")) + "\n",
@@ -946,8 +950,13 @@ def _text_mutants(text: str) -> dict[str, str]:
         "leading zero": text.replace(first, "[01,5]", 1),
         "empty slot": text.replace(first, "[,5]", 1),
         "three ends": text.replace(first, "[1,2,3]", 1),
+        "parent past its slot": text.replace(first, f"[{c},]{p}", 1),
+        "digit past an edge": text.replace(first, f"[{c},{p[:-1]}]{p[-1]}", 1),
+        "digit in a key": text.replace('"label":"x1"', '"lab1el":"x"', 1),
+        "digit past a key": text.replace('{"id":0,', '{"id"0:,', 1),
         "leading zero in m": text.replace('"m":3', '"m":03', 1),
         "n past the node count": text.replace(f'"n":{raw["n"]},', '"n":1000000,', 1),
+        "braces in the node list": text.replace('"nodes":[', '"nodes":[' + "{" * 10**5, 1),
         "non-ASCII digit": text.replace(first, first.replace("0", "٠", 1), 1),
         "true as an id": text.replace('{"id":0,', '{"id":true,', 1),
         "gap in the ids": text.replace(f'{{"id":{top},', f'{{"id":{top + 1},', 1),
@@ -990,9 +999,11 @@ def test_texts_dumps_did_not_write_load_as_json_reads_them(cm_steep):
             assert _as_loaded(got) == _as_loaded(want), name
         outcomes.add(type(want))
     assert outcomes == {str, Dag}  # some mutants load, some are refused
-    # a declared n past the node count is refused in small memory
-    peak, _ = _traced(lambda: structure._scan(mutants["n past the node count"]))
-    assert peak < 2**20
+    # a declared n past the node count, or a node count past what the
+    # node text can hold, is refused in small memory
+    for name in ("n past the node count", "braces in the node list"):
+        peak, _ = _traced(lambda: structure._scan(mutants[name]))
+        assert peak < 2**20, name
 
 
 def test_the_scanner_peaks_at_most_three_fifths_of_json():
