@@ -28,9 +28,9 @@ structure made any other way: by hand, or loaded from a file whose
 edges run backward or list a node's operands out of order.
 :func:`loads` reads the exact text :func:`dumps` writes with a scanner
 that parses only its ints, with no JSON dict per node or list per edge,
-and hands over the same operands and order :func:`from_json_dict`
-would; any other text goes through ``json.loads`` and
-:func:`from_json_dict`.
+checks that the text is what :func:`dumps` writes for those ints, and
+hands over the same operands and order :func:`from_json_dict` would;
+any other text goes through ``json.loads`` and :func:`from_json_dict`.
 """
 
 from __future__ import annotations
@@ -756,9 +756,9 @@ def from_json_dict(raw: object) -> Dag:
 # The scanner's pieces.  No regex repeats over the node or edge text: a
 # backtracking `(?:...)*` keeps state for every repetition, and the
 # possessive quantifiers and atomic groups that avoid it need Python
-# 3.11, while the package supports 3.10.  The scanner compares that text
-# with what dumps writes for it instead, a few thousand nodes or edges
-# at a time.
+# 3.11, while the package supports 3.10.  The scanner compares the node
+# text with what dumps writes for it, a few thousand nodes at a time, and
+# checks the edge text's punctuation with str.translate and str.count.
 _COUNTS_RE = re.compile(r'\],"m":([1-9][0-9]{0,8}),"n":([1-9][0-9]{0,8}),"nodes":\[')
 _NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
 _NO_BRACKETS = dict.fromkeys(map(ord, "[]"))
@@ -790,18 +790,21 @@ def _edge_ends(edges: str, ids: list[int]) -> tuple[list[int], list[int]] | None
     """The operands and the parents of ``edges`` written as
     ``[c,p],[c,p],...``, each end the int of ``ids`` it names; None for
     any other text or an id past the last node."""
-    # only digits between the brackets and commas, so the ends parse as
-    # ints; json.loads rejects an empty slot and a leading zero
+    # only digits besides the brackets and commas of '[,],[,],...,[,]'
     pairs = edges.translate(_NO_DIGITS)
-    if pairs + "," != "[,]," * ((len(pairs) + 1) // 4):
+    count = (len(pairs) + 1) // 4
+    if pairs + "," != "[,]," * count:
         return None
-    try:
+    # and every digit in a slot: none before the first '[', after the
+    # last ']' or inside a '],['
+    if not (edges.startswith("[") and edges.endswith("]")):
+        return None
+    if edges.count("],[") != count - 1:
+        return None
+    try:  # json.loads rejects an empty slot and a leading zero
         ends = json.loads(edges.translate(_NO_BRACKETS).join("[]"))
         ends = list(map(ids.__getitem__, ends))
     except (ValueError, IndexError):  # not ints, or an id past the last node
-        return None
-    # every digit in its slot: not '[1,]5' or '[1,2]3'
-    if not _written(edges, 0, len(edges), _blocks("[%d,%d]", ends, 2)):
         return None
     return ends[0::2], ends[1::2]
 
@@ -869,8 +872,9 @@ def loads(text: str | bytes) -> Dag:
     """The structure in a JSON file (text or UTF-8 bytes), as
     :func:`from_json_dict` reads it; raises ``ValueError`` on a file that
     is not JSON or not a structure.  The text :func:`dumps` writes is
-    read by a scanner that parses only its ints; any other text goes
-    through ``json.loads``."""
+    read by a scanner that parses only its ints and compares the text
+    with what :func:`dumps` writes for them; any other text goes through
+    ``json.loads``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     dag = _scan(text)

@@ -940,9 +940,12 @@ def _text_mutants(text: str) -> dict[str, str]:
     backward = edges + [[top, 2 * raw["n"]]]
     compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
     # the first edge's parent moved out of its slot, '[1,]23', or one
-    # digit of it past its bracket, '[1,2]3'
+    # digit of it past its bracket, '[1,2]3'; its operand before its
+    # bracket, '1[,23]'; the last edge's parent past its bracket
     c, p = map(str, edges[0])
     assert len(p) > 1
+    c_last, p_last = map(str, edges[-1])
+    last_input = f'"x{raw["n"]}"}},'
     return {
         "space after a comma": text.replace(",", ", ", 1),
         "keys reordered": json.dumps(reordered, separators=(",", ":")) + "\n",
@@ -952,8 +955,14 @@ def _text_mutants(text: str) -> dict[str, str]:
         "three ends": text.replace(first, "[1,2,3]", 1),
         "parent past its slot": text.replace(first, f"[{c},]{p}", 1),
         "digit past an edge": text.replace(first, f"[{c},{p[:-1]}]{p[-1]}", 1),
+        "operand before its bracket": text.replace(first, f"{c}[,{p}]", 1),
+        "last parent past its bracket": text.replace(
+            f'[{c_last},{p_last}]],"m"', f'[{c_last},]{p_last}],"m"', 1
+        ),
         "digit in a key": text.replace('"label":"x1"', '"lab1el":"x"', 1),
         "digit past a key": text.replace('{"id":0,', '{"id"0:,', 1),
+        "no comma after the last input": text.replace(last_input, last_input[:-1] + " ", 1),
+        "digit past the last node": text[:-3] + "5" + text[-3:],
         "leading zero in m": text.replace('"m":3', '"m":03', 1),
         "n past the node count": text.replace(f'"n":{raw["n"]},', '"n":1000000,', 1),
         "braces in the node list": text.replace('"nodes":[', '"nodes":[' + "{" * 10**5, 1),
@@ -1004,6 +1013,17 @@ def test_texts_dumps_did_not_write_load_as_json_reads_them(cm_steep):
     for name in ("n past the node count", "braces in the node list"):
         peak, _ = _traced(lambda: structure._scan(mutants[name]))
         assert peak < 2**20, name
+
+
+def test_a_file_missing_outputs_loads_as_json_reads_it():
+    # dumps writes it, but with y2 and y3 missing it is not the text of
+    # a structure with outputs y1..yn, which is all the scanner reads
+    labels = (("x", 1), ("x", 2), ("x", 3), ("y", 1))
+    dag = Dag(n=3, m=2, labels=labels, children=((), (), (), (0,)))
+    text = dumps(dag)
+    assert structure._scan(text) is None
+    assert loads(text) == dag
+    assert _as_loaded(loads(text)) == _as_loaded(_json_path(text))
 
 
 def test_the_scanner_peaks_at_most_three_fifths_of_json():
