@@ -5,9 +5,10 @@ counterpart here, runnable at desk scale: exhaustive degree/type-vector
 generation, star-tree and rooted-tree enumeration up to isomorphism
 (the tests check each against a second, independently derived
 generation or counting strategy, because a single enumerator
-validating itself proves nothing), a literal path-walking star-tree
-latency oracle, a per-copy builder of
-replicated structures under any leaf labeling
+validating itself proves nothing), a literal star-tree latency oracle
+that walks every leaf pair's path over the internal nodes alone (a
+leaf adds nothing), a per-copy builder of replicated structures under
+any leaf labeling
 (:func:`structure_from_labeled_copies`, the reference for the cyclic
 builder), and a bundled :func:`verify_report` that cross-checks every
 optimizer answer and is exposed through the command line.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .costs import CostModel, format_rational
 from .drt import LEAF, Rooted, degree_vector, tree_latency
@@ -136,48 +137,40 @@ def enumerate_type_vectors(n: int, m: int) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# star-tree enumeration (two strategies)
+# star-tree enumeration
 
 
-def _unrooted_code(adj: dict[int, list[int]], extra_leaves: dict[int, int]) -> str:
-    """Canonical form of an internal skeleton with ``extra_leaves[v]``
-    anonymous leaves attached to each vertex; leaves indistinguishable."""
+def _unrooted_code(adj: list[list[int]], targets: list[int]) -> str:
+    """Canonical form of an internal skeleton whose vertex ``v`` carries
+    ``targets[v] - len(adj[v])`` anonymous leaves; leaves indistinguishable."""
 
-    def rooted_code(v: int, parent: Optional[int]) -> str:
-        subs = sorted(rooted_code(u, v) for u in adj[v] if u != parent)
-        return "(" + "L" * extra_leaves[v] + "".join(subs) + ")"
+    def subs(v: int, parent: int) -> list[str]:  # v's sorted subtree codes
+        return sorted([code(u, subs(u, v)) for u in adj[v] if u != parent])
 
-    # center(s) of the skeleton: peel leaves layer by layer
+    def code(v: int, parts: list[str]) -> str:
+        return "(" + "L" * (targets[v] - len(adj[v])) + "".join(parts) + ")"
+
     if len(adj) == 1:
-        centers = [next(iter(adj))]
-    else:
-        degree = {v: len(nb) for v, nb in adj.items()}
-        layer = [v for v in adj if degree[v] <= 1]
-        remaining = len(adj)
-        while remaining > 2:
-            nxt = []
-            for v in layer:
-                remaining -= 1
-                for u in adj[v]:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-            layer = nxt
-        centers = layer
-    return min(rooted_code(c, None) for c in centers)
-
-
-def _star_tree_from_skeleton(
-    adj: dict[int, list[int]], target_degree: dict[int, int], m: int
-) -> StarTree:
-    """The skeleton (vertices 0..k-1) with its anonymous leaves hung on,
-    numbered k, k+1, ... in vertex order."""
-    full_adj = [list(adj[v]) for v in range(len(adj))]
-    for v in range(len(adj)):
-        for _ in range(target_degree[v] - len(adj[v])):
-            full_adj.append([v])
-            full_adj[v].append(len(full_adj) - 1)
-    return StarTree.from_adjacency(full_adj, m)
+        return code(0, [])
+    # center(s) of the skeleton: peel leaves layer by layer
+    degree = [len(nb) for nb in adj]
+    layer = [v for v, d in enumerate(degree) if d == 1]
+    remaining = len(adj)
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            remaining -= 1
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    if len(layer) == 1:
+        return code(layer[0], subs(layer[0], -1))
+    # two centers a - b: each hangs below the other with its other subtrees
+    a, b = layer
+    sa, sb = subs(a, b), subs(b, a)
+    return min(code(a, sorted(sa + [code(b, sb)])), code(b, sorted(sb + [code(a, sa)])))
 
 
 def enumerate_star_trees(
@@ -199,38 +192,51 @@ def enumerate_star_trees(
     if n > budget.max_star_leaves:
         raise BudgetExceeded(f"n = {n} exceeds star-tree budget {budget.max_star_leaves}")
 
-    # A state is an internal skeleton's adjacency, each vertex's target
-    # degree, and the classes still to place.  The first step places one
-    # node on an empty skeleton; later steps hang one on each vertex that
-    # still owns an anonymous leaf.  Every state in a frontier has placed
-    # as many nodes, so remaining counts are exhausted simultaneously.
-    frontier: dict[str, tuple] = {"": ({}, {}, q)}
+    # A state is an internal skeleton's adjacency lists, each vertex's
+    # target degree, and the classes still to place.  The first step
+    # places one node on an empty skeleton; later steps hang one on each
+    # vertex that still owns an anonymous leaf.  Every state in a frontier
+    # has placed as many nodes, so remaining counts are exhausted
+    # simultaneously.  A candidate is hung on the state's own lists and
+    # taken off again; only a new shape is copied into the next frontier.
+    frontier: dict[str, tuple] = {"": ([], [], q)}
     while any(sum(rem) > 0 for _, _, rem in frontier.values()):
         nxt: dict[str, tuple] = {}
         for adj, targets, rem in frontier.values():
-            hooks = [v for v in adj if targets[v] > len(adj[v])] if adj else [None]
+            new_v = len(adj)
+            hooks = [v for v in range(new_v) if targets[v] > len(adj[v])] if adj else [None]
             for k in range(m - 1):
                 if rem[k] == 0:
                     continue
                 rem2 = rem[:k] + (rem[k] - 1,) + rem[k + 1 :]
+                targets.append(k + 3)
                 for v in hooks:
-                    adj2 = {u: list(nb) for u, nb in adj.items()}
-                    new_v = len(adj2)
-                    adj2[new_v] = [] if v is None else [v]
+                    if v is None:
+                        adj.append([])
+                    else:
+                        adj.append([v])
+                        adj[v].append(new_v)
+                    key = _unrooted_code(adj, targets)
+                    if key not in nxt:
+                        nxt[key] = ([list(nb) for nb in adj], targets[:], rem2)
+                    adj.pop()
                     if v is not None:
-                        adj2[v].append(new_v)
-                    targets2 = {**targets, new_v: k + 3}
-                    key = _unrooted_code(adj2, {u: targets2[u] - len(adj2[u]) for u in adj2})
-                    nxt.setdefault(key, (adj2, targets2, rem2))
+                        adj[v].pop()
+                targets.pop()
             if len(nxt) > budget.max_count:
                 raise BudgetExceeded("star-tree enumeration exceeded max_count")
         frontier = nxt
 
-    # a final key is the shape code of its tree: sort by the keys
-    return [
-        _star_tree_from_skeleton(adj, targets, m)
-        for _, (adj, targets, _) in sorted(frontier.items())
-    ]
+    # a final key is the shape code of its tree: sort by the keys, and
+    # hang each skeleton's anonymous leaves on, numbered in vertex order
+    trees = []
+    for _, (adj, targets, _) in sorted(frontier.items()):
+        for v in range(len(targets)):
+            for _ in range(targets[v] - len(adj[v])):
+                adj.append([v])
+                adj[v].append(len(adj) - 1)
+        trees.append(StarTree.from_adjacency(adj, m))
+    return trees
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +314,32 @@ def oracle_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
     """Literal definition: the most, over leaf-to-leaf simple paths, of
     ``l[degree(v) - 1]`` summed over the path's nodes.
 
-    One walk from each leaf ``a`` carries the path sum from ``a``, so the
-    path to every leaf ``b > a`` is summed exactly once, on the model's
+    Leaves add nothing, so the path from a leaf of internal node ``a`` to
+    a leaf of internal node ``b`` sums the internal nodes from ``a`` to
+    ``b`` (``a`` alone when ``a = b``, which needs two leaves on ``a``).
+    One walk over the internal nodes from each ``a`` that holds a leaf
+    sums the path to every such ``b > a`` exactly once, on the model's
     integer latencies (:attr:`CostModel.scaled_l`).
     """
     scale, lat = cm.scaled_l
-    adj = tree.adj
-    weight = [0 if lbl is not None else lat[len(nb) - 1] for lbl, nb in zip(tree.labels, adj)]
-    best = 0
-    for a in tree.leaves():
-        stack = [(a, a, 0)]  # (node, node the walk came from, path sum before node)
+    labels = tree.labels
+    weight, inner, held = [], [], []  # per node; leaves get empty entries
+    for lbl, nb in zip(labels, tree.adj):
+        internal = [u for u in nb if labels[u] is None] if lbl is None else []
+        weight.append(lat[len(nb) - 1] if lbl is None else 0)
+        inner.append(internal)
+        held.append(len(nb) - len(internal) if lbl is None else 0)
+    ends = [a for a, h in enumerate(held) if h]
+    best = max((weight[a] for a in ends if held[a] > 1), default=0)
+    for a in ends:
+        stack = [(a, a, weight[a])]  # (node, node the walk came from, path sum)
         while stack:
             v, came_from, total = stack.pop()
-            total += weight[v]
-            if v > a and total > best and len(adj[v]) == 1:  # a leaf b = v ends a path
+            if v > a and total > best and held[v]:  # a leaf of b = v ends a path
                 best = total
-            for u in adj[v]:
+            for u in inner[v]:
                 if u != came_from:
-                    stack.append((u, v, total))
+                    stack.append((u, v, total + weight[u]))
     return Fraction(best, scale)
 
 

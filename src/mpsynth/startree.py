@@ -23,8 +23,9 @@ a degree vector comes from :func:`mpsynth.staropt.min_star_latency`,
 and every tree of a degree vector from
 :func:`mpsynth.oracles.enumerate_star_trees`; both number the leaves
 through :meth:`StarTree.from_adjacency`.  A tree's latency is read off
-its structure (:func:`mpsynth.structure.latency`) or walked leaf to
-leaf by :func:`mpsynth.oracles.oracle_star_tree_latency`.
+its structure (:func:`mpsynth.structure.latency`) or walked over the
+internal nodes of every leaf pair's path by
+:func:`mpsynth.oracles.oracle_star_tree_latency`.
 """
 
 from __future__ import annotations

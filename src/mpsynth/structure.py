@@ -22,10 +22,11 @@ structure has one topological order and computes its canonical node
 order at most once, so loading, checking and writing it walk one order.
 The code that makes a structure hands over the order it already knows:
 :meth:`DagBuilder.build` its id order (every node is made after its
-operands), and :func:`from_json_dict` the file's own order whenever the
-file reads as :func:`dumps` writes it.  Kahn's sort runs only for a
-structure made any other way: by hand, or loaded from a file whose
-edges run backward or list a node's operands out of order.
+operands), and :func:`_scan` the file's order, outputs last.  Kahn's
+sort runs only for a structure made any other way, by hand or by
+:func:`from_json_dict`; it takes the ready node that comes first in
+that same order, so a file :func:`dumps` wrote, once re-indented,
+gets the order the scanner hands over for it.
 :func:`loads` reads the exact text :func:`dumps` writes with a scanner
 that parses only its ints, with no JSON dict per node or list per edge,
 checks that the text is what :func:`dumps` writes for those ints, and
@@ -41,6 +42,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain, filterfalse, islice, repeat
 from operator import and_, eq, ge, le, lt
 from typing import Iterable, Iterator, Optional, Sequence
@@ -64,7 +66,7 @@ class Dag:
     and diagnosed.
 
     Its topological order comes from the code that made it: the builder
-    and the loader store the one they know.  A ``Dag`` constructed
+    and the scanner store the one they know.  A ``Dag`` constructed
     directly runs Kahn's sort on first use, which raises on a cycle.
     """
 
@@ -194,18 +196,24 @@ def _with_order(dag: Dag, order: Sequence[int]) -> Dag:
 
 
 def _topological_order(dag: Dag) -> list[int]:
-    """Kahn order (children before parents).  Raises on cycles."""
+    """Kahn order (children before parents) that takes the ready node of
+    least rank: outputs last, every other node in id order.  Where rank
+    order is topological, as in every file dumps writes, it is the
+    order.  Raises on cycles."""
+    size = dag.node_count
+    rank = [v + size if lbl and lbl[0] == "y" else v for v, lbl in enumerate(dag.labels)]
     indeg = [len(cs) for cs in dag.children]
     parents = dag.parent_map()
-    ready = [v for v in range(dag.node_count) if indeg[v] == 0]
+    ready = [rank[v] for v in range(size) if indeg[v] == 0]
+    heapify(ready)
     order: list[int] = []
     while ready:
-        v = ready.pop()
+        v = heappop(ready) % size
         order.append(v)
         for p in parents[v]:
             indeg[p] -= 1
             if indeg[p] == 0:
-                ready.append(p)
+                heappush(ready, rank[p])
     if len(order) != dag.node_count:
         raise ValueError("graph contains a cycle")
     return order
@@ -668,9 +676,7 @@ def _edge_error(edges: list, ids: dict[int, int]) -> str:
 def from_json_dict(raw: object) -> Dag:
     """Inverse of :func:`dumps`, on its parsed JSON; rejects malformed
     input with the offending location, including cycles and duplicate
-    labels.  Node ids and edge endpoints are ints, booleans excluded.
-    A file that reads as :func:`dumps` writes it (see the edge pass)
-    loads without sets, sorts or Kahn's sort."""
+    labels.  Node ids and edge endpoints are ints, booleans excluded."""
     if not isinstance(raw, dict):
         raise ValueError("structure: expected a JSON object")
     for key in ("n", "m", "nodes", "edges"):
@@ -687,10 +693,6 @@ def from_json_dict(raw: object) -> Dag:
     ids: dict[int, int] = {}
     labels: list[Label] = []
     seen_labels: set[str] = set()
-    # rank[v]: v's place in the order "outputs last, every other node in
-    # file order"; a file dumps wrote is topologically sorted in it
-    rank: list[int] = []
-    outputs: list[int] = []
     for entry in nodes:
         # entry is nodes[len(labels)]
         if not isinstance(entry, dict) or "id" not in entry:
@@ -712,20 +714,10 @@ def from_json_dict(raw: object) -> Dag:
                 raise ValueError(f"nodes[{len(labels)}].label: duplicate label {lbl_raw}")
             seen_labels.add(lbl_raw)
             lbl = (match.group(1), int(match.group(2)))
-        v = ids[nid] = len(labels)
+        ids[nid] = len(labels)
         labels.append(lbl)
-        if lbl and lbl[0] == "y":
-            outputs.append(v)
-            v += len(nodes)
-        rank.append(v)
 
-    # Operands collect in lists.  While every edge runs forward in rank
-    # and every node's operands arrive ascending, as in every file dumps
-    # writes, the lists are the sorted operand tuples (no duplicate edge)
-    # and rank order is a topological order (no cycle).
     children: list[list[int]] = [[] for _ in labels]
-    last = [-1] * len(labels)
-    ordered = True
     get = ids.get
     for pair in edges:
         if isinstance(pair, (list, tuple)) and len(pair) == 2:
@@ -733,18 +725,10 @@ def from_json_dict(raw: object) -> Dag:
             if type(c) is int and type(p) is int:
                 ci, pi = get(c), get(p)
                 if ci is not None and pi is not None:
-                    if rank[ci] >= rank[pi] or last[pi] >= ci:
-                        ordered = False
-                    last[pi] = ci
                     children[pi].append(ci)
                     continue
         raise ValueError(_edge_error(edges, ids))
 
-    if ordered:
-        order = [v for v, r in enumerate(rank) if r == v] + outputs
-        return _with_order(
-            Dag(n=n, m=m, labels=tuple(labels), children=tuple(map(tuple, children))), order
-        )
     kids = tuple(tuple(sorted(set(cs))) for cs in children)
     if sum(map(len, kids)) != len(edges):  # a duplicate edge
         raise ValueError(_edge_error(edges, ids))
@@ -814,10 +798,11 @@ def _scan(text: str) -> Dag | None:
     writes for one with inputs x1..xn and outputs y1..yn, read with no
     JSON dict per node or list per edge; None for any other text.
 
-    It makes every check :func:`from_json_dict` makes (ids in range,
-    edges forward in rank, each node's operands ascending, no duplicate
-    edge), so where it reads a structure it returns the same ``Dag`` and
-    order, with one int per node id as there."""
+    Where it reads a structure it returns the ``Dag``
+    :func:`from_json_dict` returns, with one int per node id as there.
+    It also checks that every edge runs forward in rank and each node's
+    operands arrive ascending with no edge repeated, so the operand lists
+    need no sort and rank order is the ``Dag``'s topological order."""
     if not (text.startswith('{"edges":[') and text.endswith("]}\n")):
         return None
     mid = text.find('],"m":')
@@ -845,7 +830,7 @@ def _scan(text: str) -> Dag | None:
     if edges is None:
         return None
     operands, parents = edges
-    # rank as in from_json_dict: outputs last, every other node in id order
+    # rank: outputs last, every other node in id order
     rank = ids[:n] + list(range(size + n, size + 2 * n)) + ids[2 * n :]
     if not all(map(lt, map(rank.__getitem__, operands), map(rank.__getitem__, parents))):
         return None

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import pytest
 
@@ -16,7 +16,6 @@ from mpsynth.oracles import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     EnumerationBudget,
-    _unrooted_code,
     ascending_labeling,
     structure_from_labeled_copies,
 )
@@ -322,6 +321,136 @@ def star_tree_from_degree_vector(
             leaf_stack.append(leaf)
 
     return StarTree.from_adjacency(adj, len(q) + 1)
+
+
+# ---------------------------------------------------------------------------
+# references for the star-tree enumerator and oracle: the same expansion
+# copying every candidate as dicts, and a walk over every node
+
+
+def _unrooted_code(adj: dict[int, list[int]], extra_leaves: dict[int, int]) -> str:
+    """Canonical form of an internal skeleton with ``extra_leaves[v]``
+    anonymous leaves attached to each vertex; leaves indistinguishable."""
+
+    def rooted_code(v: int, parent: Optional[int]) -> str:
+        subs = sorted(rooted_code(u, v) for u in adj[v] if u != parent)
+        return "(" + "L" * extra_leaves[v] + "".join(subs) + ")"
+
+    # center(s) of the skeleton: peel leaves layer by layer
+    if len(adj) == 1:
+        centers = [next(iter(adj))]
+    else:
+        degree = {v: len(nb) for v, nb in adj.items()}
+        layer = [v for v in adj if degree[v] <= 1]
+        remaining = len(adj)
+        while remaining > 2:
+            nxt = []
+            for v in layer:
+                remaining -= 1
+                for u in adj[v]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+            layer = nxt
+        centers = layer
+    return min(rooted_code(c, None) for c in centers)
+
+
+def _star_tree_from_skeleton(
+    adj: dict[int, list[int]], target_degree: dict[int, int], m: int
+) -> StarTree:
+    """The skeleton (vertices 0..k-1) with its anonymous leaves hung on,
+    numbered k, k+1, ... in vertex order."""
+    full_adj = [list(adj[v]) for v in range(len(adj))]
+    for v in range(len(adj)):
+        for _ in range(target_degree[v] - len(adj[v])):
+            full_adj.append([v])
+            full_adj[v].append(len(full_adj) - 1)
+    return StarTree.from_adjacency(full_adj, m)
+
+
+def reference_star_trees(
+    q: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
+) -> list[StarTree]:
+    """The reference for :func:`mpsynth.oracles.enumerate_star_trees`:
+    the same expansion, copying every candidate skeleton as dicts.
+
+    Every star tree with degree vector ``q``, up to isomorphism with
+    unlabeled leaves (leaves get labels 1..n in a fixed walk order, but
+    no two returned trees share an unlabeled shape).
+
+    Grown by repeatedly expanding a leaf into a new internal node,
+    deduplicating shapes at every step; the peeling argument behind the
+    feasibility identity guarantees completeness.
+    """
+    q = tuple(q)
+    m = len(q) + 1
+    if sum(q) == 0:
+        raise ValueError("degree vector has no internal nodes")
+    n = feasible_input_size(q)
+    if n > budget.max_star_leaves:
+        raise BudgetExceeded(f"n = {n} exceeds star-tree budget {budget.max_star_leaves}")
+
+    # A state is an internal skeleton's adjacency, each vertex's target
+    # degree, and the classes still to place.  The first step places one
+    # node on an empty skeleton; later steps hang one on each vertex that
+    # still owns an anonymous leaf.  Every state in a frontier has placed
+    # as many nodes, so remaining counts are exhausted simultaneously.
+    frontier: dict[str, tuple] = {"": ({}, {}, q)}
+    while any(sum(rem) > 0 for _, _, rem in frontier.values()):
+        nxt: dict[str, tuple] = {}
+        for adj, targets, rem in frontier.values():
+            hooks = [v for v in adj if targets[v] > len(adj[v])] if adj else [None]
+            for k in range(m - 1):
+                if rem[k] == 0:
+                    continue
+                rem2 = rem[:k] + (rem[k] - 1,) + rem[k + 1 :]
+                for v in hooks:
+                    adj2 = {u: list(nb) for u, nb in adj.items()}
+                    new_v = len(adj2)
+                    adj2[new_v] = [] if v is None else [v]
+                    if v is not None:
+                        adj2[v].append(new_v)
+                    targets2 = {**targets, new_v: k + 3}
+                    key = _unrooted_code(adj2, {u: targets2[u] - len(adj2[u]) for u in adj2})
+                    nxt.setdefault(key, (adj2, targets2, rem2))
+            if len(nxt) > budget.max_count:
+                raise BudgetExceeded("star-tree enumeration exceeded max_count")
+        frontier = nxt
+
+    # a final key is the shape code of its tree: sort by the keys
+    return [
+        _star_tree_from_skeleton(adj, targets, m)
+        for _, (adj, targets, _) in sorted(frontier.items())
+    ]
+
+
+def reference_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
+    """The reference for :func:`mpsynth.oracles.oracle_star_tree_latency`,
+    walking leaves as well as internal nodes.
+
+    Literal definition: the most, over leaf-to-leaf simple paths, of
+    ``l[degree(v) - 1]`` summed over the path's nodes.
+
+    One walk from each leaf ``a`` carries the path sum from ``a``, so the
+    path to every leaf ``b > a`` is summed exactly once, on the model's
+    integer latencies (:attr:`CostModel.scaled_l`).
+    """
+    scale, lat = cm.scaled_l
+    adj = tree.adj
+    weight = [0 if lbl is not None else lat[len(nb) - 1] for lbl, nb in zip(tree.labels, adj)]
+    best = 0
+    for a in tree.leaves():
+        stack = [(a, a, 0)]  # (node, node the walk came from, path sum before node)
+        while stack:
+            v, came_from, total = stack.pop()
+            total += weight[v]
+            if v > a and total > best and len(adj[v]) == 1:  # a leaf b = v ends a path
+                best = total
+            for u in adj[v]:
+                if u != came_from:
+                    stack.append((u, v, total))
+    return Fraction(best, scale)
 
 
 # ---------------------------------------------------------------------------

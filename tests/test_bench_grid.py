@@ -21,6 +21,26 @@ def test_grid_cells_time_and_trace_every_stage():
         assert 0 < loads["kept_mib"] <= loads["peak_mib"]
 
 
+def test_best_cpu_takes_the_least_of_three_samples_under_a_second(monkeypatch):
+    bench = load_tool()
+    calls = []
+
+    def call(arg):
+        calls.append(arg)
+        return len(calls)
+
+    # samples of 0.5, 0.25 and 0.75 s, each on a fresh argument
+    clock = iter([0.0, 0.5, 1.0, 1.25, 2.0, 2.75])
+    monkeypatch.setattr(bench.time, "process_time", lambda: next(clock))
+    made = iter("abc")
+    assert bench.best_cpu(call, lambda: (next(made),)) == (1, 0.25)
+    assert calls == ["a", "b", "c"]
+    # a first sample of 1 s or more is the only one
+    clock = iter([0.0, 1.5])
+    assert bench.best_cpu(call, lambda: ("d",)) == (4, 1.5)
+    assert calls == ["a", "b", "c", "d"]
+
+
 def test_grid_records_a_raising_cell_and_goes_on(monkeypatch):
     bench = load_tool()
 

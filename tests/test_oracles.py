@@ -28,6 +28,8 @@ from mpsynth.structure import Dag
 
 from conftest import (
     count_rooted_trees,
+    reference_star_tree_latency,
+    reference_star_trees,
     star_tree_shape_code,
     star_tree_shape_codes_via_labeled_skeletons,
 )
@@ -92,6 +94,17 @@ def test_enumerated_trees_carry_the_requested_vector():
 def test_star_budget_enforced():
     with pytest.raises(BudgetExceeded):
         enumerate_star_trees((20,), EnumerationBudget(max_star_leaves=12))
+    with pytest.raises(BudgetExceeded, match="max_count"):
+        enumerate_star_trees((6, 2), EnumerationBudget(max_count=5))
+
+
+def test_enumeration_matches_the_reference_list():
+    # the same trees, leaf labels and order as the copying reference
+    for m in (2, 3, 4, 6):
+        for n in range(3, 13):
+            for q in enumerate_degree_vectors(n, m):
+                if sum(q) > 0:
+                    assert enumerate_star_trees(q) == reference_star_trees(q), q
 
 
 def test_enumeration_is_sorted_by_shape_code():
@@ -108,6 +121,7 @@ def test_enumeration_is_sorted_by_shape_code():
 # literal latency oracles on ints, against the Fraction versions they replaced
 
 MIXED_L = (1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7))
+OTHER_L = (Fraction(5, 4), Fraction(7, 3), Fraction(5, 2), Fraction(11, 3), 4)
 
 
 def fraction_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
@@ -154,6 +168,19 @@ def test_star_tree_oracle_matches_fraction_reference():
                     for tree in enumerate_star_trees(q):
                         want = fraction_star_tree_latency(tree, cm)
                         assert oracle_star_tree_latency(tree, cm) == want, (m, q)
+
+
+def test_star_tree_oracle_matches_the_reference_walk():
+    # the internal-node walk against the walk over every node
+    for m in (2, 3, 4, 6):
+        for factors in (MIXED_L, OTHER_L):
+            cm = CostModel.from_factors(m, [1] * (m - 1), factors[: m - 1])
+            for n in range(3, 12):
+                for q in enumerate_degree_vectors(n, m):
+                    if sum(q) > 0:
+                        for tree in enumerate_star_trees(q):
+                            want = reference_star_tree_latency(tree, cm)
+                            assert oracle_star_tree_latency(tree, cm) == want, (m, q)
 
 
 def test_tree_latency_matches_fraction_reference():

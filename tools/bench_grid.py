@@ -21,20 +21,25 @@ the grid goes on.  Standard library only; mpsynth is imported from
 ``--src`` (default: ``src/`` of this checkout), so one script measures
 any commit.  One process, one cell at a time.
 
+Every CPU time in the file is the least of 3 untraced samples when the
+first is under 1 s (``best_cpu``), so no single sample carries the
+host's drift into it.  A stage's repeats run on the same earlier
+results, after its first sample has filled what the program caches.
+
 A separate ``verify`` row times :func:`mpsynth.verify_report` (the
 optimizer-versus-oracle report) for n in 5..12 and m in {3, 4}: CPU
-seconds of one untraced call, then the tracemalloc peak of a second,
-traced call.  Its cost model ties fan-ins 2 and 3 (``VERIFY_FACTORS``),
-so several degree vectors are optimal and each has its star trees
-enumerated, as in the ``ties-verify`` benchmark workload.
+seconds of untraced calls, then the tracemalloc peak of a traced call.
+Its cost model ties fan-ins 2 and 3 (``VERIFY_FACTORS``), so several
+degree vectors are optimal and each has its star trees enumerated, as
+in the ``ties-verify`` benchmark workload.
 
 A ``broken`` row times :func:`mpsynth.validate` on two broken variants
 of the loaded star structure, for m = 3 and n in {64, 256, 1024, 4096}:
 ``extra_operand`` (x3 added as an operand of x1's first computation
 parent, so most outputs are not trees) and ``duplicate_node`` (a
 parentless copy of the last computation node, which sits on the highest
-level).  CPU seconds of one untraced call, then the tracemalloc peak of
-a second, traced call on a fresh copy of the variant.
+level).  CPU seconds of untraced calls, then the tracemalloc peak of a
+traced call, each on a fresh copy of the variant.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ MODES = ("star", "isom")
 SIZES = (64, 256, 1024, 4096, 10000)
 FAN_INS = (2, 3, 4, 6)
 STAGES = ("synthesize", "dumps", "to_dot", "loads", "validate", "complexity", "latency")
+SAMPLES = 3
+REPEAT_BELOW_S = 1.0
 VERIFY_SIZES = tuple(range(5, 13))
 VERIFY_FAN_INS = (3, 4)
 # c = (1, 3/2, 2) and l = (1, 3/2, 2) for fan-ins 2..4, cut to m: a
@@ -66,6 +73,22 @@ BROKEN_FAN_IN = 3
 def cost_factors(m: int) -> tuple[list[int], list[int]]:
     """``c[k] = k - 1`` and ``l[k] = 1`` for fan-in k = 2..m."""
     return list(range(1, m)), [1] * (m - 1)
+
+
+def best_cpu(call, make):
+    """``call(*make())``'s first result and its CPU seconds: the least of
+    ``SAMPLES`` samples when the first is under ``REPEAT_BELOW_S``, else
+    the first.  ``make`` runs untimed before each sample."""
+    args = make()
+    start = time.process_time()
+    result = call(*args)
+    best = time.process_time() - start
+    for _ in range(SAMPLES - 1 if best < REPEAT_BELOW_S else 0):
+        args = make()
+        start = time.process_time()
+        call(*args)
+        best = min(best, time.process_time() - start)
+    return result, best
 
 
 def stage_calls(mpsynth, mode: str, n: int, cm):
@@ -96,14 +119,15 @@ def run_cell(mpsynth, mode: str, n: int, m: int) -> dict:
                     gc.collect()  # no garbage of earlier stages is freed inside this one
                     tracemalloc.reset_peak()
                     before = tracemalloc.get_traced_memory()[0]
-                start = time.process_time()
                 try:
-                    results[name] = call(results)
+                    if traced:
+                        results[name] = call(results)
+                    else:
+                        results[name], seconds = best_cpu(call, lambda: (results,))
                 except Exception as exc:  # a failing cell is data, not the end of the grid
                     kind, message = type(exc).__name__, str(exc)[:200]
                     cell["error"] = {"stage": name, "type": kind, "message": message}
                     break
-                seconds = time.process_time() - start
                 entry = cell["stages"].setdefault(name, {})
                 if traced:
                     current, peak = tracemalloc.get_traced_memory()
@@ -149,9 +173,7 @@ def run_verify_row(mpsynth, sizes=VERIFY_SIZES, fan_ins=VERIFY_FAN_INS) -> list[
             cell: dict = {"n": n, "m": m, "error": None}
             try:
                 gc.collect()
-                start = time.process_time()
-                report = mpsynth.verify_report(n, cm)
-                seconds = time.process_time() - start
+                report, seconds = best_cpu(mpsynth.verify_report, lambda: (n, cm))
                 cell.update(cpu_s=round(seconds, 6), ok=report.ok, checks=len(report.checks))
                 gc.collect()
                 tracemalloc.start()
@@ -200,10 +222,8 @@ def run_broken_row(mpsynth, sizes=BROKEN_SIZES) -> list[dict]:
             cell: dict = {"variant": name, "n": n, "m": m, "error": None}
             try:
                 gc.collect()
-                broken = variant(mpsynth.Dag, dag)
-                start = time.process_time()
-                report = mpsynth.validate(broken)
-                seconds = time.process_time() - start
+                # a fresh variant per sample: validate caches its order
+                report, seconds = best_cpu(mpsynth.validate, lambda: (variant(mpsynth.Dag, dag),))
                 cell.update(cpu_s=round(seconds, 6), failed=list(report.failed()))
                 broken = variant(mpsynth.Dag, dag)  # its order is worked out again
                 gc.collect()
@@ -240,7 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "clock": "cpu_s: time.process_time, untraced; peak_mib: tracemalloc, a second run",
+        "clock": (
+            f"cpu_s: time.process_time, untraced, least of {SAMPLES} samples when the first"
+            f" is under {REPEAT_BELOW_S} s; peak_mib: tracemalloc, a second run"
+        ),
         "cost_model": "c[k] = k - 1, l[k] = 1 for k = 2..m",
         "stages": list(STAGES),
         "cells": cells,
