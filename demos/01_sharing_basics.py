@@ -10,13 +10,13 @@ same two-stage latency.
 
 from mpsynth import CostModel, complexity, latency, to_dot, validate
 from mpsynth.oracles import ascending_labeling, structure_from_labeled_copies
-from mpsynth.uniform import structure_from_uniform_tree, uniform_tree_from_type_vector
+from mpsynth.uniform import UniformTree, structure_from_uniform_tree
 
 cm = CostModel.from_factors(3, c=[1, 2], l=[1, 1])
 print("cost model: 2-input unit costs 1, 3-input unit costs 2, both take 1 tick\n")
 
 # each output's tree: a 2-input root over two 3-input units (6 leaves)
-shape = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
+shape = UniformTree((2, 3))
 print(f"per-output tree shape: fan-ins {shape.levels}, {shape.leaf_count} leaves")
 
 standalone_units = 7 * 2, 7 * 1

@@ -28,6 +28,37 @@ class CostModelError(ValueError):
     """A cost model config violates the schema or an invariant."""
 
 
+# Each factor sequence, over the LCM of its denominators, stays below
+# 10**_MAX_DIGITS: far inside the 4300 digits Python prints an int with,
+# so every complexity and latency derived from a model prints too.
+_MAX_DIGITS = 1000
+_BOUND = 10**_MAX_DIGITS
+
+
+def _too_long(text: str) -> bool:
+    """Whether the rational ``text`` spells is written with more than
+    ``_MAX_DIGITS`` digits in ``p`` or ``q`` of ``p/q``, or in a decimal
+    counting its exponent; read without building the number
+    ("1e-10000000" has a ten-million-digit denominator)."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if not exponent and len(text) <= _MAX_DIGITS:
+        return False
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(exponent) > len(str(_MAX_DIGITS)):
+        return True
+    shift = int(exponent) if exponent.isdecimal() else 0
+    digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
+    return digits + shift > _MAX_DIGITS
+
+
+def _json_number(text: str) -> int | Fraction | str:
+    """A JSON number, exactly; one too long to read stays text, which
+    :func:`_as_fraction` then refuses under its field's name."""
+    if _too_long(text):
+        return text
+    return int(text) if text.lstrip("-").isdecimal() else Fraction(text)
+
+
 def _as_fraction(value: object, field: str) -> Fraction:
     if isinstance(value, bool):
         raise CostModelError(f"{field}: expected a rational, got a boolean")
@@ -35,8 +66,10 @@ def _as_fraction(value: object, field: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         # Exact decimal reading, not the binary float expansion.
-        return Fraction(str(value))
+        value = str(value)
     if isinstance(value, str):
+        if _too_long(value):
+            raise CostModelError(f"{field}: more than {_MAX_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -94,6 +127,11 @@ class CostModel:
                         f"{name}[{i + 1}]: monotonicity violated at"
                         f" {name}[{i + 1}] = {seq[i + 1]} < {name}[{i}] = {seq[i]}"
                     )
+            scale, ints = getattr(self, f"scaled_{name}")
+            if max(scale, ints[-1]) >= _BOUND:
+                raise CostModelError(
+                    f"{name}: needs more than {_MAX_DIGITS} digits over the LCM of its denominators"
+                )
 
     @cached_property
     def scaled_l(self) -> tuple[int, tuple[int, ...]]:
@@ -157,7 +195,7 @@ def load_cost_model(source: bytes | str) -> CostModel:
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     try:
-        raw = json.loads(source, parse_float=lambda s: Fraction(s))
+        raw = json.loads(source, parse_int=_json_number, parse_float=_json_number)
     except json.JSONDecodeError as exc:
         raise CostModelError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -178,4 +216,4 @@ def load_cost_model(source: bytes | str) -> CostModel:
 
 def format_rational(x: Fraction) -> str:
     """Render exactly: integers bare, otherwise ``p/q``."""
-    return str(int(x)) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(_format_rational(x))

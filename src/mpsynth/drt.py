@@ -41,11 +41,6 @@ def _internal_nodes(tree: Rooted) -> list[Rooted]:
     return out
 
 
-def leaf_count(tree: Rooted) -> int:
-    # each fan-in d node turns one leaf into d
-    return 1 + sum(len(t) - 1 for t in _internal_nodes(tree))
-
-
 def degree_vector(tree: Rooted, m: int) -> tuple[int, ...]:
     """Count internal nodes by fan-in: entry ``i`` (0-based) counts fan-in ``i+2``."""
     q = [0] * (m - 1)

@@ -146,10 +146,6 @@ class DagBuilder:
             return self._key_to_id[key]
         return self._new_node(key, None, kids)
 
-    def operands(self, node: int) -> tuple[int, ...]:
-        """The sorted operands of ``node``; empty for an input."""
-        return self._children[node]
-
     def output(self, j: int, children: Iterable[int]) -> int:
         kids = tuple(sorted(children))
         if not kids:
@@ -162,25 +158,13 @@ class DagBuilder:
             return node
         return self._new_node(key, ("y", j), kids)
 
-    def build(self, n: int, m: int, keep: Iterable[int] | None = None) -> Dag:
-        """The structure built so far; with ``keep``, only the nodes that
-        feed one of those ids (themselves included), renumbered in id
-        order."""
+    def build(self, n: int, m: int) -> Dag:
+        """Every node built so far, as a structure.  Each node is made
+        after its operands, so id order is its topological order."""
         for cs in self._children:
             if len(cs) > m:
                 raise ValueError(f"fan-in {len(cs)} exceeds bound m = {m}")
-        # every node is made after its operands, and keep renumbers in id
-        # order, so id order is a topological order
         dag = Dag(n=n, m=m, labels=tuple(self._labels), children=tuple(self._children))
-        if keep is not None:
-            order = sorted(_ancestor_set(dag, keep))
-            renum = {v: i for i, v in enumerate(order)}
-            dag = Dag(
-                n=n,
-                m=m,
-                labels=tuple(dag.labels[v] for v in order),
-                children=tuple(tuple(renum[c] for c in dag.children[v]) for v in order),
-            )
         return _with_order(dag, range(dag.node_count))
 
 

@@ -37,12 +37,20 @@ the build takes time and memory proportional to the ``~n * height``
 nodes it makes rather than to the ``n * n`` leaves of all copies.
 
 Below the ring size, the builder cuts the ring of ``n'`` inputs down to
-``n`` as it makes each ``(d, s)``: a leaf past ``x_n`` is dropped, a
-node left with no operand is dropped, a node left with one operand is
-that operand, and an output left with one internal operand takes that
-operand's operands.  Only outputs ``y_1..y_n`` are built, so the
-``n' - n`` surplus inputs and outputs are never made.  Latency and
-complexity never increase: nodes are only removed or merged.
+``n`` as it makes each ``(d, s)``, by two rules: a node left with no
+operand (a leaf past ``x_n`` included) is dropped, and a node left with
+one operand is that operand.  Only outputs ``y_1..y_n`` are built, so
+the ``n' - n`` surplus inputs and outputs are never made, and latency
+and complexity never increase: nodes are only removed or merged.
+
+The builder takes ``n = 2`` and every ``n`` with ``n - 1`` above the
+leaf count of one root child, ``n = n'`` included; in between, ``y_1``
+would keep a single root operand.  Synthesis never asks for those
+sizes.  If one root child covered the ``n - 1`` leaves, the shape
+without its root level would cover them too, so either that level
+weighs something and the ceiling DP's optimum was not optimal, or every
+level weighs nothing and a smaller optimal vector, no more complex,
+wins the tie-break.
 """
 
 from __future__ import annotations
@@ -85,32 +93,15 @@ def leaf_count_of_type_vector(w: Sequence[int]) -> int:
     return prod((i + 2) ** wi for i, wi in enumerate(w))
 
 
-def uniform_tree_from_type_vector(
-    w: Sequence[int],
-    level_order: Sequence[int] | None = None,
-) -> UniformTree:
-    """Realize a type vector as a shape.
-
-    ``level_order`` fixes the top-to-bottom fan-in sequence and must be
-    a permutation of the multiset ``w`` encodes; the default is
-    non-increasing fan-in.  Distinct orders give different shapes with
-    identical latency and (under cyclic labeling) identical complexity.
-    """
+def uniform_tree_from_type_vector(w: Sequence[int]) -> UniformTree:
+    """Realize a type vector as a shape, fan-ins non-increasing top to
+    bottom.  Other level orders (:class:`UniformTree` of any permutation)
+    have identical latency and, under cyclic labeling, complexity."""
     w = tuple(w)
     if any(x < 0 for x in w):
         raise ValueError("type vector entries must be non-negative")
-    multiset = sorted(
-        (i + 2 for i, wi in enumerate(w) for _ in range(wi)),
-        reverse=True,
-    )
-    if level_order is None:
-        return UniformTree(levels=tuple(multiset))
-    if sorted(level_order, reverse=True) != multiset:
-        raise ValueError(
-            f"level order {tuple(level_order)} is not a permutation of the"
-            f" fan-ins encoded by w = {w}"
-        )
-    return UniformTree(levels=tuple(level_order))
+    levels = sorted((i + 2 for i, wi in enumerate(w) for _ in range(wi)), reverse=True)
+    return UniformTree(levels=tuple(levels))
 
 
 def type_vector_latency(w: Sequence[int], cm: CostModel) -> Fraction:
@@ -147,9 +138,12 @@ def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None)
     leaf at offset ``s >= n`` is nothing, a node with no surviving
     operand is nothing, a node with one is that operand, and any other
     is the node over its operands' distinct images, so subtrees the
-    removal made equal merge.  An output left with one internal operand
-    takes that operand's operands; only then can a node be left
-    unreached, and only then are such nodes dropped.
+    removal made equal merge.  Every node made feeds an output.
+
+    ``n`` must be 2 or exceed ``1 +`` the leaf count of one root child:
+    in between, all of ``y_1``'s inputs fit under its first root child,
+    which would leave ``y_1`` a single internal operand.  Latency-first
+    synthesis never asks for those sizes (see the module docstring).
     """
     levels = tree.levels
     if max(levels, default=2) > m:
@@ -160,6 +154,11 @@ def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None)
     if not 2 <= n <= ring:
         raise ValueError(f"need 2 <= n <= {ring} for a tree with {ring - 1} leaves, got n = {n}")
     span = [prod(levels[d:]) for d in range(len(levels) + 1)]
+    if 2 < n <= 1 + span[1]:
+        raise ValueError(
+            f"need n = 2 or n > {1 + span[1]} for levels {levels}, got n = {n}:"
+            " y1 would keep a single root operand"
+        )
     builder = DagBuilder()
     memo: dict[tuple[int, int], int | None] = {}
 
@@ -185,17 +184,9 @@ def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None)
                     memo[key] = kids.pop() if kids else None
         return memo[key]
 
-    outputs = []
-    absorbed = False
     for j in range(1, n + 1):
-        kids = images(1, j) if levels else {emit(0, j % ring)}
-        if len(kids) == 1:
-            (only,) = kids
-            if builder.operands(only):  # one internal operand: take its operands
-                kids = builder.operands(only)
-                absorbed = True
-        outputs.append(builder.output(j, kids))
-    return builder.build(n, m, keep=outputs if absorbed else None)
+        builder.output(j, images(1, j) if levels else {emit(0, j % ring)})
+    return builder.build(n, m)
 
 
 # ---------------------------------------------------------------------------

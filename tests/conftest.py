@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import pytest
 
 from mpsynth.costs import CostModel
+from mpsynth.drt import Rooted, _internal_nodes
 from mpsynth.oracles import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -26,8 +27,9 @@ from mpsynth.structure import (
     _ancestor_set,
     _leaves_failure,
     _topological_order,
+    _with_order,
 )
-from mpsynth.uniform import structure_from_uniform_tree, uniform_tree_from_type_vector
+from mpsynth.uniform import UniformTree, structure_from_uniform_tree
 
 BENCH_GRID = Path(__file__).resolve().parent.parent / "tools" / "bench_grid.py"
 
@@ -184,8 +186,9 @@ def prune(dag: Dag, n: int) -> PruneResult:
     (weights are non-negative and nodes are only removed or merged).
 
     This is the reference for :func:`mpsynth.uniform.structure_from_uniform_tree`,
-    which applies the same rules in one pass as it builds; the tests
-    hold the two to the same bytes.
+    which applies the same rules in one pass as it builds, at the sizes
+    it takes, where no output is left with a single internal operand;
+    the tests hold the two to the same bytes there.
     """
     if n < 2:
         raise ValueError(f"cannot prune to n = {n} < 2")
@@ -221,14 +224,24 @@ def prune(dag: Dag, n: int) -> PruneResult:
                 image[v] = builder.op(kids)
 
     # keep only what the outputs reach (absorbed operands and nodes that
-    # fed removed outputs alone fall away)
-    return PruneResult(builder.build(n, dag.m, keep=outputs), tuple(actions))
+    # fed removed outputs alone fall away), renumbered in id order, which
+    # stays topological
+    built = builder.build(n, dag.m)
+    kept = sorted(_ancestor_set(built, outputs))
+    renum = {v: i for i, v in enumerate(kept)}
+    pruned = Dag(
+        n=n,
+        m=dag.m,
+        labels=tuple(built.labels[v] for v in kept),
+        children=tuple(tuple(renum[c] for c in built.children[v]) for v in kept),
+    )
+    return PruneResult(_with_order(pruned, range(len(kept))), tuple(actions))
 
 
 def seven_input_structure(labeling: str):
     """The two 7-input reference structures: one replicated 2-over-3
     tree per output, leaves labeled either ascending or cyclically."""
-    tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
+    tree = UniformTree((2, 3))
     if labeling == "ascending":
         return structure_from_labeled_copies(tree, ascending_labeling(7), 3)
     return structure_from_uniform_tree(tree, 3)
@@ -514,6 +527,11 @@ def star_tree_shape_code(tree: StarTree) -> str:
     adj = {v: [u for u in tree.adj[v] if tree.labels[u] is None] for v in internal}
     extra = {v: sum(1 for u in tree.adj[v] if tree.labels[u] is not None) for v in internal}
     return _unrooted_code(adj, extra)
+
+
+def leaf_count(tree: Rooted) -> int:
+    # each fan-in d node turns one leaf into d
+    return 1 + sum(len(t) - 1 for t in _internal_nodes(tree))
 
 
 def count_rooted_trees(leaves: int, m: int) -> int:

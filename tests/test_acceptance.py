@@ -52,6 +52,7 @@ from mpsynth.structure import (
     validate,
 )
 from mpsynth.uniform import (
+    UniformTree,
     min_uniform_latency,
     structure_from_uniform_tree,
     synthesize_min_latency,
@@ -100,7 +101,7 @@ def _single_output_copy(levels, j: int, leaf_labels: list[int], n: int, m: int) 
 
 def test_c1_reference_structures():
     with criterion("1 reference-structure reproduction"):
-        tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
+        tree = UniformTree((2, 3))
 
         # seven standalone per-output trees (ascending labels), united:
         # 8 shared 3-input units plus the 7 two-input output stages
@@ -469,7 +470,7 @@ def test_tree_pass_flags_what_the_ancestor_walk_flags():
     mutants = [mutated for _, _, mutated, _ in _c7_mutants(pool)]
     mutants += [_relabeled_input(dag) for dag in pool]
     mutants += [_input_labeled_operator(dag) for dag in pool] + [_stray_sources()]
-    tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
+    tree = UniformTree((2, 3))
     cyclic = structure_from_uniform_tree(tree, 3)
     references = pool + [
         structure_from_labeled_copies(tree, ascending_labeling(7), 3),

@@ -233,6 +233,29 @@ def test_a_deeply_nested_cost_model_is_a_cost_model_error(tmp_path, capsys):
     assert error.startswith("cost model: config is nested too deeply: ")
 
 
+@pytest.mark.parametrize(
+    "costs",
+    [
+        '{"m": 2, "c": [1' + "0" * 5000 + '], "l": [1]}',
+        '{"m": 2, "c": [1], "l": ["1e-1000000"]}',
+        '{"m": 2, "c": [1], "l": ["1e-10000000"]}',
+    ],
+    ids=["json int", "exponent", "longer exponent"],
+)
+def test_a_huge_cost_factor_is_a_cost_model_error(tmp_path, capsys, costs):
+    path = tmp_path / "costs.json"
+    path.write_text(costs)
+    start = time.process_time()
+    code = main(["synthesize", "isom", "7", "--costs", str(path), "--out", str(tmp_path / "out")])
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].endswith(": more than 1000 digits")
+    assert json.loads(captured.err)["error"].startswith("cost model: ")
+    assert elapsed < 1.0  # the parent spent 12 s building 10**10000000
+
+
 def test_synthesize_star_all_optima(tmp_path, capsys):
     # 3 * c2 == 4 * c3 / 2: every degree vector for n = 9 is optimal
     costs = tmp_path / "ties.json"

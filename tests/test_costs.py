@@ -58,6 +58,44 @@ def test_malformed_json_rejected():
         load_cost_model("{nope")
 
 
+# numbers too long to print (Python prints at most 4300 digits) or to
+# build quickly ("1e-10000000" is a ten-million-digit denominator)
+HUGE_FACTORS = {
+    "json int": ('{"m": 2, "c": [1' + "0" * 5000 + '], "l": [1]}', r"c\[2\]"),
+    "exponent string": ('{"m": 2, "c": [1], "l": ["1e-1000000"]}', r"l\[2\]"),
+    "longer exponent": ('{"m": 2, "c": [1], "l": ["1e-10000000"]}', r"l\[2\]"),
+    "json decimal": ('{"m": 2, "c": [1], "l": [1e-1000000]}', r"l\[2\]"),
+    "long mantissa": ('{"m": 2, "c": [1], "l": [1.' + "0" * 5000 + "1]}", r"l\[2\]"),
+    "p/q string": ('{"m": 2, "c": ["1/' + "7" * 1001 + '"], "l": [1]}', r"c\[2\]"),
+}
+
+
+@pytest.mark.parametrize("text, field", HUGE_FACTORS.values(), ids=list(HUGE_FACTORS))
+def test_a_huge_factor_is_refused_by_name(text, field):
+    with pytest.raises(CostModelError, match=field + ": more than 1000 digits"):
+        load_cost_model(text)
+
+
+def test_factors_up_to_a_thousand_digits_load():
+    cm = load_cost_model('{"m": 2, "c": [1' + "0" * 999 + '], "l": ["1e-999"]}')
+    assert cm.c[2] == 10**999 and cm.l[2] == Fraction(1, 10**999)
+    assert load_cost_model(cm.dumps()) == cm
+
+
+def test_a_factor_sequence_too_long_over_its_denominators_is_refused():
+    with pytest.raises(CostModelError, match="c: needs more than 1000 digits"):
+        CostModel.from_factors(2, [10**1000], [1])
+    # each factor fits, but over their common denominator they do not
+    dens = [10**599 + 1, 10**599 + 3]
+    with pytest.raises(CostModelError, match="l: needs more than 1000 digits"):
+        CostModel.from_factors(3, [1, 1], [Fraction(1, dens[0]), Fraction(2, dens[1])])
+
+
+def test_a_non_finite_decimal_is_a_parse_error():
+    with pytest.raises(CostModelError, match=r"l\[2\]: cannot parse rational 'inf'"):
+        load_cost_model('{"m": 2, "c": [1], "l": [Infinity]}')
+
+
 def test_decimal_strings_parse_exactly():
     cm = load_cost_model('{"m": 2, "c": [0.1], "l": [7]}')
     assert cm.c[2] == Fraction(1, 10)

@@ -10,7 +10,7 @@ import pytest
 
 from mpsynth import oracles, staropt
 from mpsynth.costs import CostModel
-from mpsynth.drt import LEAF, degree_vector, leaf_count, tree_latency
+from mpsynth.drt import LEAF, degree_vector, tree_latency
 from mpsynth.oracles import (
     BudgetExceeded,
     EnumerationBudget,
@@ -28,6 +28,7 @@ from mpsynth.structure import Dag
 
 from conftest import (
     count_rooted_trees,
+    leaf_count,
     reference_star_tree_latency,
     reference_star_trees,
     star_tree_shape_code,

