@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, log10
 from typing import Iterable
 
 
@@ -33,6 +33,26 @@ class CostModelError(ValueError):
 # so every complexity and latency derived from a model prints too.
 _MAX_DIGITS = 1000
 _BOUND = 10**_MAX_DIGITS
+
+
+# An error message echoes at most this many digits of ``m``.
+_SHOWN_DIGITS = 20
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, with an integer or a digit string of more than
+    ``_SHOWN_DIGITS`` digits shown as its digit count instead."""
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 10**_SHOWN_DIGITS:
+        size = abs(value)
+        digits = int(log10(size)) + 1  # log10 reads a huge int; the loops fix its rounding
+        while 10 ** (digits - 1) > size:
+            digits -= 1
+        while size >= 10**digits:
+            digits += 1
+        return f"<{digits} digits>"
+    if isinstance(value, str) and len(value) > _SHOWN_DIGITS and value.lstrip("-").isdecimal():
+        return f"<{len(value.lstrip('-'))} digits>"
+    return repr(value)
 
 
 def _too_long(text: str) -> bool:
@@ -108,11 +128,11 @@ class CostModel:
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise CostModelError(f"m: must be an integer >= 2, got {self.m!r}")
+            raise CostModelError(f"m: must be an integer >= 2, got {_shown(self.m)}")
         for name, seq in (("c", self.c), ("l", self.l)):
             if len(seq) != self.m + 1:
                 raise CostModelError(
-                    f"{name}: expected {self.m + 1} factors (indices 0..{self.m}),"
+                    f"{name}: expected {_shown(self.m + 1)} factors (indices 0..{_shown(self.m)}),"
                     f" got {len(seq)}"
                 )
             for i in (0, 1):
@@ -157,15 +177,15 @@ class CostModel:
         ints, Fractions, decimal floats, or ``"p/q"`` strings.
         """
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            raise CostModelError(f"m: must be an integer >= 2, got {m!r}")
+            raise CostModelError(f"m: must be an integer >= 2, got {_shown(m)}")
         out = {}
         for name, seq in (("c", list(c)), ("l", list(l))):
             if len(seq) == m - 1:
                 seq = [0, 0] + seq
             elif len(seq) != m + 1:
                 raise CostModelError(
-                    f"{name}: expected {m + 1} factors (indices 0..{m})"
-                    f" or {m - 1} factors (indices 2..{m}), got {len(seq)}"
+                    f"{name}: expected {_shown(m + 1)} factors (indices 0..{_shown(m)})"
+                    f" or {_shown(m - 1)} factors (indices 2..{_shown(m)}), got {len(seq)}"
                 )
             out[name] = tuple(_as_fraction(x, f"{name}[{i}]") for i, x in enumerate(seq))
         return cls(m=m, c=out["c"], l=out["l"])
@@ -207,7 +227,7 @@ def load_cost_model(source: bytes | str) -> CostModel:
             raise CostModelError(f"{key}: missing required field")
     m = raw["m"]
     if not isinstance(m, int) or isinstance(m, bool):
-        raise CostModelError(f"m: must be an integer, got {m!r}")
+        raise CostModelError(f"m: must be an integer, got {_shown(m)}")
     for key in ("c", "l"):
         if not isinstance(raw[key], list):
             raise CostModelError(f"{key}: expected an array of rationals")

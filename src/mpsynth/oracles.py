@@ -7,7 +7,8 @@ generation, star-tree and rooted-tree enumeration up to isomorphism
 generation or counting strategy, because a single enumerator
 validating itself proves nothing), a literal star-tree latency oracle
 that walks every leaf pair's path over the internal nodes alone (a
-leaf adds nothing), a per-copy builder of replicated structures under
+leaf adds nothing) and its least value over every star tree of a degree
+vector, a per-copy builder of replicated structures under
 any leaf labeling
 (:func:`structure_from_labeled_copies`, the reference for the cyclic
 builder), and a bundled :func:`verify_report` that cross-checks every
@@ -16,12 +17,17 @@ optimizer answer and is exposed through the command line.
 Oracle values are compared to optimizer values with exact equality;
 there are no tolerances anywhere.  Path walks add the model's integer
 latencies (:attr:`CostModel.scaled_l`); no brute value comes from an
-optimizer's DP.
+optimizer's DP.  The one value of a DP an oracle reads is the star
+latency :func:`verify_report` claims for a degree vector, which
+:func:`oracle_min_star_latency` takes only as a bound that prunes its
+growth of star-tree skeletons: its answer is the exact least latency
+over every star tree of the vector, whatever the bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -173,18 +179,26 @@ def _unrooted_code(adj: list[list[int]], targets: list[int]) -> str:
     return min(code(a, sorted(sa + [code(b, sb)])), code(b, sorted(sb + [code(a, sa)])))
 
 
-def enumerate_star_trees(
-    q: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[StarTree]:
-    """Every star tree with degree vector ``q``, up to isomorphism with
-    unlabeled leaves (leaves get labels 1..n in a fixed walk order, but
-    no two returned trees share an unlabeled shape).
+def _grow_star_skeletons(
+    q: tuple[int, ...],
+    budget: EnumerationBudget,
+    lat: Sequence[int] | None = None,
+    limit: int | None = None,
+) -> dict[str, tuple]:
+    """The internal skeletons of every star tree with degree vector ``q``,
+    one per shape, as ``{shape code: (adj, targets, rem, latency)}``.
 
     Grown by repeatedly expanding a leaf into a new internal node,
     deduplicating shapes at every step; the peeling argument behind the
-    feasibility identity guarantees completeness.
+    feasibility identity guarantees completeness.  Given the integer
+    latencies ``lat`` (indexed by fan-in), each skeleton carries its
+    latency: the most, over pairs of its anonymous leaves, of ``lat``
+    summed over the internal nodes on their path.  A candidate above
+    ``limit`` is dropped before its shape is coded.  Hanging a node on
+    a leaf only lengthens paths (no ``lat`` is negative), so every
+    skeleton a tree within ``limit`` grows from is within it too, and
+    the result holds exactly the skeletons of the trees within it.
     """
-    q = tuple(q)
     m = len(q) + 1
     if sum(q) == 0:
         raise ValueError("degree vector has no internal nodes")
@@ -193,24 +207,36 @@ def enumerate_star_trees(
         raise BudgetExceeded(f"n = {n} exceeds star-tree budget {budget.max_star_leaves}")
 
     # A state is an internal skeleton's adjacency lists, each vertex's
-    # target degree, and the classes still to place.  The first step
-    # places one node on an empty skeleton; later steps hang one on each
-    # vertex that still owns an anonymous leaf.  Every state in a frontier
-    # has placed as many nodes, so remaining counts are exhausted
-    # simultaneously.  A candidate is hung on the state's own lists and
-    # taken off again; only a new shape is copied into the next frontier.
-    frontier: dict[str, tuple] = {"": ([], [], q)}
-    while any(sum(rem) > 0 for _, _, rem in frontier.values()):
+    # target degree, the classes still to place and the latency.  The
+    # first step places one node on an empty skeleton; later steps hang
+    # one on each vertex that still owns an anonymous leaf.  Every state
+    # in a frontier has placed as many nodes, so remaining counts are
+    # exhausted simultaneously.  A candidate is hung on the state's own
+    # lists and taken off again; only a new shape is copied into the
+    # next frontier.
+    frontier: dict[str, tuple] = {"": ([], [], q, 0)}
+    while any(sum(rem) > 0 for _, _, rem, _ in frontier.values()):
         nxt: dict[str, tuple] = {}
-        for adj, targets, rem in frontier.values():
+        for adj, targets, rem, latency in frontier.values():
             new_v = len(adj)
             hooks = [v for v in range(new_v) if targets[v] > len(adj[v])] if adj else [None]
+            # a node hung on v lengthens by its own weight every path from
+            # the leaf it takes to the leaves the skeleton keeps
+            reach = [0] * len(hooks)
+            if lat is not None and adj:
+                weight = [lat[t - 1] for t in targets]
+                held = [t - len(nb) for t, nb in zip(targets, adj)]
+                reach = [_leaf_reach(adj, weight, held, v) for v in hooks]
             for k in range(m - 1):
                 if rem[k] == 0:
                     continue
                 rem2 = rem[:k] + (rem[k] - 1,) + rem[k + 1 :]
+                own = lat[k + 2] if lat is not None else 0
                 targets.append(k + 3)
-                for v in hooks:
+                for v, far in zip(hooks, reach):
+                    latency2 = max(latency, own + far)
+                    if limit is not None and latency2 > limit:
+                        continue
                     if v is None:
                         adj.append([])
                     else:
@@ -218,7 +244,7 @@ def enumerate_star_trees(
                         adj[v].append(new_v)
                     key = _unrooted_code(adj, targets)
                     if key not in nxt:
-                        nxt[key] = ([list(nb) for nb in adj], targets[:], rem2)
+                        nxt[key] = ([list(nb) for nb in adj], targets[:], rem2, latency2)
                     adj.pop()
                     if v is not None:
                         adj[v].pop()
@@ -226,17 +252,51 @@ def enumerate_star_trees(
             if len(nxt) > budget.max_count:
                 raise BudgetExceeded("star-tree enumeration exceeded max_count")
         frontier = nxt
+    return frontier
 
+
+def enumerate_star_trees(
+    q: Sequence[int], budget: EnumerationBudget = DEFAULT_BUDGET
+) -> list[StarTree]:
+    """Every star tree with degree vector ``q``, up to isomorphism with
+    unlabeled leaves (leaves get labels 1..n in a fixed walk order, but
+    no two returned trees share an unlabeled shape), in shape-code order.
+    """
+    q = tuple(q)
+    m = len(q) + 1
     # a final key is the shape code of its tree: sort by the keys, and
     # hang each skeleton's anonymous leaves on, numbered in vertex order
     trees = []
-    for _, (adj, targets, _) in sorted(frontier.items()):
+    for _, (adj, targets, _, _) in sorted(_grow_star_skeletons(q, budget).items()):
         for v in range(len(targets)):
             for _ in range(targets[v] - len(adj[v])):
                 adj.append([v])
                 adj[v].append(len(adj) - 1)
         trees.append(StarTree.from_adjacency(adj, m))
     return trees
+
+
+def oracle_min_star_latency(
+    q: Sequence[int],
+    cm: CostModel,
+    bound: Fraction | None = None,
+    budget: EnumerationBudget = DEFAULT_BUDGET,
+) -> Fraction:
+    """The least latency over every star tree with degree vector ``q``,
+    by the literal leaf-pair definition of :func:`oracle_star_tree_latency`.
+
+    ``bound`` only prunes: the growth keeps the skeletons within it, and
+    when no tree is, it grows again without it.  So the answer is exact
+    whatever the bound, too low or too high.
+    """
+    q = tuple(q)
+    scale, lat = cm.scaled_l
+    frontier = {}
+    if bound is not None:
+        frontier = _grow_star_skeletons(q, budget, lat, math.floor(bound * scale))
+    if not frontier:
+        frontier = _grow_star_skeletons(q, budget, lat)
+    return Fraction(min(latency for *_, latency in frontier.values()), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +370,27 @@ def enumerate_rooted_trees_with_census(
 # literal latency oracles
 
 
+def _leaf_reach(
+    inner: Sequence[Sequence[int]], weight: Sequence[int], held: Sequence[int], a: int
+) -> int:
+    """The largest path sum, ``weight`` over the internal nodes from ``a``
+    to ``b`` both included, to a ``b`` that holds a leaf once ``a`` gives
+    one up (``held`` counts each node's leaves): the longest leaf-to-leaf
+    path through one of ``a``'s leaves.  ``inner`` lists each internal
+    node's internal neighbours."""
+    best = weight[a] if held[a] > 1 else -1
+    stack = [(a, a, weight[a])]  # (node, node the walk came from, path sum)
+    while stack:
+        v, came_from, total = stack.pop()
+        for u in inner[v]:
+            if u != came_from:
+                reached = total + weight[u]
+                if held[u] and reached > best:
+                    best = reached
+                stack.append((u, v, reached))
+    return best
+
+
 def oracle_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
     """Literal definition: the most, over leaf-to-leaf simple paths, of
     ``l[degree(v) - 1]`` summed over the path's nodes.
@@ -318,8 +399,8 @@ def oracle_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
     a leaf of internal node ``b`` sums the internal nodes from ``a`` to
     ``b`` (``a`` alone when ``a = b``, which needs two leaves on ``a``).
     One walk over the internal nodes from each ``a`` that holds a leaf
-    sums the path to every such ``b > a`` exactly once, on the model's
-    integer latencies (:attr:`CostModel.scaled_l`).
+    (:func:`_leaf_reach`) finds the longest path through its leaves, on
+    the model's integer latencies (:attr:`CostModel.scaled_l`).
     """
     scale, lat = cm.scaled_l
     labels = tree.labels
@@ -330,17 +411,7 @@ def oracle_star_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
         inner.append(internal)
         held.append(len(nb) - len(internal) if lbl is None else 0)
     ends = [a for a, h in enumerate(held) if h]
-    best = max((weight[a] for a in ends if held[a] > 1), default=0)
-    for a in ends:
-        stack = [(a, a, weight[a])]  # (node, node the walk came from, path sum)
-        while stack:
-            v, came_from, total = stack.pop()
-            if v > a and total > best and held[v]:  # a leaf of b = v ends a path
-                best = total
-            for u in inner[v]:
-                if u != came_from:
-                    stack.append((u, v, total + weight[u]))
-    return Fraction(best, scale)
+    return Fraction(max((_leaf_reach(inner, weight, held, a) for a in ends), default=0), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +642,7 @@ def verify_report(
         ftable = forest_latency_table(optima, cm)
         for q in optima:
             result = min_star_latency(q, cm, ftable)
-            trees = enumerate_star_trees(q, budget)
-            brute = min(oracle_star_tree_latency(t, cm) for t in trees)
+            brute = oracle_min_star_latency(q, cm, result.value, budget)
             induced = structure_from_star_tree(result.tree)
             witness = _validity_witness(induced)
             if degree_vector_of(result.tree) != q:

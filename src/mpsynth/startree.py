@@ -25,7 +25,11 @@ and every tree of a degree vector from
 through :meth:`StarTree.from_adjacency`.  A tree's latency is read off
 its structure (:func:`mpsynth.structure.latency`) or walked over the
 internal nodes of every leaf pair's path by
-:func:`mpsynth.oracles.oracle_star_tree_latency`.
+:func:`mpsynth.oracles.oracle_star_tree_latency`.  The least latency
+over every tree of a degree vector, which ``verify`` checks the DP
+against, comes from :func:`mpsynth.oracles.oracle_min_star_latency`
+without building any tree: it grows bare skeletons that carry their
+own latency.
 """
 
 from __future__ import annotations

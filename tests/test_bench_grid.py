@@ -41,6 +41,27 @@ def test_best_cpu_takes_the_least_of_three_samples_under_a_second(monkeypatch):
     assert calls == ["a", "b", "c", "d"]
 
 
+def test_no_sample_reads_a_canonical_order_cached_before_it(monkeypatch):
+    bench = load_tool()
+    seen = []  # (stage, Dag, whether it came in with a canonical order)
+
+    def recording(name, real):
+        def call(dag):
+            seen.append((name, dag, "_canonical_order" in dag.__dict__))
+            return real(dag)
+
+        return call
+
+    for name in ("dumps", "to_dot"):
+        monkeypatch.setattr(mpsynth, name, recording(name, getattr(mpsynth, name)))
+    bench.run_grid(mpsynth, sizes=(8,), fan_ins=(3,))
+    stages = [name for name, _, _ in seen]
+    # per cell: three untimed samples and one traced call of each stage
+    assert stages == (["dumps"] * 3 + ["to_dot"] * 3 + ["dumps", "to_dot"]) * 2
+    assert not any(cached for _, _, cached in seen)
+    assert len({id(dag) for _, dag, _ in seen}) == len(seen)  # seen keeps each alive
+
+
 def test_grid_records_a_raising_cell_and_goes_on(monkeypatch):
     bench = load_tool()
 

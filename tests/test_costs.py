@@ -91,6 +91,40 @@ def test_a_factor_sequence_too_long_over_its_denominators_is_refused():
         CostModel.from_factors(3, [1, 1], [Fraction(1, dens[0]), Fraction(2, dens[1])])
 
 
+# a huge m is named by its digit count, so each message stays short
+HUGE_M = {
+    "5001-digit m": (
+        '{"m": 1' + "0" * 5000 + ', "c": [1], "l": [1]}',
+        "m: must be an integer, got <5001 digits>",
+    ),
+    "900-digit m": (
+        '{"m": 1' + "0" * 899 + ', "c": [1], "l": [1]}',
+        "c: expected <900 digits> factors (indices 0..<900 digits>)"
+        " or <899 digits> factors (indices 2..<900 digits>), got 1",
+    ),
+    "negative m": (
+        '{"m": -1' + "0" * 899 + ', "c": [1], "l": [1]}',
+        "m: must be an integer >= 2, got <900 digits>",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", HUGE_M.values(), ids=list(HUGE_M))
+def test_a_huge_m_is_shown_by_its_digit_count(text, message):
+    with pytest.raises(CostModelError) as caught:
+        load_cost_model(text)
+    assert str(caught.value) == message
+    assert len(message) <= 200
+
+
+def test_m_up_to_twenty_digits_is_shown_whole():
+    m = 10**20 - 1
+    with pytest.raises(CostModelError, match=f"expected <21 digits> factors \\(indices 0..{m}\\)"):
+        CostModel.from_factors(m, [1], [1])
+    with pytest.raises(CostModelError, match="got <5001 digits>$"):
+        CostModel.from_factors(-(10**5000), [1], [1])
+
+
 def test_a_non_finite_decimal_is_a_parse_error():
     with pytest.raises(CostModelError, match=r"l\[2\]: cannot parse rational 'inf'"):
         load_cost_model('{"m": 2, "c": [1], "l": [Infinity]}')

@@ -12,6 +12,7 @@ from mpsynth import oracles, staropt
 from mpsynth.costs import CostModel
 from mpsynth.drt import LEAF, degree_vector, tree_latency
 from mpsynth.oracles import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     EnumerationBudget,
     enumerate_degree_vectors,
@@ -19,6 +20,7 @@ from mpsynth.oracles import (
     enumerate_rooted_trees_with_census,
     enumerate_star_trees,
     enumerate_type_vectors,
+    oracle_min_star_latency,
     oracle_star_tree_latency,
     verify_report,
 )
@@ -182,6 +184,74 @@ def test_star_tree_oracle_matches_the_reference_walk():
                         for tree in enumerate_star_trees(q):
                             want = reference_star_tree_latency(tree, cm)
                             assert oracle_star_tree_latency(tree, cm) == want, (m, q)
+
+
+# l factors for fan-ins 2..6, cut to m: equal, steep, fractional, and
+# zero at the small fan-ins (where hanging a node lengthens no path)
+BOUND_MODELS = {
+    "tied": (1, 1, 1, 1, 1),
+    "steep": (1, 3, 9, 27, 81),
+    "fractional": MIXED_L,
+    "zero": (0, 0, Fraction(1, 2), 2, 2),
+}
+
+
+def test_bounded_oracle_is_the_least_tree_latency_whatever_the_bound():
+    for m in (2, 3, 4, 5):
+        models = [
+            CostModel.from_factors(m, [1] * (m - 1), factors[: m - 1])
+            for factors in BOUND_MODELS.values()
+        ]
+        for n in range(3, 12):
+            for q in enumerate_degree_vectors(n, m):
+                if sum(q) == 0:
+                    continue
+                trees = reference_star_trees(q)
+                for cm in models:
+                    scale, lat = cm.scaled_l
+                    least = min(reference_star_tree_latency(t, cm) for t in trees)
+                    step = Fraction(1, scale)  # one unit of the scaled ints
+                    for bound in (None, least, least - step, least + step):
+                        assert oracle_min_star_latency(q, cm, bound) == least, (m, q, bound)
+                    # a bound one unit too low keeps no skeleton: the answer
+                    # above came from the growth without a bound
+                    limit = int(least * scale) - 1
+                    assert oracles._grow_star_skeletons(q, DEFAULT_BUDGET, lat, limit) == {}
+
+
+def test_bounded_oracle_keeps_only_the_trees_within_the_bound():
+    cm = CostModel.from_factors(4, [1, 1, 1], MIXED_L[:3])
+    scale, lat = cm.scaled_l
+    for q in ((6, 0, 1), (2, 2, 1), (0, 3, 1)):
+        trees = reference_star_trees(q)
+        latencies = sorted(int(reference_star_tree_latency(t, cm) * scale) for t in trees)
+        for limit in sorted(set(latencies)):
+            kept = oracles._grow_star_skeletons(q, DEFAULT_BUDGET, lat, limit)
+            assert sorted(latency for *_, latency in kept.values()) == [
+                x for x in latencies if x <= limit
+            ], (q, limit)
+
+
+@pytest.mark.parametrize("shift", [-1, Fraction(-1, 12), Fraction(1, 12), 1])
+def test_a_wrong_star_latency_claim_gets_the_true_oracle_value(monkeypatch, shift):
+    cm = CostModel.from_factors(4, [1, Fraction(3, 2), 2], [1, Fraction(4, 3), Fraction(5, 3)])
+    checks = verify_report(11, cm).checks
+    truth = {tuple(c.params["q"]): c for c in checks if c.name == "star_latency"}
+    assert len(truth) > 1 and all(c.passed for c in truth.values())
+    real = oracles.min_star_latency
+
+    def wrong(q, cm, table):
+        result = real(q, cm, table)
+        return dataclasses.replace(result, value=result.value + shift)
+
+    monkeypatch.setattr(oracles, "min_star_latency", wrong)
+    claimed = [c for c in verify_report(11, cm).checks if c.name == "star_latency"]
+    assert [tuple(c.params["q"]) for c in claimed] == list(truth)
+    for check in claimed:
+        want = truth[tuple(check.params["q"])]
+        assert check.oracle_value == want.oracle_value
+        assert check.dp_value == oracles.format_rational(Fraction(want.dp_value) + shift)
+        assert not check.passed
 
 
 def test_tree_latency_matches_fraction_reference():

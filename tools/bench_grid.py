@@ -24,7 +24,10 @@ any commit.  One process, one cell at a time.
 Every CPU time in the file is the least of 3 untraced samples when the
 first is under 1 s (``best_cpu``), so no single sample carries the
 host's drift into it.  A stage's repeats run on the same earlier
-results, after its first sample has filled what the program caches.
+results, except that each ``dumps`` and ``to_dot`` sample, traced or
+not, gets a fresh copy of the synthesized structure (``stage_input``):
+the canonical node order both write in is cached on the structure, so
+on a shared one only the first sample would work it out.
 
 A separate ``verify`` row times :func:`mpsynth.verify_report` (the
 optimizer-versus-oracle report) for n in 5..12 and m in {3, 4}: CPU
@@ -91,6 +94,21 @@ def best_cpu(call, make):
     return result, best
 
 
+def stage_input(results: dict, name: str) -> dict:
+    """The earlier results a sample of stage ``name`` reads.  ``dumps``
+    and ``to_dot`` get a fresh copy of the synthesized structure: its
+    fields and the topological order its maker handed it (the builder
+    and the loader both do), but not the canonical node order an earlier
+    sample or stage cached into it, so each sample works that order out
+    as the first call on a synthesized structure does."""
+    if name not in ("dumps", "to_dot"):
+        return results
+    dag = results["synthesize"]
+    fresh = type(dag)(n=dag.n, m=dag.m, labels=dag.labels, children=dag.children)
+    fresh.__dict__["_order"] = dag._order
+    return {**results, "synthesize": fresh}
+
+
 def stage_calls(mpsynth, mode: str, n: int, cm):
     """The stages of one cell as (name, function of the previous results)."""
     synthesize = mpsynth.synthesize_star if mode == "star" else mpsynth.synthesize_min_latency
@@ -116,14 +134,16 @@ def run_cell(mpsynth, mode: str, n: int, m: int) -> dict:
         try:
             for name, call in stage_calls(mpsynth, mode, n, cm):
                 if traced:
+                    inputs = stage_input(results, name)
                     gc.collect()  # no garbage of earlier stages is freed inside this one
                     tracemalloc.reset_peak()
                     before = tracemalloc.get_traced_memory()[0]
                 try:
                     if traced:
-                        results[name] = call(results)
+                        results[name] = call(inputs)
                     else:
-                        results[name], seconds = best_cpu(call, lambda: (results,))
+                        make = lambda: (stage_input(results, name),)
+                        results[name], seconds = best_cpu(call, make)
                 except Exception as exc:  # a failing cell is data, not the end of the grid
                     kind, message = type(exc).__name__, str(exc)[:200]
                     cell["error"] = {"stage": name, "type": kind, "message": message}
