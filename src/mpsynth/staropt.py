@@ -13,8 +13,13 @@ Three exact dynamic programs, each with witness reconstruction:
   fan-in census is ``u``, tabulated for every census below one of a
   set of degree vectors: the union of their boxes, so
   :func:`synthesize_star` fills one table for all its optimal vectors.
-  A census on one class (``u = a * e_k``) finds each split by bisection
-  in O(m log a); any other census scans its box, O(m * prod (u_i + 1)).
+  Each census gets only the forests some reader asks for, ``t`` in
+  1..top(u), where top(u) is the largest ``i + 2`` with ``u + e_i``
+  still in the union (1 when there is none).  A census on one class
+  (``u = a * e_k``) finds each split by bisection in O(log a); any
+  other census scans its box, O(top(u) * prod (u_i + 1)), and at
+  ``t = 2`` only the box's first half, since a split and its mirror
+  rate alike.
 * :func:`min_star_latency` - the least tree latency among star trees
   with a given degree vector, by scanning balanced two-sided splits
   whose side latencies come from the forest table, and the tree the
@@ -139,7 +144,8 @@ def _census_box(u: Sequence[int], strides: Sequence[int]) -> list[int]:
     box = [0]
     for a, s in zip(u, strides):
         if a:
-            box = [b + j for b in box for j in range(0, (a + 1) * s, s)]
+            steps = range(0, (a + 1) * s, s)
+            box = [b + j for b in box for j in steps]
     return box
 
 
@@ -192,8 +198,18 @@ class ForestLatencyTable:
     """``value(u, t)``: least achievable maximum latency over forests of
     ``t`` disjoint rooted trees (bare leaves allowed) whose combined
     fan-in census is ``u`` (entry ``i`` counts fan-in ``i+2`` nodes,
-    0-based).  Filled for every ``u`` below one of the censuses the
-    table was built for, and ``t`` in 1..m.
+    0-based).  Held for every ``u`` below one of the censuses the
+    table was built for (the region), and ``t`` in 1..top(u): top(u) is
+    the largest ``i + 2`` such that ``u + e_i`` lies in the region, or 1
+    when there is none, and the empty census holds every ``t`` in 1..m.
+    Those are all the cells a reader asks for: a tree on ``u + e_i``
+    reads ``(u, i + 2)`` as its root's child forest; a forest ``(u, t)``
+    reads ``(f, 1)`` and ``(u - f, t - 1)`` for its first tree ``f``,
+    held since the region is closed downward, so top(u - f) >= top(u);
+    :func:`_best_split` on a top ``q`` reads ``(u - e_i, i + 2)`` and
+    ``(q - u, 1)``; the witness rebuild reads what the first two read.
+    :meth:`value` and :meth:`rebuild_forest` on any other cell raise
+    ``KeyError`` naming top(u).
 
     A census is stored under one mixed-radix int, first component most
     significant, with digit ``k`` in ``0..radix[k]``; cell ``(u, t)``
@@ -203,7 +219,8 @@ class ForestLatencyTable:
     cell: the root's fan-in class ``i`` (0-based) when ``t == 1``, the
     first tree's census index when ``t > 1``.  ``ops`` counts the split
     candidates probed over all cells with ``t > 1``: every first-tree
-    census of a scanned box, and each census a bisection rates."""
+    census a box scan rates (half the box at ``t = 2``), and each
+    census a bisection rates."""
 
     m: int
     radix: Vec
@@ -220,8 +237,20 @@ class ForestLatencyTable:
             raise KeyError(tuple(u))
         return sum(a * s for a, s in zip(u, self.strides))
 
+    def _cell(self, u: Sequence[int], t: int) -> int:
+        """The flat index of cell ``(u, t)``; ``KeyError`` naming
+        ``top(u)`` when the table does not hold it."""
+        iu = self.index(u)
+        cell = (t - 1) * self.size + iu
+        if cell in self.values:
+            return cell
+        top = sum((k - 1) * self.size + iu in self.values for k in range(1, self.m + 1))
+        if not top:
+            raise KeyError(f"census {tuple(u)} is not in the table")
+        raise KeyError(f"cell ({tuple(u)}, {t}) is not held: top({tuple(u)}) = {top}")
+
     def value(self, u: Sequence[int], t: int) -> Fraction:
-        return Fraction(self.values[(t - 1) * self.size + self.index(u)], self.scale)
+        return Fraction(self.values[self._cell(u, t)], self.scale)
 
     def _forest(self, index: int, t: int) -> list[int]:
         """Census indices of the ``t`` trees of the witness of cell
@@ -255,12 +284,12 @@ class ForestLatencyTable:
 
     def rebuild_tree(self, u: Vec) -> Rooted:
         """A rooted tree realizing ``value(u, 1)``."""
-        index = self.index(u)
+        index = self._cell(u, 1)
         return self._trees([index])[index]
 
     def rebuild_forest(self, u: Vec, t: int) -> list[Rooted]:
         """A forest of ``t`` trees realizing ``value(u, t)``."""
-        forest = self._forest(self.index(u), t)
+        forest = self._forest(self._cell(u, t) % self.size, t)
         trees = self._trees(forest)
         return [trees[index] for index in forest]
 
@@ -268,18 +297,24 @@ class ForestLatencyTable:
 def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> ForestLatencyTable:
     """Fill the forest-latency DP for every census below one of ``tops``.
 
-    The cells filled are the union of the tops' boxes, not the box of
-    their componentwise maximum, which can be many times larger.
-    Censuses are visited in index order, so every lookup hits a filled
-    cell (each lies componentwise below the census being filled).  A
-    single tree (t = 1) chooses its root fan-in ``i+2`` and recurses on
-    the child forest; a larger forest (t > 1) splits off the census of
-    its first tree, the lexicographically smallest on ties.  A census on
-    one class bisects for that split (:func:`_axis_split`), in O(m log a)
-    per census ``a * e_k``; any other census scans its box, in
-    O(m * prod (u_i + 1)), inside ``map``/``max``/``min``.  All values
-    are ints on the model's integer view of ``l``, so the DP runs on
-    exact integer arithmetic.
+    The censuses filled are the union of the tops' boxes, not the box
+    of their componentwise maximum, which can be many times larger, and
+    each census ``u`` gets ``t`` in 1..top(u) only, the cells some
+    reader asks for (:class:`ForestLatencyTable`).  Censuses are visited
+    in index order, so every lookup hits a filled cell (each lies
+    componentwise below the census being filled).  A single tree
+    (t = 1) chooses its root fan-in ``i+2`` and recurses on the child
+    forest; a larger forest (t > 1) splits off the census of its first
+    tree, the lexicographically smallest on ties.  A census on one class
+    bisects for that split (:func:`_axis_split`), in O(log a) per cell
+    of ``a * e_k``; any other census scans its box, in
+    O(prod (u_i + 1)) per cell, inside ``map``/``max``/``min``.  The box
+    is in ascending index order, so ``u`` minus its ``k``-th census is
+    its ``k``-th from the end; at t = 2 the rest is one tree too, so a
+    split and its mirror rate alike, the first minimizer lies in the
+    first half, and the scan stops there.  All values are ints on the
+    model's integer view of ``l``, so the DP runs on exact integer
+    arithmetic.
     """
     m = cm.m
     tops = [tuple(q) for q in tops]
@@ -295,39 +330,60 @@ def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> Forest
     size = strides[0] * (radix[0] + 1)
     scale, lat = cm.scaled_l
 
+    # every census of the region under its index, in index order
+    region: dict[int, Vec] = {}
+    for q in tops:
+        region.update(zip(_census_box(q, strides), vectors_below(q)))
+    # a tree on u reads the child forest (u - e_i, i + 2) of its root class i
+    down = [(i + 1) * size - s for i, s in enumerate(strides)]
+    up = list(zip(range(m, 1, -1), reversed(radix), reversed(strides)))
+
     values: dict[int, int] = {(t - 1) * size: 0 for t in range(1, m + 1)}
     choices: dict[int, int] = {}
     ops = 0
-    censuses = sorted(set().union(*(vectors_below(q) for q in tops)))
-    for u in censuses[1:]:  # censuses[0] is the empty census
-        iu = sum(a * s for a, s in zip(u, strides))
+    for iu in sorted(region)[1:]:  # index 0 is the empty census
+        u = region[iu]
         best: int | None = None
-        for i, (a, s) in enumerate(zip(u, strides)):
+        for i, a in enumerate(u):
             if a:
-                cand = values[(i + 1) * size + iu - s] + lat[i + 2]
+                cand = values[iu + down[i]] + lat[i + 2]
                 if best is None or cand < best:
                     best, pick = cand, i
         values[iu] = best
         choices[iu] = pick
+        # top: the largest i + 2 with u + e_i in the region, else 1
+        top = 1
+        for t, r, s in up:
+            if u[t - 2] < r and iu + s in region:
+                top = t
+                break
         if u[pick] * strides[pick] == iu:  # one class
-            for t in range(2, m + 1):
+            for t in range(2, top + 1):
                 cell = (t - 1) * size + iu
                 values[cell], choices[cell], probes = _axis_split(
                     values, u[pick], strides[pick], (t - 2) * size
                 )
                 ops += probes
             continue
+        if top == 1:
+            continue
         # the first tree's census runs over the box below u, and the
-        # rest of the forest over the same box reversed
+        # rest of the forest over the same box reversed; at t = 2 the
+        # rest is one tree too, so the scan stops halfway
         box = _census_box(u, strides)
         ones = list(map(values.__getitem__, box))
-        for t in range(2, m + 1):
+        cands = list(map(max, ones[: (len(box) + 1) // 2], reversed(ones)))
+        best = min(cands)
+        values[size + iu] = best
+        choices[size + iu] = box[cands.index(best)]
+        ops += len(cands)
+        for t in range(3, top + 1):
             rest = map(values.__getitem__, map(((t - 2) * size).__add__, reversed(box)))
             cands = list(map(max, ones, rest))
             best = min(cands)
             values[(t - 1) * size + iu] = best
             choices[(t - 1) * size + iu] = box[cands.index(best)]
-        ops += (m - 1) * len(box)
+            ops += len(box)
     return ForestLatencyTable(
         m=m,
         radix=radix,

@@ -590,10 +590,12 @@ def complexity(dag: Dag, cm: CostModel) -> Fraction:
     taken as ``c[d]`` times the number of nodes of fan-in ``d``.
 
     Sources weigh ``c[0] = 0`` and wires ``c[1] = 0``, so the sum only
-    sees real computation nodes.
+    sees real computation nodes.  It runs on the model's integer view of
+    ``c`` (:attr:`CostModel.scaled_c`); only the result is a ``Fraction``.
     """
     _check_fan_in(dag, cm)
-    return sum((cm.c[d] * count for d, count in dag.degree_histogram().items()), Fraction(0))
+    scale, cost = cm.scaled_c
+    return Fraction(sum(cost[d] * count for d, count in dag.degree_histogram().items()), scale)
 
 
 def latency(dag: Dag, cm: CostModel) -> Fraction:

@@ -97,3 +97,34 @@ def test_broken_row_times_and_traces_validate_on_both_variants():
     for cell in row:
         assert cell["error"] is None and cell["failed"]
         assert cell["cpu_s"] >= 0 and cell["peak_mib"] > 0
+
+
+def test_tied_row_times_each_cell():
+    bench = load_tool()
+    cells = ((3, (1, "3/2"), (1, "3/2"), (8, 12)), (4, (1, "3/2", 2), (1, "4/3", "5/3"), (9,)))
+    row = bench.run_tied_row(mpsynth, cells=cells)
+    assert [(c["m"], c["n"]) for c in row] == [(3, 8), (3, 12), (4, 9)]
+    for cell in row:
+        assert cell["error"] is None and cell["cpu_s"] >= 0 and cell["optima"] > 1
+        cm = mpsynth.CostModel.from_factors(
+            cell["m"], *next(f for m, *f, _ in cells if m == cell["m"])
+        )
+        syn = mpsynth.synthesize_star(cell["n"], cm)
+        assert cell["q"] == list(syn.q)
+        assert cell["latency"] == mpsynth.format_rational(syn.latency)
+
+
+def test_tied_row_records_a_capped_cell_and_goes_on(monkeypatch):
+    bench = load_tool()
+    synthesize_star = mpsynth.synthesize_star
+
+    def spin_at_nine(n, cm):
+        while n == 9:  # until the CPU cap stops it
+            pass
+        return synthesize_star(n, cm)
+
+    monkeypatch.setattr(mpsynth, "synthesize_star", spin_at_nine)
+    row = bench.run_tied_row(mpsynth, cells=((3, (1, "3/2"), (1, "3/2"), (9, 8)),), cap=0.2)
+    assert row[0]["error"] == {"type": "CpuCapExceeded", "message": "over the CPU cap of 0.2 s"}
+    assert "cpu_s" not in row[0]
+    assert row[1]["error"] is None and row[1]["q"]

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpsynth import staropt
+from mpsynth import oracles, staropt
 from mpsynth.costs import CostModel
 from mpsynth.drt import LEAF, degree_vector, rooted, tree_latency
 from mpsynth.oracles import (
@@ -25,7 +28,7 @@ from mpsynth.staropt import (
     vectors_below,
 )
 from mpsynth.startree import degree_vector_of, star_complexity
-from mpsynth.structure import complexity, latency, validate
+from mpsynth.structure import complexity, dumps, latency, loads, validate
 
 
 def random_monotone_model(m: int, rng: random.Random) -> CostModel:
@@ -294,11 +297,39 @@ def census(table, index):
     return tuple(digits)
 
 
-def assert_cells_match_reference(table, q, cm):
+def region_tops(tops, m):
+    """top(u) for every census ``u`` below one of ``tops``, worked out on
+    tuples: the largest ``i + 2`` with ``u + e_i`` still below a top, or
+    1 when there is none; every ``t`` in 1..m for the empty census."""
+    region = set().union(*(vectors_below(q) for q in tops))
+    plus = lambda u, i: tuple(a + (k == i) for k, a in enumerate(u))
+    out = {u: max([i + 2 for i in range(m - 1) if plus(u, i) in region], default=1) for u in region}
+    out[(0,) * (m - 1)] = m
+    return out
+
+
+def held_keys(table, tops):
+    """The flat cell keys a table over ``tops`` must hold: (u, t) for
+    every census u of the region and t in 1..top(u)."""
+    return {
+        (t - 1) * table.size + table.index(u)
+        for u, top in region_tops(tops, table.m).items()
+        for t in range(1, top + 1)
+    }
+
+
+def assert_cells_match_reference(table, tops, q, cm):
     """Equal values, root classes, splits and rebuilt witnesses for
-    every cell below ``q``."""
+    every cell below ``q`` that a table over ``tops`` holds, and a
+    ``KeyError`` naming top(u) for every other one."""
     values, choices = reference_forest_table(q, cm)
+    top = region_tops(tops, cm.m)
     for (u, t), value in values.items():
+        if t > top[u]:
+            for read in (table.value, table.rebuild_forest):
+                with pytest.raises(KeyError, match=rf"top\({re.escape(str(u))}\) = {top[u]}"):
+                    read(u, t)
+            continue
         assert table.value(u, t) == value, (q, u, t)
         assert table.rebuild_forest(u, t) == reference_rebuild_forest(choices, u, t), (q, u, t)
         if sum(u) == 0:
@@ -338,13 +369,18 @@ def box_scan_forest_table(tops, cm):
 
 
 def assert_table_matches_box_scan(table, tops, cm, cells):
-    """Equal values and choices everywhere, and equal rebuilt forests
-    on ``cells`` (censuses), for every t."""
+    """The table holds exactly the cells top(u) allows; each held value
+    and choice equals the full box scan's, and so does the rebuilt
+    forest of each census of ``cells`` at every held t."""
     ref = box_scan_forest_table(tops, cm)
-    assert table.values == ref.values, (tops, cm.l)
-    assert table.choices == ref.choices, (tops, cm.l)
+    held = held_keys(table, tops)
+    assert set(table.values) == held, (tops, cm.l)
+    assert set(table.choices) == {k for k in held if k % table.size}, (tops, cm.l)
+    assert table.values == {k: ref.values[k] for k in held}, (tops, cm.l)
+    assert table.choices == {k: ref.choices[k] for k in table.choices}, (tops, cm.l)
+    top = region_tops(tops, cm.m)
     for u in cells:
-        for t in range(1, cm.m + 1):
+        for t in range(1, top[u] + 1):
             assert table.rebuild_forest(u, t) == ref.rebuild_forest(u, t), (u, t)
 
 
@@ -397,8 +433,8 @@ def test_integer_table_matches_fraction_reference(m):
             if not 0 < sum(q) <= CROSS_CHECK_SUMS[m]:
                 continue
             table = forest_latency_table([q], cm)
-            assert_cells_match_reference(table, q, cm)
-            assert len(table.values) == m * len(list(vectors_below(q)))
+            assert_cells_match_reference(table, [q], q, cm)
+            assert set(table.values) == held_keys(table, [q])
             value, split, tree = reference_min_star_latency(q, cm)
             result = min_star_latency(q, cm, table)
             assert (result.value, result.split, result.tree) == (value, split, tree), (q, cm.l)
@@ -414,8 +450,9 @@ def test_shared_table_matches_reference_in_any_order():
     backward = forest_latency_table(tops[::-1], cm)
     assert shared.values == backward.values
     assert shared.choices == backward.choices
+    assert set(shared.values) == held_keys(shared, tops)
     for q in tops:
-        assert_cells_match_reference(shared, q, cm)
+        assert_cells_match_reference(shared, tops, q, cm)
         value, split, tree = reference_min_star_latency(q, cm)
         result = min_star_latency(q, cm, shared)
         assert (result.value, result.split, result.tree) == (value, split, tree), q
@@ -426,7 +463,11 @@ def test_table_values_are_exact_fractions():
     table = forest_latency_table([(3, 2)], cm)
     assert table.scale == 10
     assert all(isinstance(v, int) for v in table.values.values())
-    assert isinstance(table.value((3, 2), 2), Fraction)
+    # (2, 2) + e_0 is the top, so its 2-forest is held; the top's is not
+    assert isinstance(table.value((2, 2), 2), Fraction)
+    assert isinstance(table.value((3, 2), 1), Fraction)
+    with pytest.raises(KeyError, match=r"\(\(3, 2\), 2\) is not held: top\(\(3, 2\)\) = 1"):
+        table.value((3, 2), 2)
     result = min_star_latency((3, 2), cm, table)
     assert isinstance(result.value, Fraction)
     assert result.value == reference_min_star_latency((3, 2), cm)[0]
@@ -443,6 +484,122 @@ def test_shared_table_scans_fewer_candidates():
     per_vector = [forest_latency_table([q], cm) for q in tops]
     assert shared.ops < sum(t.ops for t in per_vector)
     assert len(shared.values) < sum(len(t.values) for t in per_vector)
+
+
+class RecordingDict(dict):
+    """A dict that adds every key read by indexing to ``log``."""
+
+    def __init__(self, data, log):
+        super().__init__(data)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+
+def recording_table(table):
+    """``table`` with recording ``values`` and ``choices``, and their logs."""
+    read_values, read_choices = set(), set()
+    recorded = replace(
+        table,
+        values=RecordingDict(table.values, read_values),
+        choices=RecordingDict(table.choices, read_choices),
+    )
+    return recorded, read_values, read_choices
+
+
+def test_every_cell_a_reader_asks_for_is_held(monkeypatch):
+    """The fill reads its own plain dict, which raises on any cell it has
+    not written, so a fill that returns read only held cells.  Every
+    reader after it, ``_best_split`` of every top, ``_realize`` of each
+    top's best split (the witness rebuild) and ``verify_report``, reads
+    the table through recording dicts here, and reads held cells only."""
+    factors = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]
+    grid = [
+        ([q], cm)
+        for m in (2, 3, 4)
+        for cm in cross_check_models(m)
+        for q in product(range(4), repeat=m - 1)
+        if 0 < sum(q) <= 5
+    ]
+    for cm, n in [
+        (CostModel.from_factors(4, [1, Fraction(3, 2), 2], factors[1:4]), 13),
+        (CostModel.from_factors(6, factors, factors), 16),
+        (CostModel.from_factors(3, factors[:2], factors[:2]), 33),
+        (CostModel.from_factors(3, [2, 3], [0, 1]), 20),
+    ]:
+        grid.append((optimal_degree_vectors(min_star_complexity(n, cm)), cm))
+    for m in (2, 3, 4, 6):
+        grid.append(([axis(m, m - 2, 40)], CostModel.from_factors(m, [1] * (m - 1), [1] * (m - 1))))
+    levels = set()  # the t of every value read
+    for tops, cm in grid:
+        table, read_values, read_choices = recording_table(forest_latency_table(tops, cm))
+        for q in tops:
+            _, split = staropt._best_split(q, table)
+            staropt._realize(q, split, table)
+        assert read_values <= set(table.values) and read_choices <= set(table.choices), tops
+        levels |= {k // table.size + 1 for k in read_values}
+    assert levels == set(range(1, 7))
+
+    tables = []
+
+    def recorded_fill(tops, cm):
+        tables.append(recording_table(forest_latency_table(tops, cm)))
+        return tables[-1][0]
+
+    monkeypatch.setattr(oracles, "forest_latency_table", recorded_fill)
+    for cm in (
+        CostModel.from_factors(3, factors[:2], factors[:2]),
+        CostModel.from_factors(4, [1, Fraction(3, 2), 2], [1, Fraction(4, 3), Fraction(5, 3)]),
+    ):
+        for n in range(5, 11):
+            assert oracles.verify_report(n, cm).ok
+    assert tables
+    for table, read_values, read_choices in tables:
+        assert read_values <= set(table.values) and read_choices <= set(table.choices)
+
+
+def test_ops_count_the_candidates_probed(monkeypatch):
+    # a box scan probes half the box at t = 2 and all of it at t = 3..top(u);
+    # a one-class census counts what its bisections report
+    probes = []
+    axis_split = staropt._axis_split
+
+    def counted(*args):
+        out = axis_split(*args)
+        probes.append(out[2])
+        return out
+
+    monkeypatch.setattr(staropt, "_axis_split", counted)
+    factors = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]
+    for cm, n in [
+        (CostModel.from_factors(4, [1, Fraction(3, 2), 2], factors[1:4]), 13),
+        (CostModel.from_factors(6, factors, factors), 16),
+        (CostModel.from_factors(3, factors[:2], factors[:2]), 33),
+    ]:
+        tops = optimal_degree_vectors(min_star_complexity(n, cm))
+        probes.clear()
+        table = forest_latency_table(tops, cm)
+        scanned = 0
+        for u, top in region_tops(tops, cm.m).items():
+            if sum(1 for a in u if a) > 1 and top > 1:
+                box = len(list(vectors_below(u)))
+                scanned += (box + 1) // 2 + (top - 2) * box
+        assert probes and table.ops == sum(probes) + scanned
+
+
+def test_one_class_table_does_not_grow_with_m():
+    # c[k] = k - 1, l = 1: only degree-3 nodes are optimal, whatever m,
+    # so the tables on m = 2 and m = 6 hold and probe the same cells
+    n = 10_000
+    tables = {}
+    for m in (2, 6):
+        cm = CostModel.from_factors(m, range(1, m), [1] * (m - 1))
+        tables[m] = forest_latency_table(optimal_degree_vectors(min_star_complexity(n, cm)), cm)
+    assert tables[2].radix == (n - 2,) and tables[6].radix == (n - 2, 0, 0, 0, 0)
+    assert tables[6].ops == tables[2].ops
+    assert len(tables[6].values) == len(tables[2].values) + 4  # the empty census's t = 3..6
 
 
 def test_deep_witness_rebuilds_without_recursion():
@@ -633,6 +790,96 @@ def test_cubic_closed_form_at_small_n():
 def test_star_at_ten_thousand_inputs():
     # a one-class table at n = 10**4, where the box scan took tens of seconds
     cubic_model_checks(10_000)
+
+
+# ---------------------------------------------------------------------------
+# property: star synthesis on drawn models
+
+
+def ramp(increments):
+    """Cumulative sums: a non-negative, non-decreasing factor sequence."""
+    out, total = [], Fraction(0)
+    for x in increments:
+        total += x
+        out.append(total)
+    return out
+
+
+STEPS = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+
+
+@st.composite
+def star_models(draw):
+    """m = 2..6; ``c`` with every class tied per leaf (class t buys t
+    leaves for (t + 2) c[t + 1], so c[t + 1] = r t / (t + 2)), all zero
+    (every vector optimal) or a ramp of zero and fractional steps; ``l``
+    all zero, all equal, or such a ramp."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    kind = draw(st.sampled_from(["tied", "zero", "ramp"]))
+    if kind == "tied":
+        r = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(3)]))
+        c = [r * t / (t + 2) for t in range(1, m)]
+    elif kind == "zero":
+        c = [0] * (m - 1)
+    else:
+        c = ramp(draw(st.lists(STEPS, min_size=m - 1, max_size=m - 1)))
+    kind = draw(st.sampled_from(["zero", "equal", "ramp"]))
+    if kind == "zero":
+        l = [0] * (m - 1)
+    elif kind == "equal":
+        l = [draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(5, 2)]))] * (m - 1)
+    else:
+        l = ramp(draw(st.lists(STEPS, min_size=m - 1, max_size=m - 1)))
+    return CostModel.from_factors(m, c, l)
+
+
+# where every class ties, the optima and the reference box scan grow
+# fast with n on large m
+N_CAP = {2: 40, 3: 40, 4: 40, 5: 24, 6: 20}
+
+
+def input_arcs_are_cyclic(dag) -> bool:
+    """Each node reads a set of inputs x_1..x_n that is one cyclic arc:
+    exactly one of its members has its ring predecessor outside it."""
+    below = [0] * dag.node_count
+    for v in dag._order:
+        label = dag.labels[v]
+        if label is not None and label[0] == "x":
+            below[v] = 1 << (label[1] - 1)
+        for c in dag.children[v]:
+            below[v] |= below[c]
+    full = (1 << dag.n) - 1
+    for bits in below:
+        # members whose predecessor on the ring is not a member
+        rotated = ((bits << 1) | (bits >> (dag.n - 1))) & full
+        starts = bits & ~rotated
+        if bits == 0 or bits == full or starts & (starts - 1):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cm=star_models(), n=st.integers(min_value=3, max_value=40))
+def test_star_synthesis_matches_box_scan_and_round_trips(cm, n):
+    n = min(n, N_CAP[cm.m])
+    syn = synthesize_star(n, cm)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(staropt, "forest_latency_table", box_scan_forest_table)
+        ref = synthesize_star(n, cm)
+    split = staropt._best_split(syn.q, forest_latency_table(syn.all_q, cm))
+    assert (syn.complexity, syn.latency, syn.q, syn.all_q) == (
+        ref.complexity, ref.latency, ref.q, ref.all_q
+    )
+    assert split == staropt._best_split(ref.q, box_scan_forest_table(ref.all_q, cm))
+    assert syn.tree == ref.tree
+    text = dumps(syn.structure)
+    assert text == dumps(ref.structure)
+    loaded = loads(text)
+    assert dumps(loaded) == text
+    assert validate(loaded).ok
+    # what ``mpsynth eval`` prints for the written file
+    assert (complexity(loaded, cm), latency(loaded, cm)) == (syn.complexity, syn.latency)
+    assert input_arcs_are_cyclic(loaded)
 
 
 def test_pipeline_rejects_tiny_n(cm_unit):

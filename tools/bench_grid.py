@@ -33,8 +33,16 @@ A separate ``verify`` row times :func:`mpsynth.verify_report` (the
 optimizer-versus-oracle report) for n in 5..12 and m in {3, 4}: CPU
 seconds of untraced calls, then the tracemalloc peak of a traced call.
 Its cost model ties fan-ins 2 and 3 (``VERIFY_FACTORS``), so several
-degree vectors are optimal and each has its star trees enumerated, as
+degree vectors are optimal and the star-latency oracle rates each, as
 in the ``ties-verify`` benchmark workload.
+
+A ``tied`` row times :func:`mpsynth.synthesize_star` on cost models
+whose degree classes all tie in cost per leaf (``TIED_CELLS``: m = 3,
+4 at n in {50, 100, 200} and m = 6 at n in {16, 24, 32}), where every
+degree vector is optimal and the forest table covers the union of all
+their boxes.  CPU seconds only, and each cell runs under a CPU cap of
+``TIED_CAP_S`` seconds (``cpu_capped``, a profiling interval timer): a
+cell over the cap is recorded as an error entry and the row goes on.
 
 A ``broken`` row times :func:`mpsynth.validate` on two broken variants
 of the loaded star structure, for m = 3 and n in {64, 256, 1024, 4096}:
@@ -52,6 +60,7 @@ import gc
 import json
 import os
 import platform
+import signal
 import sys
 import time
 import tracemalloc
@@ -71,6 +80,18 @@ VERIFY_FAN_INS = (3, 4)
 VERIFY_FACTORS = ((1, "3/2", 2), (1, "3/2", 2))
 BROKEN_SIZES = (64, 256, 1024, 4096)
 BROKEN_FAN_IN = 3
+# (m, c, l, sizes): every class t buys t leaves for (t + 2) * c[t + 1],
+# the same per leaf; the l of m = 4 is the ties4 variant of the benchmark
+TIED_CELLS = (
+    (3, (1, "3/2"), (1, "3/2"), (50, 100, 200)),
+    (4, (1, "3/2", 2), (1, "4/3", "5/3"), (50, 100, 200)),
+    (6, (1, "3/2", "9/5", 2, "15/7"), (1, "3/2", "9/5", 2, "15/7"), (16, 24, 32)),
+)
+TIED_CAP_S = 60
+
+
+class CpuCapExceeded(Exception):
+    """A cell ran past its CPU cap."""
 
 
 def cost_factors(m: int) -> tuple[list[int], list[int]]:
@@ -210,6 +231,46 @@ def run_verify_row(mpsynth, sizes=VERIFY_SIZES, fan_ins=VERIFY_FAN_INS) -> list[
     return row
 
 
+def cpu_capped(call, seconds: float):
+    """``call()``, stopped by ``CpuCapExceeded`` once the process has
+    spent ``seconds`` of CPU time in it (``ITIMER_PROF``)."""
+
+    def expire(signum, frame):
+        raise CpuCapExceeded(f"over the CPU cap of {seconds} s")
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def run_tied_row(mpsynth, cells=TIED_CELLS, cap=TIED_CAP_S) -> list[dict]:
+    row = []
+    for m, c, l, sizes in cells:
+        cm = mpsynth.CostModel.from_factors(m, c, l)
+        for n in sizes:
+            cell: dict = {"n": n, "m": m, "error": None}
+            try:
+                gc.collect()
+                timed = lambda: best_cpu(mpsynth.synthesize_star, lambda: (n, cm))
+                syn, seconds = cpu_capped(timed, cap)
+                cell.update(
+                    cpu_s=round(seconds, 6),
+                    optima=len(syn.all_q),
+                    q=list(syn.q),
+                    latency=mpsynth.format_rational(syn.latency),
+                )
+            except Exception as exc:  # a capped cell is data, not the end of the row
+                cell["error"] = {"type": type(exc).__name__, "message": str(exc)[:200]}
+            row.append(cell)
+            status = cell["error"]["type"] if cell["error"] else "ok"
+            print(f"tied m={m} n={n}: {cell.get('cpu_s', 0.0):.3f} s {status}", file=sys.stderr)
+    return row
+
+
 def with_extra_operand(Dag, dag):
     """``dag`` with x3 added as an operand of x1's first computation
     parent: every output whose ancestor graph holds that node reaches x3
@@ -274,6 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     cells = run_grid(mpsynth)
     verify = run_verify_row(mpsynth)
     broken = run_broken_row(mpsynth)
+    tied = run_tied_row(mpsynth)
     record = {
         "tag": args.tag,
         "mpsynth_version": mpsynth.__version__,
@@ -291,6 +353,11 @@ def main(argv: list[str] | None = None) -> int:
         "verify": verify,
         "broken_cost_model": f"c[k] = k - 1, l[k] = 1 for k = 2..{BROKEN_FAN_IN}",
         "broken": broken,
+        "tied_cost_models": [
+            {"m": m, "c": list(c), "l": list(l)} for m, c, l, _ in TIED_CELLS
+        ],
+        "tied_clock": f"cpu_s as above, each cell under a CPU cap of {TIED_CAP_S} s",
+        "tied": tied,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
