@@ -17,20 +17,22 @@ optimizer answer and is exposed through the command line.
 Oracle values are compared to optimizer values with exact equality;
 there are no tolerances anywhere.  Path walks add the model's integer
 latencies (:attr:`CostModel.scaled_l`); no brute value comes from an
-optimizer's DP.  The one value of a DP an oracle reads is the star
-latency :func:`verify_report` claims for a degree vector, which
-:func:`oracle_min_star_latency` takes only as a bound that prunes its
-growth of star-tree skeletons: its answer is the exact least latency
-over every star tree of the vector, whatever the bound.
+optimizer's DP, and no oracle reads a value a DP claims.  What
+:func:`oracle_min_star_latency` takes from the star-latency DP is its
+witness tree, which it rates by the literal walk before growing only
+the star-tree skeletons strictly below that rating: its answer is the
+exact least latency over every star tree of the vector, whatever the
+witness.  The labeling search rates every combination of per-copy
+labelings by the distinct labeled subtrees it unites, without building
+a structure for it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .costs import CostModel, format_rational
 from .drt import LEAF, Rooted, degree_vector, tree_latency
@@ -279,24 +281,26 @@ def enumerate_star_trees(
 def oracle_min_star_latency(
     q: Sequence[int],
     cm: CostModel,
-    bound: Fraction | None = None,
+    witness: StarTree | None = None,
     budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Fraction:
     """The least latency over every star tree with degree vector ``q``,
     by the literal leaf-pair definition of :func:`oracle_star_tree_latency`.
 
-    ``bound`` only prunes: the growth keeps the skeletons within it, and
-    when no tree is, it grows again without it.  So the answer is exact
-    whatever the bound, too low or too high.
+    A ``witness`` tree of ``q`` is rated by that walk, and only the
+    skeletons strictly below its rating are grown: the least latency is
+    the witness's own or the least of what grew, whatever tree the
+    witness is.  Without a witness of ``q`` (none, or one of another
+    degree vector) every skeleton is grown.
     """
     q = tuple(q)
     scale, lat = cm.scaled_l
-    frontier = {}
-    if bound is not None:
-        frontier = _grow_star_skeletons(q, budget, lat, math.floor(bound * scale))
-    if not frontier:
+    if witness is None or degree_vector_of(witness) != q:
         frontier = _grow_star_skeletons(q, budget, lat)
-    return Fraction(min(latency for *_, latency in frontier.values()), scale)
+        return Fraction(min(latency for *_, latency in frontier.values()), scale)
+    rated = int(oracle_star_tree_latency(witness, cm) * scale)
+    below = _grow_star_skeletons(q, budget, lat, rated - 1)
+    return Fraction(min([rated] + [latency for *_, latency in below.values()]), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -492,29 +496,54 @@ def min_labeling_complexity(
 
     The search space collapses per copy to symmetry classes (two
     labelings whose labeled trees are equal contribute identically to
-    any union), which keeps the product exact yet tiny.
+    any union), which keeps the product exact yet tiny.  No structure is
+    built: the builder's hash-consing keeps one node per distinct
+    labeled subtree of the copies (:func:`structure_from_labeled_copies`),
+    and no two roots are equal, as each copy leaves out another input.
+    So every copy's subtrees are interned once per class, a subtree as
+    the set of its operands (input ``i`` as ``-i``, a subtree by its id),
+    and a combination is rated by the union of its copies' id sets, each
+    id weighing ``c`` of its fan-in.
     """
     if n > budget.max_labeling_inputs:
         raise BudgetExceeded(f"n = {n} exceeds labeling budget {budget.max_labeling_inputs}")
     tree = uniform_tree_from_type_vector(w)
     if tree.leaf_count != n - 1:
         raise ValueError(f"type vector {tuple(w)} is infeasible for n = {n}")
+    if max(tree.levels, default=2) > min(m, cm.m):
+        raise ValueError("tree fan-in exceeds m")
+    scale, cost = cm.scaled_c
+    ids: dict[frozenset[int], int] = {}
+    weight: list[int] = []  # per interned subtree, c of its fan-in
+
+    def emit(depth: int, leaves: Iterator[int], made: set[int]) -> int:
+        if depth == tree.height:
+            return -next(leaves)
+        key = frozenset(emit(depth + 1, leaves, made) for _ in range(tree.levels[depth]))
+        if key not in ids:
+            ids[key] = len(weight)
+            weight.append(cost[len(key)])
+        made.add(ids[key])
+        return ids[key]
+
     classes = _labeling_classes(tree)
-    per_copy_labels = ascending_labeling(n)
-    best: Fraction | None = None
+    copies = []  # per copy, per class: the ids of its subtrees
+    for labels in ascending_labeling(n):
+        row = []
+        for perm in classes:
+            made: set[int] = set()
+            emit(0, iter([labels[pos] for pos in perm]), made)
+            row.append(made)
+        copies.append(row)
+    best: int | None = None
     achievers = 0
-    for combo in itertools.product(range(len(classes)), repeat=n):
-        labelings = [
-            [per_copy_labels[j][classes[c][pos]] for pos in range(n - 1)]
-            for j, c in enumerate(combo)
-        ]
-        dag = structure_from_labeled_copies(tree, labelings, m)
-        cost = complexity(dag, cm)
-        if best is None or cost < best:
-            best, achievers = cost, 1
-        elif cost == best:
+    for combo in itertools.product(*copies):
+        total = sum(weight[i] for i in set().union(*combo))
+        if best is None or total < best:
+            best, achievers = total, 1
+        elif total == best:
             achievers += 1
-    return best, achievers
+    return Fraction(best, scale), achievers
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +671,7 @@ def verify_report(
         ftable = forest_latency_table(optima, cm)
         for q in optima:
             result = min_star_latency(q, cm, ftable)
-            brute = oracle_min_star_latency(q, cm, result.value, budget)
+            brute = oracle_min_star_latency(q, cm, result.tree, budget)
             induced = structure_from_star_tree(result.tree)
             witness = _validity_witness(induced)
             if degree_vector_of(result.tree) != q:

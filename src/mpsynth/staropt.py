@@ -442,7 +442,9 @@ def _best_split(q: Vec, table: ForestLatencyTable) -> tuple[int, tuple[Vec, int]
     """The least scaled tree latency over balanced splits of ``q``, and
     the first split (heavy census, 1-based root class) achieving it."""
     values, strides, size, lat = table.values, table.strides, table.size, table.lat
-    iq = table.index(q)
+    # (q, 1) is the light side at u = 0; _cell names q's census when the
+    # table does not hold it; with (q, 1) held, so is every cell read below
+    iq = table._cell(q, 1)
     best: int | None = None
     best_split: tuple[Vec, int] | None = None
     for u, iu in zip(vectors_below(q), _census_box(q, strides)):

@@ -28,8 +28,9 @@ internal nodes of every leaf pair's path by
 :func:`mpsynth.oracles.oracle_star_tree_latency`.  The least latency
 over every tree of a degree vector, which ``verify`` checks the DP
 against, comes from :func:`mpsynth.oracles.oracle_min_star_latency`
-without building any tree: it grows bare skeletons that carry their
-own latency.
+without building any tree: it rates the DP's witness tree by that walk
+and grows only the bare skeletons, each carrying its own latency, that
+are strictly below it.
 """
 
 from __future__ import annotations

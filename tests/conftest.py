@@ -17,6 +17,7 @@ from mpsynth.oracles import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     EnumerationBudget,
+    _labeling_classes,
     ascending_labeling,
     structure_from_labeled_copies,
 )
@@ -28,8 +29,13 @@ from mpsynth.structure import (
     _leaves_failure,
     _topological_order,
     _with_order,
+    complexity,
 )
-from mpsynth.uniform import UniformTree, structure_from_uniform_tree
+from mpsynth.uniform import (
+    UniformTree,
+    structure_from_uniform_tree,
+    uniform_tree_from_type_vector,
+)
 
 BENCH_GRID = Path(__file__).resolve().parent.parent / "tools" / "bench_grid.py"
 
@@ -245,6 +251,32 @@ def seven_input_structure(labeling: str):
     if labeling == "ascending":
         return structure_from_labeled_copies(tree, ascending_labeling(7), 3)
     return structure_from_uniform_tree(tree, 3)
+
+
+def reference_min_labeling_complexity(
+    w: Sequence[int], n: int, m: int, cm: CostModel
+) -> tuple[Fraction, int]:
+    """The reference for :func:`mpsynth.oracles.min_labeling_complexity`:
+    the same product of per-copy labeling classes, each combination
+    built by :func:`structure_from_labeled_copies` and rated by
+    :func:`mpsynth.structure.complexity`.  Returns the least complexity
+    and how many combinations achieve it."""
+    tree = uniform_tree_from_type_vector(w)
+    classes = _labeling_classes(tree)
+    per_copy_labels = ascending_labeling(n)
+    best: Fraction | None = None
+    achievers = 0
+    for combo in itertools.product(range(len(classes)), repeat=n):
+        labelings = [
+            [per_copy_labels[j][classes[c][pos]] for pos in range(n - 1)]
+            for j, c in enumerate(combo)
+        ]
+        cost = complexity(structure_from_labeled_copies(tree, labelings, m), cm)
+        if best is None or cost < best:
+            best, achievers = cost, 1
+        elif cost == best:
+            achievers += 1
+    return best, achievers
 
 
 @pytest.fixture

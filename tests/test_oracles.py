@@ -31,8 +31,10 @@ from mpsynth.structure import Dag
 from conftest import (
     count_rooted_trees,
     leaf_count,
+    reference_min_labeling_complexity,
     reference_star_tree_latency,
     reference_star_trees,
+    star_tree_from_degree_vector,
     star_tree_shape_code,
     star_tree_shape_codes_via_labeled_skeletons,
 )
@@ -196,7 +198,7 @@ BOUND_MODELS = {
 }
 
 
-def test_bounded_oracle_is_the_least_tree_latency_whatever_the_bound():
+def test_witness_oracle_is_the_least_tree_latency_whatever_the_witness():
     for m in (2, 3, 4, 5):
         models = [
             CostModel.from_factors(m, [1] * (m - 1), factors[: m - 1])
@@ -207,14 +209,26 @@ def test_bounded_oracle_is_the_least_tree_latency_whatever_the_bound():
                 if sum(q) == 0:
                     continue
                 trees = reference_star_trees(q)
+                # trees of other vectors, one node more and one fewer, are
+                # no witnesses of q
+                k = next(k for k, a in enumerate(q) if a)
+                others = [
+                    star_tree_from_degree_vector(q[:k] + (a,) + q[k + 1 :])
+                    for a in (q[k] + 1, q[k] - 1)
+                    if sum(q) - q[k] + a
+                ]
                 for cm in models:
                     scale, lat = cm.scaled_l
-                    least = min(reference_star_tree_latency(t, cm) for t in trees)
-                    step = Fraction(1, scale)  # one unit of the scaled ints
-                    for bound in (None, least, least - step, least + step):
-                        assert oracle_min_star_latency(q, cm, bound) == least, (m, q, bound)
-                    # a bound one unit too low keeps no skeleton: the answer
-                    # above came from the growth without a bound
+                    rated = {reference_star_tree_latency(t, cm): t for t in reversed(trees)}
+                    least = min(rated)
+                    # every tree up to n = 10; at n = 11 (1,083 trees over
+                    # m, each under four models) one tree per rating, as the
+                    # oracle reads a witness of q only through its rating
+                    witnesses = trees if n <= 10 else list(rated.values())
+                    for witness in [None] + others + witnesses:
+                        assert oracle_min_star_latency(q, cm, witness) == least, (m, q, witness)
+                    # below the least latency no skeleton grows: a least
+                    # witness's own rating is the answer
                     limit = int(least * scale) - 1
                     assert oracles._grow_star_skeletons(q, DEFAULT_BUDGET, lat, limit) == {}
 
@@ -232,8 +246,9 @@ def test_bounded_oracle_keeps_only_the_trees_within_the_bound():
             ], (q, limit)
 
 
-@pytest.mark.parametrize("shift", [-1, Fraction(-1, 12), Fraction(1, 12), 1])
+@pytest.mark.parametrize("shift", [-1, Fraction(-1, 12), Fraction(1, 12), 1, "worst tree"])
 def test_a_wrong_star_latency_claim_gets_the_true_oracle_value(monkeypatch, shift):
+    # a wrong value, or the right value with q's worst tree as its witness
     cm = CostModel.from_factors(4, [1, Fraction(3, 2), 2], [1, Fraction(4, 3), Fraction(5, 3)])
     checks = verify_report(11, cm).checks
     truth = {tuple(c.params["q"]): c for c in checks if c.name == "star_latency"}
@@ -242,6 +257,11 @@ def test_a_wrong_star_latency_claim_gets_the_true_oracle_value(monkeypatch, shif
 
     def wrong(q, cm, table):
         result = real(q, cm, table)
+        if shift == "worst tree":
+            trees = reference_star_trees(q)
+            worst = max(trees, key=lambda t: reference_star_tree_latency(t, cm))
+            assert reference_star_tree_latency(worst, cm) > result.value
+            return dataclasses.replace(result, tree=worst)
         return dataclasses.replace(result, value=result.value + shift)
 
     monkeypatch.setattr(oracles, "min_star_latency", wrong)
@@ -250,8 +270,51 @@ def test_a_wrong_star_latency_claim_gets_the_true_oracle_value(monkeypatch, shif
     for check in claimed:
         want = truth[tuple(check.params["q"])]
         assert check.oracle_value == want.oracle_value
-        assert check.dp_value == oracles.format_rational(Fraction(want.dp_value) + shift)
+        if shift == "worst tree":
+            assert check.dp_value == want.dp_value
+            assert check.witness == "witness tree does not achieve the DP latency"
+        else:
+            assert check.dp_value == oracles.format_rational(Fraction(want.dp_value) + shift)
         assert not check.passed
+
+
+# ---------------------------------------------------------------------------
+# labeling search, against the per-combination builds it replaced
+
+# c factors for fan-ins 2..6, cut to m: all zero, equal, steep, flat,
+# fractional, and zero at the small fan-ins
+LABELING_MODELS = {
+    "zero": (0, 0, 0, 0, 0),
+    "tied": (1, 1, 1, 1, 1),
+    "steep": (1, 3, 9, 27, 81),
+    "flat": (2, 2, Fraction(5, 2), 3, 3),
+    "fractional": MIXED_L,
+    "zero-small": (0, 0, Fraction(1, 2), 2, 2),
+}
+
+
+def test_labeling_search_matches_the_building_reference():
+    for m in range(2, 7):
+        for factors in LABELING_MODELS.values():
+            cm = CostModel.from_factors(m, factors[: m - 1], [1] * (m - 1))
+            for n in range(2, 6):
+                for w in enumerate_type_vectors(n, m):
+                    want = reference_min_labeling_complexity(w, n, m, cm)
+                    assert oracles.min_labeling_complexity(w, n, m, cm) == want, (m, n, w)
+
+
+def test_labeling_search_builds_no_structure(monkeypatch):
+    cm = CostModel.from_factors(4, [1, Fraction(3, 2), 2], [1, 1, 1])
+    shapes = enumerate_type_vectors(5, 4)
+    assert shapes == [(0, 0, 1), (2, 0, 0)]  # one 4-input level, and 2 over 2
+    want = [reference_min_labeling_complexity(w, 5, 4, cm) for w in shapes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the labeling search built a structure")
+
+    for name in ("structure_from_labeled_copies", "DagBuilder", "complexity"):
+        monkeypatch.setattr(oracles, name, refuse)
+    assert [oracles.min_labeling_complexity(w, 5, 4, cm) for w in shapes] == want
 
 
 def test_tree_latency_matches_fraction_reference():

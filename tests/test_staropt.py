@@ -458,6 +458,14 @@ def test_shared_table_matches_reference_in_any_order():
         assert (result.value, result.split, result.tree) == (value, split, tree), q
 
 
+def test_a_table_that_misses_q_names_its_census():
+    # the radix of tops (2, 0) and (0, 1) covers (2, 1); their region does not
+    cm = CostModel.from_factors(3, [1, 1], [1, 1])
+    table = forest_latency_table([(2, 0), (0, 1)], cm)
+    with pytest.raises(KeyError, match=r"census \(2, 1\) is not in the table"):
+        min_star_latency((2, 1), cm, table)
+
+
 def test_table_values_are_exact_fractions():
     cm = CostModel.from_factors(3, [1, 1], [Fraction(3, 2), Fraction(9, 5)])
     table = forest_latency_table([(3, 2)], cm)
