@@ -437,7 +437,8 @@ def structure_from_labeled_copies(
     ``labelings[j-1]`` assigns input indices to copy ``j``'s leaves in
     left-to-right order and must be a bijection onto ``{1..n} - {j}``,
     where ``n = len(labelings)``.  Fed the cyclic labeling, it gives the
-    same graph as :func:`mpsynth.uniform.structure_from_uniform_tree`.
+    same structure, byte for byte, as
+    :func:`mpsynth.uniform.structure_from_uniform_tree`.
     """
     n = len(labelings)
     if tree.leaf_count != n - 1:

@@ -24,7 +24,10 @@ Three exact dynamic programs, each with witness reconstruction:
   with a given degree vector, by scanning balanced two-sided splits
   whose side latencies come from the forest table, and the tree the
   best split realizes.  :func:`synthesize_star` scans each optimal
-  vector's splits once and realizes only the winner's.
+  vector's splits once and builds only the winner's structure, straight
+  from the split's two rooted halves, one node per directed edge of the
+  tree they join, without building the star tree; its ``tree`` is built
+  from the halves only when read.
 
 Every value is an exact rational at the API.  Inside, all three run on
 ints, the model's integer views of ``c`` and ``l``
@@ -39,13 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .costs import CostModel
 from .drt import LEAF, Rooted, rooted
-from .startree import StarTree, structure_from_star_tree
-from .structure import Dag
+from .startree import StarTree
+from .structure import Dag, Label, _with_order
 
 Vec = tuple[int, ...]
 
@@ -408,34 +411,79 @@ class StarLatencyResult:
     tree: StarTree
 
 
-def _star_tree_from_halves(heavy_forest: list[Rooted], light: Rooted, m: int) -> StarTree:
+def _halves_preorder(heavy_forest: Sequence[Rooted], light: Rooted) -> list[list[int]]:
+    """The children of every node of the star tree that joins a rooted
+    forest (under a fresh root) and a rooted tree by an edge between
+    their roots, rooted at the forest's root, node 0.  Nodes are
+    numbered in pre-order: the forest's trees, then the light tree."""
+    kids: list[list[int]] = [[]]
+    stack = [(tree, 0) for tree in reversed([*heavy_forest, light])]
+    while stack:
+        tree, parent = stack.pop()
+        node = len(kids)
+        kids[parent].append(node)
+        kids.append([])
+        stack.extend(zip(reversed(tree), repeat(node)))
+    return kids
+
+
+def _star_tree_from_halves(heavy_forest: Sequence[Rooted], light: Rooted, m: int) -> StarTree:
     """Join a rooted forest (under a fresh root) and a rooted tree by an
-    edge between their roots, then label the leaves 1..n in walk order."""
-    adj: list[list[int]] = []
-
-    def new_node(parent: int | None = None) -> int:
-        adj.append([])
-        node = len(adj) - 1
-        if parent is not None:
-            adj[node].append(parent)
-            adj[parent].append(node)
-        return node
-
-    def attach(trees: Sequence[Rooted], parent: int) -> None:
-        """Hang ``trees`` below ``parent``, numbering nodes in pre-order."""
-        stack = [(tree, parent) for tree in reversed(trees)]
-        while stack:
-            tree, above = stack.pop()
-            node = new_node(above)
-            stack.extend((child, node) for child in reversed(tree))
-
-    heavy_root = new_node()
-    attach(heavy_forest, heavy_root)
-    if light == LEAF:
-        new_node(heavy_root)
-    else:
-        attach(light, new_node(heavy_root))
+    edge between their roots, then label the leaves 1..n in pre-order."""
+    kids = _halves_preorder(heavy_forest, light)
+    adj = [list(nb) for nb in kids]
+    for v, nb in enumerate(kids):
+        for c in nb:
+            adj[c].append(v)
     return StarTree.from_adjacency(adj, m)
+
+
+def _structure_from_halves(heavy_forest: Sequence[Rooted], light: Rooted, m: int) -> Dag:
+    """The structure :func:`mpsynth.startree.structure_from_star_tree`
+    induces on ``_star_tree_from_halves(heavy_forest, light, m)``, built
+    without the star tree: one node per directed edge, in flat passes
+    over the pre-order of :func:`_halves_preorder`.
+
+    Rooted at the heavy root, each edge between a node ``v`` and its
+    parent ``p`` has two sides.  ``up[v]`` is ``v``'s side, ``v``'s
+    subtree: the input of a leaf, else a node over ``up`` of ``v``'s
+    children; these are made bottom-up.  ``down[v]`` is ``p``'s side: a
+    node over ``up`` of ``p``'s other children and ``down[p]`` (none at
+    the root), or output ``y`` of the leaf ``v``; these are made
+    top-down.  Leaves are ``x_1..x_n`` in pre-order, as in the star
+    tree, so the two structures are the same byte for byte.  Raises
+    unless every internal node has degree in ``[3, m + 1]``, so that
+    every node made has fan-in in ``[2, m]``.
+    """
+    kids = _halves_preorder(heavy_forest, light)
+    leaves = [v for v, nb in enumerate(kids) if not nb]
+    n = len(leaves)
+    up = [0] * len(kids)
+    for i, v in enumerate(leaves):
+        up[v] = i  # x_{i+1} is node i
+    labels: list[Label] = [("x", i) for i in range(1, n + 1)]
+    children: list[tuple[int, ...]] = [()] * n
+    for v in range(len(kids) - 1, 0, -1):
+        if kids[v]:
+            up[v] = len(children)
+            children.append(tuple(sorted(map(up.__getitem__, kids[v]))))
+            labels.append(None)
+    down = [0] * len(kids)
+    for p, nb in enumerate(kids):
+        if not nb:
+            continue
+        ops = sorted(map(up.__getitem__, nb))
+        if p:
+            ops.append(down[p])  # made after every up node
+        if not 3 <= len(ops) <= m + 1:
+            raise ValueError(f"internal node {p} has degree {len(ops)}, outside [3, {m + 1}]")
+        for v in nb:
+            i = ops.index(up[v])
+            down[v] = len(children)
+            children.append((*ops[:i], *ops[i + 1 :]))
+            labels.append(("y", up[v] + 1) if not kids[v] else None)
+    dag = Dag(n=n, m=m, labels=tuple(labels), children=tuple(children))
+    return _with_order(dag, range(len(children)))
 
 
 def _best_split(q: Vec, table: ForestLatencyTable) -> tuple[int, tuple[Vec, int]]:
@@ -463,13 +511,21 @@ def _best_split(q: Vec, table: ForestLatencyTable) -> tuple[int, tuple[Vec, int]
     return best, best_split
 
 
-def _realize(q: Vec, split: tuple[Vec, int], table: ForestLatencyTable) -> StarTree:
-    """The star tree of degree vector ``q`` that ``split`` (heavy census,
-    1-based root class) of :func:`_best_split` rates: the heavy root's
-    child forest and the light tree, both rebuilt from ``table``."""
+def _halves(
+    q: Vec, split: tuple[Vec, int], table: ForestLatencyTable
+) -> tuple[list[Rooted], Rooted]:
+    """The halves of the star tree of degree vector ``q`` that ``split``
+    (heavy census, 1-based root class) of :func:`_best_split` rates: the
+    heavy root's child forest and the light tree, both rebuilt from
+    ``table``."""
     u, root_class = split
     forest = table.rebuild_forest(_minus_e(u, root_class - 1), root_class + 1)
-    return _star_tree_from_halves(forest, table.rebuild_tree(_sub(q, u)), table.m)
+    return forest, table.rebuild_tree(_sub(q, u))
+
+
+def _realize(q: Vec, split: tuple[Vec, int], table: ForestLatencyTable) -> StarTree:
+    """The star tree of degree vector ``q`` that ``split`` rates."""
+    return _star_tree_from_halves(*_halves(q, split, table), table.m)
 
 
 def min_star_latency(
@@ -515,16 +571,23 @@ class StarSynthesis:
     latency: Fraction
     q: Vec
     all_q: tuple[Vec, ...]  # every complexity-optimal degree vector
-    tree: StarTree
+    halves: tuple[tuple[Rooted, ...], Rooted]  # the winner's heavy forest and light tree
     structure: Dag
+
+    @property
+    def tree(self) -> StarTree:
+        """The star tree that induces :attr:`structure`, built from the
+        halves on each read."""
+        return _star_tree_from_halves(*self.halves, self.structure.m)
 
 
 def synthesize_star(n: int, cm: CostModel) -> StarSynthesis:
     """Complexity-optimal structure, then the lowest-latency one among
     those: backtrack every optimal degree vector, rate each once, by
     :func:`_best_split` on one forest table over all of them, keep the
-    best (ties to the smaller vector), and realize it from the split
-    that rated it."""
+    best (ties to the smaller vector), and build its structure straight
+    from the halves of the split that rated it
+    (:func:`_structure_from_halves`)."""
     if n < 3:
         raise ValueError(f"star synthesis needs n >= 3, got {n}")
     table = min_star_complexity(n, cm)
@@ -533,12 +596,12 @@ def synthesize_star(n: int, cm: CostModel) -> StarSynthesis:
     rated = [(_best_split(q, forest), q) for q in candidates]
     # min keeps the first of equal values: candidates are sorted
     (value, split), q = min(rated, key=lambda r: r[0][0])
-    tree = _realize(q, split, forest)
+    heavy, light = _halves(q, split, forest)
     return StarSynthesis(
         complexity=table.value(),
         latency=Fraction(value, forest.scale),
         q=q,
         all_q=tuple(candidates),
-        tree=tree,
-        structure=structure_from_star_tree(tree),
+        halves=(tuple(heavy), light),
+        structure=_structure_from_halves(heavy, light, cm.m),
     )

@@ -18,7 +18,11 @@ tree maps to a path in the structure with every degree lowered by one
 (the edge toward the path is the one not consumed as an operand).
 
 This module builds star trees and their structures; it does not choose
-them, and it does not rate their latency.  The latency-optimal tree for
+them, and it does not rate their latency.  :func:`structure_from_star_tree`
+is the reference builder: ``verify``'s induced-structure check, the
+oracles and the tests build with it, while synthesis builds the same
+structure, byte for byte, straight from the two halves of the winning
+split without a star tree (:func:`mpsynth.staropt.synthesize_star`).  The latency-optimal tree for
 a degree vector comes from :func:`mpsynth.staropt.min_star_latency`,
 and every tree of a degree vector from
 :func:`mpsynth.oracles.enumerate_star_trees`; both number the leaves

@@ -100,12 +100,14 @@ class Dag:
         """Inputs by label, then outputs by label, then computation nodes
         by canonical id: an order independent of node numbering."""
         ids = _subtree_ids(self, self._order)
-
-        def sort_key(v: int) -> tuple[int, int]:
-            lbl = self.labels[v]
-            return (2, ids[v]) if lbl is None else (0 if lbl[0] == "x" else 1, lbl[1])
-
-        return sorted(range(self.node_count), key=sort_key)
+        inputs, outputs, computed = [], [], []
+        for v, lbl in enumerate(self.labels):
+            if lbl is None:
+                computed.append(v)
+            else:
+                (inputs if lbl[0] == "x" else outputs).append((lbl[1], v))
+        computed.sort(key=ids.__getitem__)
+        return [v for _, v in sorted(inputs)] + [v for _, v in sorted(outputs)] + computed
 
     def degree_histogram(self) -> dict[int, int]:
         return dict(Counter(map(len, self.children)))

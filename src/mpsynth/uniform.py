@@ -31,9 +31,12 @@ shape can achieve, so it is the only labeling
 :func:`structure_from_uniform_tree` builds.  Other labelings live with
 the oracles (:func:`mpsynth.oracles.structure_from_labeled_copies`).
 The cyclic labeling also lets the builder make each node once: a node
-at depth ``d`` whose first leaf is ``x_{s+1}`` covers
-``x_{s+1}..x_{s+size}`` cyclically, so ``(d, s)`` names it exactly and
-the build takes time and memory proportional to the ``~n * height``
+at depth ``d`` whose first leaf is ``x_{s+1}`` covers the *block*
+``x_{s+1}..x_{s+span}`` cyclically (``span`` leaves from ring offset
+``s``), so ``(d, s)`` names it exactly.  The builder makes the nodes
+depth by depth from the leaves, one int per ring offset, each from the
+images of its children one depth below, in flat loops with no
+recursion; it takes time and memory proportional to the ``~n * height``
 nodes it makes rather than to the ``n * n`` leaves of all copies.
 
 Below the ring size, the builder cuts the ring of ``n'`` inputs down to
@@ -41,7 +44,7 @@ Below the ring size, the builder cuts the ring of ``n'`` inputs down to
 operand (a leaf past ``x_n`` included) is dropped, and a node left with
 one operand is that operand.  Only outputs ``y_1..y_n`` are built, so
 the ``n' - n`` surplus inputs and outputs are never made, and latency
-and complexity never increase: nodes are only removed or merged.
+and complexity never increase: nodes are only removed.
 
 The builder takes ``n = 2`` and every ``n`` with ``n - 1`` above the
 leaf count of one root child, ``n = n'`` included; in between, ``y_1``
@@ -51,6 +54,21 @@ without its root level would cover them too, so either that level
 weighs something and the ceiling DP's optimum was not optimal, or every
 level weighs nothing and a smaller optimal vector, no more complex,
 wins the tie-break.
+
+At every size it takes above 2, each ring offset at each depth below
+the roots is in some output's tree, and no two nodes it makes are
+equal, so nothing needs marking or merging.  Copy ``j``'s blocks at
+depth ``d`` start at ``j + t * span``, so the ``n`` copies' blocks
+start at every offset from 1 to ``n + n' - 1 - span``: the whole ring,
+as ``n - 1 >= span``.  A node's inputs are its block less the dropped
+arc ``x_{n+1}..x_{n'}``.  Two blocks that keep the same inputs have
+their differences inside that arc; being one arc, it then holds either
+their common part, which leaves them no input, or all the ring outside
+it, which puts all ``n`` inputs into a block of fewer than ``n - 1``
+leaves.  So no two blocks of one depth keep the same inputs, and a
+deeper block that keeps those of a shallower one lies at one end of
+it, inside one of its child blocks: the shallower node keeps a single
+operand and is not made.
 """
 
 from __future__ import annotations
@@ -58,10 +76,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .costs import CostModel
-from .structure import Dag, DagBuilder
+from .structure import Dag, _with_order
 
 Vec = tuple[int, ...]
 
@@ -123,6 +141,12 @@ def type_vector_complexity(w: Sequence[int], cm: CostModel) -> Fraction:
 # structure construction
 
 
+def _rows(below: list[int | None], fan: int, step: int) -> Iterator[tuple[int | None, ...]]:
+    """Row ``s`` for each ring offset ``s``: the images ``below[s + k * step]``
+    (cyclically) of the ``fan`` children of the node one depth above."""
+    return zip(*[below[k * step :] + below[: k * step] for k in range(fan)])
+
+
 def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None) -> Dag:
     """Unite one cyclically labeled copy of ``tree`` per output on the
     ring of ``n' = tree.leaf_count + 1`` inputs, keeping ``x_1..x_n`` and
@@ -131,14 +155,19 @@ def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None)
     Copy ``j`` reads ``x_{j+1}..x_{n'}, x_1..x_{j-1}`` left to right, so
     a node at depth ``d`` whose first leaf sits at ring offset ``s`` (it
     reads ``x_{s+1}``) covers as many inputs as it has leaves from there
-    on, cyclically, in every copy that contains it.  Nodes are memoized
-    on ``(d, s)``, so each shared node is emitted once.
+    on, cyclically, in every copy that contains it.  The nodes are made
+    depth by depth from the leaves: ``below[s]`` is the image of
+    ``(d + 1, s)``, and row ``s`` of the depth above reads
+    ``below[s + k * span]`` for each of its children ``k``.
 
     Below ``n'`` the surplus inputs are dropped as the nodes are made: a
     leaf at offset ``s >= n`` is nothing, a node with no surviving
     operand is nothing, a node with one is that operand, and any other
-    is the node over its operands' distinct images, so subtrees the
-    removal made equal merge.  Every node made feeds an output.
+    is a node over its operands' images.  Every node made feeds an
+    output, and none equals another (see the module docstring).  Each
+    node made has fan-in in ``[2, m]``: the levels' fan-ins are at most
+    ``m``, a node needs two operands, and an output keeps two at the
+    sizes taken above 2.
 
     ``n`` must be 2 or exceed ``1 +`` the leaf count of one root child:
     in between, all of ``y_1``'s inputs fit under its first root child,
@@ -159,34 +188,30 @@ def structure_from_uniform_tree(tree: UniformTree, m: int, n: int | None = None)
             f"need n = 2 or n > {1 + span[1]} for levels {levels}, got n = {n}:"
             " y1 would keep a single root operand"
         )
-    builder = DagBuilder()
-    memo: dict[tuple[int, int], int | None] = {}
-
-    def images(depth: int, start: int) -> set[int]:
-        # the surviving images of the ``levels[depth - 1]`` nodes at
-        # ``depth`` under the parent whose first leaf is ``x_{start+1}``
-        step = span[depth]
-        found = {emit(depth, (start + k * step) % ring) for k in range(levels[depth - 1])}
-        found.discard(None)
-        return found
-
-    def emit(depth: int, start: int) -> int | None:
-        # the image of the node at ``depth`` whose first leaf is ``x_{start+1}``
-        key = (depth, start)
-        if key not in memo:
-            if depth == len(levels):
-                memo[key] = builder.input(start + 1) if start < n else None
-            else:
-                kids = images(depth + 1, start)
-                if len(kids) > 1:
-                    memo[key] = builder.op(kids)
-                else:  # one operand passes through; none leaves nothing
-                    memo[key] = kids.pop() if kids else None
-        return memo[key]
-
+    inputs = [("x", i) for i in range(1, n + 1)]
+    outputs = [("y", j) for j in range(1, n + 1)]
+    if n == 2:  # each output is a wire from the other input
+        dag = Dag(n=2, m=m, labels=(*inputs, *outputs), children=((), (), (1,), (0,)))
+        return _with_order(dag, range(4))
+    children: list[tuple[int, ...]] = [()] * n
+    below: list[int | None] = [*range(n), *[None] * (ring - n)]  # x_{s+1} is node s
+    for depth in range(len(levels) - 1, 0, -1):
+        images = []
+        for row in _rows(below, levels[depth], span[depth + 1]):
+            if None in row:
+                row = [c for c in row if c is not None]
+                if len(row) < 2:  # one operand passes through; none leaves nothing
+                    images.append(row[0] if row else None)
+                    continue
+            images.append(len(children))
+            children.append(tuple(sorted(row)))
+        below = images
+    made = len(children) - n
+    roots = list(_rows(below, levels[0], span[1]))  # y_j's operands: row j % ring
     for j in range(1, n + 1):
-        builder.output(j, images(1, j) if levels else {emit(0, j % ring)})
-    return builder.build(n, m)
+        children.append(tuple(sorted(c for c in roots[j % ring] if c is not None)))
+    dag = Dag(n=n, m=m, labels=(*inputs, *[None] * made, *outputs), children=tuple(children))
+    return _with_order(dag, range(len(children)))
 
 
 # ---------------------------------------------------------------------------

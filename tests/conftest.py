@@ -6,10 +6,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import prod
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from mpsynth.costs import CostModel
 from mpsynth.drt import Rooted, _internal_nodes
@@ -242,6 +244,87 @@ def prune(dag: Dag, n: int) -> PruneResult:
         children=tuple(tuple(renum[c] for c in built.children[v]) for v in kept),
     )
     return PruneResult(_with_order(pruned, range(len(kept))), tuple(actions))
+
+
+def reference_uniform_structure(tree: UniformTree, m: int, n: int | None = None) -> Dag:
+    """The reference for :func:`mpsynth.uniform.structure_from_uniform_tree`:
+    the recursive builder it replaced, which the tests hold it to byte
+    for byte.
+
+    ``emit(d, s)`` makes the node at depth ``d`` whose first leaf sits
+    at ring offset ``s``, memoized on ``(d, s)``, from the images of its
+    children, through the hash-consing :class:`DagBuilder`, under the
+    same drop rules and size refusal.  It numbers the nodes in the order
+    the recursion finishes them.
+    """
+    levels = tree.levels
+    if max(levels, default=2) > m:
+        raise ValueError("tree fan-in exceeds m")
+    ring = tree.leaf_count + 1
+    if n is None:
+        n = ring
+    if not 2 <= n <= ring:
+        raise ValueError(f"need 2 <= n <= {ring} for a tree with {ring - 1} leaves, got n = {n}")
+    span = [prod(levels[d:]) for d in range(len(levels) + 1)]
+    if 2 < n <= 1 + span[1]:
+        raise ValueError(f"need n = 2 or n > {1 + span[1]} for levels {levels}, got n = {n}")
+    builder = DagBuilder()
+    memo: dict[tuple[int, int], int | None] = {}
+
+    def images(depth: int, start: int) -> set[int]:
+        step = span[depth]
+        found = {emit(depth, (start + k * step) % ring) for k in range(levels[depth - 1])}
+        found.discard(None)
+        return found
+
+    def emit(depth: int, start: int) -> int | None:
+        key = (depth, start)
+        if key not in memo:
+            if depth == len(levels):
+                memo[key] = builder.input(start + 1) if start < n else None
+            else:
+                kids = images(depth + 1, start)
+                if len(kids) > 1:
+                    memo[key] = builder.op(kids)
+                else:
+                    memo[key] = kids.pop() if kids else None
+        return memo[key]
+
+    for j in range(1, n + 1):
+        builder.output(j, images(1, j) if levels else {emit(0, j % ring)})
+    return builder.build(n, m)
+
+
+def ramp(increments):
+    """Cumulative sums: a non-negative, non-decreasing factor sequence."""
+    out, total = [], Fraction(0)
+    for x in increments:
+        total += x
+        out.append(total)
+    return out
+
+
+STEPS = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+
+
+def input_arcs_are_cyclic(dag) -> bool:
+    """Each node reads a set of inputs x_1..x_n that is one cyclic arc:
+    exactly one of its members has its ring predecessor outside it."""
+    below = [0] * dag.node_count
+    for v in dag._order:
+        label = dag.labels[v]
+        if label is not None and label[0] == "x":
+            below[v] = 1 << (label[1] - 1)
+        for c in dag.children[v]:
+            below[v] |= below[c]
+    full = (1 << dag.n) - 1
+    for bits in below:
+        # members whose predecessor on the ring is not a member
+        rotated = ((bits << 1) | (bits >> (dag.n - 1))) & full
+        starts = bits & ~rotated
+        if bits == 0 or bits == full or starts & (starts - 1):
+            return False
+    return True
 
 
 def seven_input_structure(labeling: str):

@@ -48,6 +48,7 @@ from mpsynth.structure import (
     Dag,
     DagBuilder,
     complexity,
+    dumps,
     latency,
     validate,
 )
@@ -65,6 +66,7 @@ from conftest import (
     nodes_with_label,
     output_tree_failures,
     prune,
+    reference_uniform_structure,
     signature,
     union,
     wire_structure,
@@ -419,10 +421,19 @@ MUTATION_KINDS = [
 
 
 def _c7_pool() -> list[Dag]:
+    """The five structures the C7 mutants are drawn from, as synthesis
+    writes them, numbered as the reference builders number them: the
+    seeded mutations and their witnesses follow node ids."""
     cm = CostModel.from_factors(3, [1, 2], [1, 1])
-    pool = [synthesize_star(n, cm).structure for n in (5, 6, 7)]
-    pool.append(synthesize_min_latency(7, cm).structure)
-    pool.append(synthesize_min_latency(8, cm).structure)
+    pool = []
+    for n in (5, 6, 7):
+        syn = synthesize_star(n, cm)
+        pool.append(structure_from_star_tree(syn.tree))
+        assert dumps(pool[-1]) == dumps(syn.structure)
+    for n in (7, 8):
+        syn = synthesize_min_latency(n, cm)
+        pool.append(reference_uniform_structure(uniform_tree_from_type_vector(syn.w), 3, n))
+        assert dumps(pool[-1]) == dumps(syn.structure)
     return pool
 
 

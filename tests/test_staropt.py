@@ -27,8 +27,10 @@ from mpsynth.staropt import (
     synthesize_star,
     vectors_below,
 )
-from mpsynth.startree import degree_vector_of, star_complexity
-from mpsynth.structure import complexity, dumps, latency, loads, validate
+from mpsynth.startree import degree_vector_of, star_complexity, structure_from_star_tree
+from mpsynth.structure import complexity, dumps, latency, loads, to_dot, validate
+
+from conftest import STEPS, input_arcs_are_cyclic, ramp
 
 
 def random_monotone_model(m: int, rng: random.Random) -> CostModel:
@@ -761,6 +763,42 @@ def test_pipeline_rates_each_optimal_vector_once(monkeypatch):
     assert (syn.latency, syn.tree) == (alone.value, alone.tree)
 
 
+HALVES_MODELS = [
+    CostModel.from_factors(2, [1], [1]),
+    CostModel.from_factors(3, [1, 2], [1, 1]),
+    CostModel.from_factors(3, [1, 2], [1, Fraction(3, 2)]),
+    CostModel.from_factors(3, [Fraction(1, 3), Fraction(1, 3)], [1, 1]),
+    CostModel.from_factors(4, [1, Fraction(3, 2), 2], [1, Fraction(4, 3), Fraction(5, 3)]),
+    CostModel.from_factors(6, [1, 1, 1, 1, 1], [1, 2, 3, 4, 5]),
+]
+
+
+@pytest.mark.parametrize("cm", HALVES_MODELS, ids=lambda cm: cm.dumps())
+def test_build_from_halves_writes_what_the_star_tree_induces(cm):
+    for n in range(3, 41):
+        vectors = optimal_degree_vectors(min_star_complexity(n, cm))
+        table = forest_latency_table(vectors, cm)
+        for q in vectors:
+            _, split = staropt._best_split(q, table)
+            got = staropt._structure_from_halves(*staropt._halves(q, split, table), cm.m)
+            want = structure_from_star_tree(staropt._realize(q, split, table))
+            assert got.node_count == want.node_count, (n, q)
+            assert dumps(got) == dumps(want), (n, q)
+            assert to_dot(got) == to_dot(want), (n, q)
+        syn = synthesize_star(n, cm)
+        assert dumps(syn.structure) == dumps(structure_from_star_tree(syn.tree))
+
+
+def test_build_from_halves_checks_degrees():
+    # a heavy root of degree 5 and a light root of fan-in 4, for m = 3
+    for forest, light in (([LEAF] * 4, LEAF), ([LEAF] * 2, rooted([LEAF] * 4))):
+        with pytest.raises(ValueError, match=r"degree 5, outside \[3, 4\]"):
+            staropt._structure_from_halves(forest, light, 3)
+        with pytest.raises(ValueError, match=r"degree 5, outside \[3, 4\]"):
+            _star_tree_from_halves(forest, light, 3)
+    assert validate(staropt._structure_from_halves([LEAF] * 3, LEAF, 3)).ok
+
+
 def least_cubic_diameter(n: int) -> int:
     """The least diameter, in edges, of a tree with ``n`` leaves whose
     inner nodes all have degree 3.  Diameter 2r holds at most
@@ -804,18 +842,6 @@ def test_star_at_ten_thousand_inputs():
 # property: star synthesis on drawn models
 
 
-def ramp(increments):
-    """Cumulative sums: a non-negative, non-decreasing factor sequence."""
-    out, total = [], Fraction(0)
-    for x in increments:
-        total += x
-        out.append(total)
-    return out
-
-
-STEPS = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
-
-
 @st.composite
 def star_models(draw):
     """m = 2..6; ``c`` with every class tied per leaf (class t buys t
@@ -844,26 +870,6 @@ def star_models(draw):
 # where every class ties, the optima and the reference box scan grow
 # fast with n on large m
 N_CAP = {2: 40, 3: 40, 4: 40, 5: 24, 6: 20}
-
-
-def input_arcs_are_cyclic(dag) -> bool:
-    """Each node reads a set of inputs x_1..x_n that is one cyclic arc:
-    exactly one of its members has its ring predecessor outside it."""
-    below = [0] * dag.node_count
-    for v in dag._order:
-        label = dag.labels[v]
-        if label is not None and label[0] == "x":
-            below[v] = 1 << (label[1] - 1)
-        for c in dag.children[v]:
-            below[v] |= below[c]
-    full = (1 << dag.n) - 1
-    for bits in below:
-        # members whose predecessor on the ring is not a member
-        rotated = ((bits << 1) | (bits >> (dag.n - 1))) & full
-        starts = bits & ~rotated
-        if bits == 0 or bits == full or starts & (starts - 1):
-            return False
-    return True
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

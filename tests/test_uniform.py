@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import itertools
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsynth.costs import CostModel
 from mpsynth.drt import tree_latency
@@ -14,7 +17,7 @@ from mpsynth.oracles import (
     min_labeling_complexity,
     structure_from_labeled_copies,
 )
-from mpsynth.structure import DagBuilder, complexity, dumps, latency, to_dot, validate
+from mpsynth.structure import DagBuilder, complexity, dumps, latency, loads, to_dot, validate
 from mpsynth.uniform import (
     UniformTree,
     leaf_count_of_type_vector,
@@ -26,7 +29,7 @@ from mpsynth.uniform import (
     uniform_tree_from_type_vector,
 )
 
-from conftest import prune
+from conftest import STEPS, input_arcs_are_cyclic, prune, ramp, reference_uniform_structure
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ def test_memoized_build_matches_per_copy_build():
                 # every level order at small n; above, the default order
                 for order in sorted(orders) if n <= 40 else [max(orders)]:
                     tree = UniformTree(order)
-                    got = structure_from_uniform_tree(tree, m)
+                    got = reference_uniform_structure(tree, m)
                     want = structure_from_labeled_copies(tree, cyclic_labeling(n), m)
                     assert (got.labels, got.children) == (want.labels, want.children), (m, order)
 
@@ -143,7 +146,7 @@ def test_cyclic_build_calls_op_once_per_node(monkeypatch):
     calls = []
     op = DagBuilder.op
     monkeypatch.setattr(DagBuilder, "op", lambda self, kids: calls.append(1) or op(self, kids))
-    dag = structure_from_uniform_tree(uniform_tree_from_type_vector((10,)), 2)
+    dag = reference_uniform_structure(uniform_tree_from_type_vector((10,)), 2)
     assert dag.n == 1025
     assert len(calls) == sum(1 for lbl in dag.labels if lbl is None) == 1025 * 9
 
@@ -172,6 +175,43 @@ def test_one_pass_build_writes_what_prune_writes():
             got = structure_from_uniform_tree(tree, 6, n)
             assert dumps(got) == dumps(want.structure), (levels, n)
             assert to_dot(got) == to_dot(want.structure), (levels, n)
+
+
+def test_depth_by_depth_build_writes_what_the_reference_writes():
+    # the memoized-build grid at the full ring, then every size the
+    # builder takes below it
+    cases = []
+    for m in (2, 3, 4):
+        for n in range(2, 201):
+            for w in enumerate_type_vectors(n, m):
+                orders = set(
+                    itertools.permutations([i + 2 for i, wi in enumerate(w) for _ in range(wi)])
+                )
+                for order in sorted(orders) if n <= 40 else [max(orders)]:
+                    cases.append((UniformTree(order), m, n))
+    for levels in ONE_PASS_SHAPES:
+        cases += [(UniformTree(levels), 6, n) for n in one_pass_sizes(levels)]
+    for tree, m, n in cases:
+        got, want = structure_from_uniform_tree(tree, m, n), reference_uniform_structure(tree, m, n)
+        assert got.node_count == want.node_count, (tree.levels, n)
+        assert dumps(got) == dumps(want), (tree.levels, n)
+        assert to_dot(got) == to_dot(want), (tree.levels, n)
+
+
+def test_build_leaves_no_cyclic_garbage():
+    # the recursive builder's closures held its memo in a reference
+    # cycle, so the cyclic collector found every node of it
+    cm = CostModel.from_factors(2, [1], [1])
+    gc.collect()
+    gc.disable()
+    try:
+        dag = structure_from_uniform_tree(uniform_tree_from_type_vector((11,)), 2, 1500)
+        syn = synthesize_min_latency(1100, cm)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert (dag.n, syn.structure.n, syn.n_prime) == (1500, 1100, 2049)
+    assert found == 0
 
 
 def test_one_pass_build_rejects_sizes_off_the_ring():
@@ -320,6 +360,44 @@ def test_pruned_matches_rooted_tree_lower_bound():
             assert result.latency == brute
             assert latency(result.structure, cm) == brute
             assert validate(result.structure).ok
+
+
+@st.composite
+def isom_models(draw):
+    """m = 2..6; ``c`` and ``l`` each all zero, tied (one value for every
+    fan-in) or a ramp of zero and fractional steps."""
+    m = draw(st.integers(min_value=2, max_value=6))
+
+    def factors():
+        kind = draw(st.sampled_from(["zero", "tied", "ramp"]))
+        if kind == "zero":
+            return [0] * (m - 1)
+        if kind == "tied":
+            return [draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(5, 2)]))] * (m - 1)
+        return ramp(draw(st.lists(STEPS, min_size=m - 1, max_size=m - 1)))
+
+    c = factors()
+    return CostModel.from_factors(m, c, factors())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cm=isom_models(), n=st.integers(min_value=3, max_value=60))
+def test_isom_synthesis_round_trips_at_its_claims(cm, n):
+    syn = synthesize_min_latency(n, cm)
+    tree = uniform_tree_from_type_vector(syn.w)
+    assert syn.n_prime == tree.leaf_count + 1 >= n
+    text = dumps(syn.structure)
+    assert text == dumps(reference_uniform_structure(tree, cm.m, n))
+    loaded = loads(text)
+    assert dumps(loaded) == text
+    assert validate(loaded).ok
+    # what ``mpsynth eval`` prints for the written file: the claimed
+    # latency, and the ring's complexity less what the drops removed
+    assert latency(loaded, cm) == syn.latency == type_vector_latency(syn.w, cm)
+    c = complexity(loaded, cm)
+    ring = type_vector_complexity(syn.w, cm)
+    assert c == ring if syn.n_prime == n else c <= ring
+    assert input_arcs_are_cyclic(loaded)
 
 
 def test_pruned_rejects_tiny_n(cm_unit):
