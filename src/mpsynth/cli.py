@@ -16,8 +16,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage, config, unreadable-file or
 artifact-write error, 3 malformed structure file, validation or
-verification failure.  Every failure prints a JSON error
-on standard error, never a traceback; an exception no command documents
+verification failure.  Every failure prints a JSON error on standard
+error, never a traceback (a failing ``validate`` or ``verify`` report
+goes to standard output instead); an exception no command documents
 (a bug) exits 1 as ``{"error": "internal error: <Type>: <message>"}``.
 A reader that closes standard output early is not a bug: the command
 exits 1 and writes nothing to standard error.

@@ -25,9 +25,10 @@ Three exact dynamic programs, each with witness reconstruction:
   whose side latencies come from the forest table, and the tree the
   best split realizes.  :func:`synthesize_star` scans each optimal
   vector's splits once and builds only the winner's structure, straight
-  from the split's two rooted halves, one node per directed edge of the
-  tree they join, without building the star tree; its ``tree`` is built
-  from the halves only when read.
+  from the split's two rooted halves, by the edge pass every star
+  structure is made with (:func:`mpsynth.startree._star_structure`),
+  without building the star tree; its ``tree`` is built from the halves
+  only when read.
 
 Every value is an exact rational at the API.  Inside, all three run on
 ints, the model's integer views of ``c`` and ``l``
@@ -42,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import count, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .costs import CostModel
 from .drt import LEAF, Rooted, rooted
-from .startree import StarTree
-from .structure import Dag, Label, _with_order
+from .startree import StarTree, _star_structure
+from .structure import Dag
 
 Vec = tuple[int, ...]
 
@@ -441,49 +442,11 @@ def _star_tree_from_halves(heavy_forest: Sequence[Rooted], light: Rooted, m: int
 def _structure_from_halves(heavy_forest: Sequence[Rooted], light: Rooted, m: int) -> Dag:
     """The structure :func:`mpsynth.startree.structure_from_star_tree`
     induces on ``_star_tree_from_halves(heavy_forest, light, m)``, built
-    without the star tree: one node per directed edge, in flat passes
-    over the pre-order of :func:`_halves_preorder`.
-
-    Rooted at the heavy root, each edge between a node ``v`` and its
-    parent ``p`` has two sides.  ``up[v]`` is ``v``'s side, ``v``'s
-    subtree: the input of a leaf, else a node over ``up`` of ``v``'s
-    children; these are made bottom-up.  ``down[v]`` is ``p``'s side: a
-    node over ``up`` of ``p``'s other children and ``down[p]`` (none at
-    the root), or output ``y`` of the leaf ``v``; these are made
-    top-down.  Leaves are ``x_1..x_n`` in pre-order, as in the star
-    tree, so the two structures are the same byte for byte.  Raises
-    unless every internal node has degree in ``[3, m + 1]``, so that
-    every node made has fan-in in ``[2, m]``.
-    """
-    kids = _halves_preorder(heavy_forest, light)
-    leaves = [v for v, nb in enumerate(kids) if not nb]
-    n = len(leaves)
-    up = [0] * len(kids)
-    for i, v in enumerate(leaves):
-        up[v] = i  # x_{i+1} is node i
-    labels: list[Label] = [("x", i) for i in range(1, n + 1)]
-    children: list[tuple[int, ...]] = [()] * n
-    for v in range(len(kids) - 1, 0, -1):
-        if kids[v]:
-            up[v] = len(children)
-            children.append(tuple(sorted(map(up.__getitem__, kids[v]))))
-            labels.append(None)
-    down = [0] * len(kids)
-    for p, nb in enumerate(kids):
-        if not nb:
-            continue
-        ops = sorted(map(up.__getitem__, nb))
-        if p:
-            ops.append(down[p])  # made after every up node
-        if not 3 <= len(ops) <= m + 1:
-            raise ValueError(f"internal node {p} has degree {len(ops)}, outside [3, {m + 1}]")
-        for v in nb:
-            i = ops.index(up[v])
-            down[v] = len(children)
-            children.append((*ops[:i], *ops[i + 1 :]))
-            labels.append(("y", up[v] + 1) if not kids[v] else None)
-    dag = Dag(n=n, m=m, labels=tuple(labels), children=tuple(children))
-    return _with_order(dag, range(len(children)))
+    without the star tree: the same one pass per edge side
+    (:func:`mpsynth.startree._star_structure`) over the pre-order of
+    :func:`_halves_preorder`, leaves ``x_1..x_n`` in pre-order as in the
+    star tree."""
+    return _star_structure(_halves_preorder(heavy_forest, light), count(1), m)
 
 
 def _best_split(q: Vec, table: ForestLatencyTable) -> tuple[int, tuple[Vec, int]]:

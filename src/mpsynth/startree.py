@@ -18,11 +18,12 @@ tree maps to a path in the structure with every degree lowered by one
 (the edge toward the path is the one not consumed as an operand).
 
 This module builds star trees and their structures; it does not choose
-them, and it does not rate their latency.  :func:`structure_from_star_tree`
-is the reference builder: ``verify``'s induced-structure check, the
-oracles and the tests build with it, while synthesis builds the same
-structure, byte for byte, straight from the two halves of the winning
-split without a star tree (:func:`mpsynth.staropt.synthesize_star`).  The latency-optimal tree for
+them, and it does not rate their latency.  Every star structure is made
+by one pass up and one down over the tree's edges,
+:func:`_star_structure`: :func:`structure_from_star_tree` runs it on a
+star tree, for ``verify``'s induced-structure check, and synthesis runs
+it straight on the two halves of the winning split, without a star tree
+(:func:`mpsynth.staropt.synthesize_star`).  The latency-optimal tree for
 a degree vector comes from :func:`mpsynth.staropt.min_star_latency`,
 and every tree of a degree vector from
 :func:`mpsynth.oracles.enumerate_star_trees`; both number the leaves
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .costs import CostModel
-from .structure import Dag, DagBuilder
+from .structure import Dag, Label, _with_order
 
 
 @dataclass(frozen=True)
@@ -128,50 +129,75 @@ def feasible_input_size(q: Sequence[int]) -> int:
     return 2 + sum((i + 1) * qi for i, qi in enumerate(q))
 
 
-def _post_order(
-    tree: StarTree, roots: Iterable[tuple[int, int]], done: Container[tuple[int, int]]
-) -> Iterator[tuple[int, int]]:
-    """Directed edges ``(v, p)`` (``v``'s side of the edge ``v-p``) below
-    ``roots`` that are not in ``done``, children before parents, in the
-    order a left-to-right recursion would finish them.
+def _star_structure(kids: Sequence[Sequence[int]], inputs: Iterable[int], m: int) -> Dag:
+    """The structure a star tree induces: one node per directed edge, in
+    one pass up and one pass down.
 
-    The caller records every yielded edge in ``done`` before asking for
-    the next one, so each edge is yielded once and nothing recurses.
+    The tree is rooted at internal node 0, ``kids[v]`` lists the
+    children of ``v``, each numbered above ``v``, and ``inputs`` gives
+    each leaf's input index, leaves in node order.  Each edge between a
+    node ``v`` and its parent ``p`` has two sides.  ``up[v]`` is ``v``'s
+    side, ``v``'s subtree: the input of a leaf, else a node over ``up``
+    of ``v``'s children; these are made bottom-up.  ``down[v]`` is
+    ``p``'s side: a node over ``up`` of ``p``'s other children and
+    ``down[p]`` (none at the root), or output ``y`` of the leaf ``v``;
+    these are made top-down, so id order is topological.  Raises unless
+    every internal node has degree in ``[3, m + 1]``, so that every node
+    made has fan-in in ``[2, m]``.
     """
-    stack = [(v, p, False) for v, p in reversed(list(roots))]
-    while stack:
-        v, p, expanded = stack.pop()
-        if (v, p) in done:
+    leaves = [v for v, nb in enumerate(kids) if not nb]
+    n = len(leaves)
+    up = [0] * len(kids)
+    for v, j in zip(leaves, inputs):
+        up[v] = j - 1  # x_j is node j - 1
+    labels: list[Label] = [("x", j) for j in range(1, n + 1)]
+    children: list[tuple[int, ...]] = [()] * n
+    for v in range(len(kids) - 1, 0, -1):
+        if kids[v]:
+            up[v] = len(children)
+            children.append(tuple(sorted(map(up.__getitem__, kids[v]))))
+            labels.append(None)
+    down = [0] * len(kids)
+    for p, nb in enumerate(kids):
+        if not nb:
             continue
-        if expanded:
-            yield v, p
-            continue
-        stack.append((v, p, True))
-        stack.extend((u, v, False) for u in reversed(tree.adj[v]) if u != p)
+        ops = sorted(map(up.__getitem__, nb))
+        if p:
+            ops.append(down[p])  # made after every up node
+        if not 3 <= len(ops) <= m + 1:
+            raise ValueError(f"internal node {p} has degree {len(ops)}, outside [3, {m + 1}]")
+        for v in nb:
+            i = ops.index(up[v])
+            down[v] = len(children)
+            children.append((*ops[:i], *ops[i + 1 :]))
+            labels.append(("y", up[v] + 1) if not kids[v] else None)
+    dag = Dag(n=n, m=m, labels=tuple(labels), children=tuple(children))
+    return _with_order(dag, range(len(children)))
 
 
 def structure_from_star_tree(tree: StarTree) -> Dag:
     """Union of the n per-output trees obtained by re-rooting at each
-    leaf's neighbor; shared subtrees intern to single nodes.
+    leaf's neighbor; shared subtrees are single nodes.
 
-    Each directed edge ``(v, p)`` stands for the subtree on ``v``'s side
-    of the edge, whatever output it is built for, so its node is built
-    once and memoized: the builder sees every one of the ``sum deg(v)``
-    directed copies of the internal nodes once (``n`` of them become
-    outputs), not once per output containing it.
+    Each directed edge stands for the subtree on one side of it,
+    whatever output it is built for, so the structure has one node per
+    directed edge (:func:`_star_structure`): the tree is rooted at its
+    first internal node and numbered in pre-order.
     """
-    builder = DagBuilder()
-    built: dict[tuple[int, int], int] = {}
-    for leaf in tree.leaves():
-        (neighbor,) = tree.adj[leaf]
-        roots = [(u, neighbor) for u in tree.adj[neighbor] if u != leaf]
-        for v, p in _post_order(tree, roots, built):
-            if tree.labels[v] is not None:
-                built[(v, p)] = builder.input(tree.labels[v])
-            else:
-                built[(v, p)] = builder.op(built[(u, v)] for u in tree.adj[v] if u != p)
-        builder.output(tree.labels[leaf], [built[edge] for edge in roots])
-    return builder.build(tree.n, tree.m)
+    root = tree.labels.index(None)
+    kids: list[list[int]] = [[]]
+    inputs: list[int] = []
+    stack = [(u, root, 0) for u in reversed(tree.adj[root])]
+    while stack:
+        v, p, parent = stack.pop()
+        node = len(kids)
+        kids[parent].append(node)
+        kids.append([])
+        if tree.labels[v] is None:
+            stack.extend((u, v, node) for u in reversed(tree.adj[v]) if u != p)
+        else:
+            inputs.append(tree.labels[v])
+    return _star_structure(kids, inputs, tree.m)
 
 
 def star_complexity(q: Sequence[int], cm: CostModel) -> Fraction:

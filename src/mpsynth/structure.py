@@ -21,8 +21,9 @@ Structures are immutable; every operation returns a fresh value.  Each
 structure has one topological order and computes its canonical node
 order at most once, so loading, checking and writing it walk one order.
 The code that makes a structure hands over the order it already knows:
-:meth:`DagBuilder.build` its id order (every node is made after its
-operands), and :func:`_scan` the file's order, outputs last.  Kahn's
+the star and uniform builders and :meth:`DagBuilder.build` (the
+oracles' per-copy builder) their id order, since each makes every node
+after its operands, and :func:`_scan` the file's order, outputs last.  Kahn's
 sort runs only for a structure made any other way, by hand or by
 :func:`from_json_dict`; it takes the ready node that comes first in
 that same order, so a file :func:`dumps` wrote, once re-indented,
@@ -664,7 +665,8 @@ def _edge_error(edges: list, ids: dict[int, int]) -> str:
 def from_json_dict(raw: object) -> Dag:
     """Inverse of :func:`dumps`, on its parsed JSON; rejects malformed
     input with the offending location, including cycles and duplicate
-    labels.  Node ids and edge endpoints are ints, booleans excluded."""
+    labels.  Node ids and edge endpoints are ints, booleans excluded;
+    ``n`` is below 10**9, as the scanner reads it."""
     if not isinstance(raw, dict):
         raise ValueError("structure: expected a JSON object")
     for key in ("n", "m", "nodes", "edges"):
@@ -673,6 +675,8 @@ def from_json_dict(raw: object) -> Dag:
     n, m, nodes, edges = raw["n"], raw["m"], raw["nodes"], raw["edges"]
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"structure.n: expected an integer >= 2, got {n!r}")
+    if n >= _MAX_N:  # the checks hold a bit per input
+        raise ValueError(f"structure.n: expected an integer below 10**9, got {n}")
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"structure.m: expected an integer >= 2, got {m!r}")
     if not isinstance(nodes, list) or not isinstance(edges, list):
@@ -731,7 +735,9 @@ def from_json_dict(raw: object) -> Dag:
 # 3.11, while the package supports 3.10.  The scanner compares the node
 # text with what dumps writes for it, a few thousand nodes at a time, and
 # checks the edge text's punctuation with str.translate and str.count.
+# m and n have at most nine digits: from_json_dict refuses n >= _MAX_N
 _COUNTS_RE = re.compile(r'\],"m":([1-9][0-9]{0,8}),"n":([1-9][0-9]{0,8}),"nodes":\[')
+_MAX_N = 10**9
 _NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
 _NO_BRACKETS = dict.fromkeys(map(ord, "[]"))
 # the shortest node dumps writes, '{"id":0,"label":null}', and a comma

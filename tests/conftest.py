@@ -246,6 +246,26 @@ def prune(dag: Dag, n: int) -> PruneResult:
     return PruneResult(_with_order(pruned, range(len(kept))), tuple(actions))
 
 
+def reference_star_structure(tree: StarTree) -> Dag:
+    """The reference for :func:`mpsynth.startree.structure_from_star_tree`:
+    every output's full tree, re-rooted at its leaf's neighbor and
+    deduplicated only by the hash-consing :class:`DagBuilder`, which the
+    tests hold the edge pass to byte for byte.  It numbers the nodes in
+    the order the recursion finishes them, outputs by leaf."""
+    builder = DagBuilder()
+
+    def emit(v: int, parent: int) -> int:
+        if tree.labels[v] is not None:
+            return builder.input(tree.labels[v])
+        return builder.op(emit(u, v) for u in tree.adj[v] if u != parent)
+
+    for leaf in tree.leaves():
+        (neighbor,) = tree.adj[leaf]
+        operands = [emit(u, neighbor) for u in tree.adj[neighbor] if u != leaf]
+        builder.output(tree.labels[leaf], operands)
+    return builder.build(tree.n, tree.m)
+
+
 def reference_uniform_structure(tree: UniformTree, m: int, n: int | None = None) -> Dag:
     """The reference for :func:`mpsynth.uniform.structure_from_uniform_tree`:
     the recursive builder it replaced, which the tests hold it to byte

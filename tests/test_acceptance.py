@@ -66,6 +66,7 @@ from conftest import (
     nodes_with_label,
     output_tree_failures,
     prune,
+    reference_star_structure,
     reference_uniform_structure,
     signature,
     union,
@@ -428,7 +429,7 @@ def _c7_pool() -> list[Dag]:
     pool = []
     for n in (5, 6, 7):
         syn = synthesize_star(n, cm)
-        pool.append(structure_from_star_tree(syn.tree))
+        pool.append(reference_star_structure(syn.tree))
         assert dumps(pool[-1]) == dumps(syn.structure)
     for n in (7, 8):
         syn = synthesize_min_latency(n, cm)

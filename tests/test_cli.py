@@ -1,19 +1,33 @@
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpsynth import cli, dumps, loads, synthesize_min_latency, to_dot, validate
+from mpsynth import (
+    cli,
+    dumps,
+    load_cost_model,
+    loads,
+    synthesize_min_latency,
+    synthesize_star,
+    to_dot,
+    validate,
+)
 from mpsynth.cli import build_parser, main
 
-from conftest import seven_input_structure
+from conftest import seven_input_structure, wire_structure
 
 COSTS = '{"m": 3, "c": [1, 2], "l": [1, 1]}'
 
@@ -149,6 +163,21 @@ def test_validate_a_tiny_file_declaring_a_huge_n(tmp_path, capsys):
         "y1: missing leaves x10, x100, x1000, x10000, x100000, x1000000, x100001,"
     )
     assert witness["output_trees"].count(" and 999978 more") == 2
+
+
+@pytest.mark.parametrize("n", [10**18, 10**30], ids=["1e18", "1e30"])
+def test_a_structure_file_declaring_n_of_1e9_or_more_is_a_load_error(tmp_path, capsys, n):
+    # the checks hold a bit per input: at n = 10^18 that is a MemoryError,
+    # at 10^30 an OverflowError, unless the loader refuses the file first
+    raw = {"n": n, "m": 2, "nodes": [{"id": 0, "label": "x1"}, {"id": 1, "label": "y2"}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**raw, "edges": [[0, 1]]}))
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"cannot load structure: structure.n: expected an integer below 10**9, got {n}"
+    }
 
 
 def test_eval_reference_structure(tmp_path, costs_file, capsys):
@@ -442,3 +471,132 @@ def test_star_1000_synthesizes_and_validates(tmp_path, costs_file, capsys):
     assert "q           [998, 0]" in capsys.readouterr().out
     assert main(["validate", str(out / "structure.json")]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# property: no input file makes a traceback or an internal error
+
+# values that are wrong in kind or size for some field, and the near misses
+ODD_VALUES = [-1, 0, 1, 2, 3, 4, 7, 10**6, 10**9, 10**18, 10**30, True, False, None]
+ODD_VALUES += [2.0, 2.5, float("inf"), "2", "1/0", "0/0", "a", "-1/2", [], {}, [0, 1]]
+ODD_SIZES = [2, 3, 4, 5, 6, 7, 8, 10**6, 10**9, 10**18, 10**30, 0, -1, True, None, "2", 2.5]
+ODD_LABELS = [None, "x1", "y1", "x2", "y2", "x0", "y0", "x01", "z1", "x", "", "x-1"]
+ODD_LABELS += ["x9", "y9", "y" + "9" * 30, 1, True, []]
+# each change to a structure file, the ones a loader lets through more often
+STRUCTURE_CHANGES = ["n", "n", "m", "id", "label", "label", "drop field", "drop key"]
+STRUCTURE_CHANGES += ["drop edge", "drop edge", "add edge", "add edge", "reverse edge"]
+STRUCTURE_CHANGES += ["drop node", "add node", "odd list"]
+
+
+@functools.cache
+def valid_structures() -> tuple[str, ...]:
+    cm = load_cost_model(COSTS)
+    dags = [synthesize_star(5, cm).structure, synthesize_min_latency(7, cm).structure]
+    return tuple(map(dumps, [*dags, wire_structure()]))
+
+
+VALID_COSTS = [COSTS, '{"m": 2, "c": [1], "l": [1]}']
+VALID_COSTS += ['{"m": 4, "c": [0, 0, 1, "3/2", 2], "l": [1, 1, 2]}']
+
+
+def _some(draw, values):
+    return draw(st.sampled_from(values))
+
+
+@st.composite
+def structure_texts(draw) -> str:
+    """A valid structure file, changed in one to three places, written
+    as dumps writes it (so the scanner reads it first) or indented."""
+    raw = json.loads(draw(st.sampled_from(valid_structures())))
+    for _ in range(draw(st.integers(1, 3))):
+        # a list a change has replaced stands in as an empty one
+        nodes = raw.get("nodes") if isinstance(raw.get("nodes"), list) else []
+        edges = raw.get("edges") if isinstance(raw.get("edges"), list) else []
+        node = _some(draw, nodes) if nodes else None
+        ids = [v.get("id") for v in nodes if isinstance(v, dict)]
+        end = st.sampled_from(ids + ODD_VALUES)
+        change = _some(draw, STRUCTURE_CHANGES)
+        if change in ("n", "m"):
+            raw[change] = _some(draw, ODD_SIZES)
+        elif change == "id" and isinstance(node, dict):
+            node["id"] = draw(end)
+        elif change == "label" and isinstance(node, dict):
+            node["label"] = _some(draw, ODD_LABELS)
+        elif change == "drop field" and isinstance(node, dict):
+            node.pop(_some(draw, ["id", "label"]), None)
+        elif change == "drop key":
+            raw.pop(_some(draw, ["n", "m", "nodes", "edges"]), None)
+        elif change == "odd list":
+            raw[_some(draw, ["nodes", "edges"])] = _some(draw, ODD_VALUES)
+        elif change == "drop edge" and edges:
+            edges.remove(_some(draw, edges))
+        elif change == "add edge":
+            edges.append(draw(st.one_of(st.tuples(end, end).map(list), st.lists(end, max_size=3))))
+        elif change == "reverse edge" and edges:
+            edge = _some(draw, edges)
+            edges.append(edge[::-1] if isinstance(edge, list) else edge)
+        elif change == "drop node" and nodes:
+            nodes.remove(node)
+        elif change == "add node":
+            nodes.append({"id": draw(end), "label": _some(draw, ODD_LABELS)})
+    if draw(st.booleans()):
+        return json.dumps(raw, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(raw, indent=2)
+
+
+@st.composite
+def cost_texts(draw) -> str:
+    """A valid cost model, changed in one or two places."""
+    raw = json.loads(draw(st.sampled_from(VALID_COSTS)))
+    for _ in range(draw(st.integers(1, 2))):
+        key = _some(draw, ["m", "c", "l"])
+        factors = raw.get(key)
+        change = _some(draw, ["field", "factor", "length", "drop key"])
+        if change == "field" or not isinstance(factors, list) or not factors:
+            raw[key] = _some(draw, ODD_VALUES)
+        elif change == "factor":
+            factors[draw(st.integers(0, len(factors) - 1))] = _some(draw, ODD_VALUES)
+        elif change == "length":
+            factors.pop() if draw(st.booleans()) else factors.append(factors[-1])
+        else:
+            raw.pop(key)
+    return json.dumps(raw)
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    structure=structure_texts(),
+    costs=st.one_of(st.sampled_from(VALID_COSTS), cost_texts()),
+    mode=st.sampled_from(["star", "isom"]),
+    n=st.integers(3, 9),
+    fmt=st.sampled_from(["json", "dot"]),
+)
+def test_mutated_files_get_a_documented_exit_and_one_json_error(structure, costs, mode, n, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, costs_path, out = (os.path.join(tmp, name) for name in ("s.json", "c.json", "o"))
+        Path(path).write_text(structure)
+        Path(costs_path).write_text(costs)
+        for argv in (
+            ["validate", path],
+            ["eval", path, "--costs", costs_path],
+            ["export", path, "--format", fmt],
+            ["export", path, "--format", fmt, "--out", out],
+            ["synthesize", mode, str(n), "--costs", costs_path, "--out", out],
+        ):
+            code, stdout, stderr = run_in_process(argv)
+            assert code in (0, 1, 3), argv
+            if stderr:
+                assert code != 0 and stderr.endswith("\n") and stderr.count("\n") == 1, stderr
+                error = json.loads(stderr)["error"]
+                assert not error.startswith("internal error"), (argv[0], error, structure, costs)
+            elif code:
+                # a failing validation is validate's report, on standard output
+                assert argv[0] == "validate" and code == 3, (code, structure, costs)
+                assert json.loads(stdout)["ok"] is False

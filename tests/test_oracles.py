@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpsynth import oracles, staropt
+from mpsynth import oracles, staropt, startree
 from mpsynth.costs import CostModel
 from mpsynth.drt import LEAF, degree_vector, tree_latency
 from mpsynth.oracles import (
@@ -26,7 +26,7 @@ from mpsynth.oracles import (
 )
 from mpsynth.staropt import min_star_complexity, optimal_degree_vectors
 from mpsynth.startree import StarTree, degree_vector_of
-from mpsynth.structure import Dag
+from mpsynth.structure import Dag, validate
 
 from conftest import (
     count_rooted_trees,
@@ -483,6 +483,22 @@ def _with_shadow_node(dag: Dag) -> Dag:
     and computes what the original computes."""
     v = next(v for v, cs in enumerate(dag.children) if cs)
     return Dag(dag.n, dag.m, dag.labels + (None,), dag.children + (dag.children[v],))
+
+
+def test_report_checks_the_star_builder_synthesis_ships(monkeypatch, cm_unit):
+    # verify's induced structures and synthesis's come from one core: a
+    # break there fails star_latency and the synthesized structure alike
+    core = startree._star_structure
+    assert staropt._star_structure is core
+
+    def shadowed(kids, inputs, m):
+        return _with_shadow_node(core(kids, inputs, m))
+
+    monkeypatch.setattr(startree, "_star_structure", shadowed)
+    monkeypatch.setattr(staropt, "_star_structure", shadowed)
+    report = verify_report(5, cm_unit)
+    assert {c.name for c in report.checks if not c.passed} == {"star_latency"}
+    assert not validate(staropt.synthesize_star(5, cm_unit).structure).ok
 
 
 def test_report_fails_checks_whose_structure_is_invalid(monkeypatch, cm_unit):

@@ -27,10 +27,10 @@ from mpsynth.staropt import (
     synthesize_star,
     vectors_below,
 )
-from mpsynth.startree import degree_vector_of, star_complexity, structure_from_star_tree
+from mpsynth.startree import degree_vector_of, star_complexity
 from mpsynth.structure import complexity, dumps, latency, loads, to_dot, validate
 
-from conftest import STEPS, input_arcs_are_cyclic, ramp
+from conftest import STEPS, input_arcs_are_cyclic, ramp, reference_star_structure
 
 
 def random_monotone_model(m: int, rng: random.Random) -> CostModel:
@@ -781,12 +781,12 @@ def test_build_from_halves_writes_what_the_star_tree_induces(cm):
         for q in vectors:
             _, split = staropt._best_split(q, table)
             got = staropt._structure_from_halves(*staropt._halves(q, split, table), cm.m)
-            want = structure_from_star_tree(staropt._realize(q, split, table))
+            want = reference_star_structure(staropt._realize(q, split, table))
             assert got.node_count == want.node_count, (n, q)
             assert dumps(got) == dumps(want), (n, q)
             assert to_dot(got) == to_dot(want), (n, q)
         syn = synthesize_star(n, cm)
-        assert dumps(syn.structure) == dumps(structure_from_star_tree(syn.tree))
+        assert dumps(syn.structure) == dumps(reference_star_structure(syn.tree))
 
 
 def test_build_from_halves_checks_degrees():

@@ -15,15 +15,14 @@ from mpsynth.oracles import (
 )
 from mpsynth.startree import (
     StarTree,
-    _post_order,
     degree_vector_of,
     feasible_input_size,
     star_complexity,
     structure_from_star_tree,
 )
-from mpsynth.structure import DagBuilder, complexity, latency, validate
+from mpsynth.structure import complexity, dumps, latency, to_dot, validate
 
-from conftest import star_tree_from_degree_vector
+from conftest import reference_star_structure, star_tree_from_degree_vector
 
 
 def all_trees_up_to(n_max: int, m: int):
@@ -120,23 +119,6 @@ def test_star_complexity_examples(cm_unit, cm_steep):
         star_complexity((0, 0), cm_unit)
 
 
-def _per_output_build(tree):
-    """Reference builder: every output's full tree, deduplicated only by
-    the builder's hash-consing."""
-    builder = DagBuilder()
-
-    def emit(v: int, parent: int) -> int:
-        if tree.labels[v] is not None:
-            return builder.input(tree.labels[v])
-        return builder.op(emit(u, v) for u in tree.adj[v] if u != parent)
-
-    for leaf in tree.leaves():
-        (neighbor,) = tree.adj[leaf]
-        operands = [emit(u, neighbor) for u in tree.adj[neighbor] if u != leaf]
-        builder.output(tree.labels[leaf], operands)
-    return builder.build(tree.n, tree.m)
-
-
 def _degree_vectors(n: int) -> list[tuple[int, ...]]:
     """A few degree vectors per m = 2..4 realizing ``n``, mixed classes included."""
     k = n - 2
@@ -145,21 +127,15 @@ def _degree_vectors(n: int) -> list[tuple[int, ...]]:
     )
 
 
-def test_memoized_build_matches_per_output_build():
+def test_edge_pass_matches_per_output_build():
     for n in [*range(3, 30), *range(30, 120, 11)]:
         for q in _degree_vectors(n):
             for policy in ("chain", "bushy"):
                 tree = star_tree_from_degree_vector(q, policy=policy)
-                got, want = structure_from_star_tree(tree), _per_output_build(tree)
-                assert (got.labels, got.children) == (want.labels, want.children), (q, policy)
-
-
-def test_build_calls_op_once_per_node(monkeypatch):
-    calls = []
-    op = DagBuilder.op
-    monkeypatch.setattr(DagBuilder, "op", lambda self, kids: calls.append(1) or op(self, kids))
-    dag = structure_from_star_tree(star_tree_from_degree_vector((1998, 0)))
-    assert len(calls) == sum(1 for lbl in dag.labels if lbl is None)
+                got, want = structure_from_star_tree(tree), reference_star_structure(tree)
+                assert got.node_count == want.node_count, (q, policy)
+                assert dumps(got) == dumps(want), (q, policy)
+                assert to_dot(got) == to_dot(want), (q, policy)
 
 
 def test_chain_at_n5000_builds_without_recursion(cm_frac):
@@ -182,12 +158,12 @@ def node_weight(tree: StarTree, cm: CostModel, v: int) -> Fraction:
 def edge_latencies(tree: StarTree, cm: CostModel) -> dict[tuple[int, int], Fraction]:
     """For every directed edge (a, b): the worst leaf-to-a latency
     within a's side of the edge (a's own weight included), in Fractions."""
-    memo: dict[tuple[int, int], Fraction] = {}
-    edges = [(a, b) for a, nb in enumerate(tree.adj) for b in nb]
-    for a, b in _post_order(tree, edges, memo):
-        branches = [memo[(u, a)] for u in tree.adj[a] if u != b]
-        memo[(a, b)] = node_weight(tree, cm, a) + max(branches, default=Fraction(0))
-    return memo
+
+    def height(a: int, b: int) -> Fraction:
+        branches = (height(u, a) for u in tree.adj[a] if u != b)
+        return node_weight(tree, cm, a) + max(branches, default=Fraction(0))
+
+    return {(a, b): height(a, b) for a, nb in enumerate(tree.adj) for b in nb}
 
 
 def edge_tree_latency(tree: StarTree, cm: CostModel) -> Fraction:
