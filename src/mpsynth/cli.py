@@ -16,10 +16,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage, config, unreadable-file or
 artifact-write error, 3 malformed structure file, validation or
-verification failure.  Every failure prints a JSON error on standard
-error, never a traceback (a failing ``validate`` or ``verify`` report
-goes to standard output instead); an exception no command documents
-(a bug) exits 1 as ``{"error": "internal error: <Type>: <message>"}``.
+verification failure (``N >= 10**9`` is a usage error).  Every failure
+prints a JSON error on standard error, never a traceback (a failing
+``validate`` or ``verify`` report goes to standard output instead); an
+exception no command documents (a bug) exits 1 as
+``{"error": "internal error: <Type>: <message>"}``.
 A reader that closes standard output early is not a bug: the command
 exits 1 and writes nothing to standard error.
 All numbers print as exact rationals.
@@ -36,7 +37,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, structure
 from .costs import CostModel, CostModelError, format_rational, load_cost_model
 from .oracles import DEFAULT_BUDGET, EnumerationBudget, verify_report
 from .staropt import synthesize_star
@@ -104,6 +105,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     cm = _load_costs(args.costs)
     if args.n < 3:
         raise _Failure(USAGE_ERROR, f"synthesis needs n >= 3, got {args.n}")
+    if args.n >= structure._MAX_N:  # a structure file's bound: no table that size fits
+        raise _Failure(USAGE_ERROR, f"synthesis needs n < 10**9, got {args.n}")
 
     rows: list[tuple[str, object]]
     if args.mode == "star":
@@ -201,6 +204,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cm = _load_costs(args.costs)
     if args.n < 2:
         raise _Failure(USAGE_ERROR, f"verify needs n >= 2, got {args.n}")
+    if args.n >= structure._MAX_N:
+        raise _Failure(USAGE_ERROR, f"verify needs n < 10**9, got {args.n}")
     if args.budget_leaves < 1:
         raise _Failure(USAGE_ERROR, f"--budget-leaves must be >= 1, got {args.budget_leaves}")
     budget = EnumerationBudget(

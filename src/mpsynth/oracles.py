@@ -92,22 +92,24 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 def enumerate_degree_vectors(n: int, m: int) -> list[Vec]:
     """All q >= 0 with ``2 + sum i*q_i == n`` (0-based entry k carries
-    weight k+1), in lexicographic order."""
+    weight k+1), in lexicographic order: a depth-first walk on an
+    explicit stack, so ``m`` may exceed the recursion limit."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     out: list[Vec] = []
-
-    def fill(k: int, left: int, acc: tuple[int, ...]) -> None:
-        weight = k + 1
-        if k == m - 2:  # the last entry takes what is left, if it can
+    stack = [((), n - 2)]  # a prefix and the leaves it leaves to place
+    while stack:
+        acc, left = stack.pop()
+        weight = len(acc) + 1
+        if left == 0:  # the rest are zeros
+            out.append(acc + (0,) * (m - weight))
+        elif weight == m - 1:  # the last entry takes what is left, if it can
             if left % weight == 0:
                 out.append(acc + (left // weight,))
-            return
-        for count in range(left // weight + 1):
-            fill(k + 1, left - weight * count, acc + (count,))
-
-    fill(0, n - 2, ())
-    return sorted(out)
+        elif weight <= left:  # else no entry from here on fits
+            counts = reversed(range(left // weight + 1))  # popped ascending
+            stack.extend((acc + (count,), left - weight * count) for count in counts)
+    return out
 
 
 def count_degree_vectors(n: int, m: int) -> int:
@@ -123,25 +125,25 @@ def count_degree_vectors(n: int, m: int) -> int:
 
 
 def enumerate_type_vectors(n: int, m: int) -> list[Vec]:
-    """All w >= 0 with ``prod (i+2)^{w_i} == n - 1`` (0-based), sorted."""
+    """All w >= 0 with ``prod (i+2)^{w_i} == n - 1`` (0-based), sorted: a
+    depth-first walk on an explicit stack, like
+    :func:`enumerate_degree_vectors`."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     out: list[Vec] = []
-
-    def fill(k: int, rem: int, acc: tuple[int, ...]) -> None:
-        if k == m - 1:
-            if rem == 1:
-                out.append(acc)
-            return
-        base = k + 2
-        power, count = 1, 0
-        while rem % power == 0:
-            fill(k + 1, rem // power, acc + (count,))
-            count += 1
-            power *= base
-
-    fill(0, n - 1, ())
-    return sorted(set(out))
+    stack = [((), n - 1)]  # a prefix and the product it leaves to make
+    while stack:
+        acc, rem = stack.pop()
+        base = len(acc) + 2
+        if rem == 1:  # the rest are zeros
+            out.append(acc + (0,) * (m - base + 1))
+        elif base <= min(rem, m):  # else no entry from here on divides rem
+            step, power = [], 1
+            while rem % power == 0:
+                step.append((acc + (len(step),), rem // power))
+                power *= base
+            stack.extend(reversed(step))  # popped with the count ascending
+    return out
 
 
 # ---------------------------------------------------------------------------

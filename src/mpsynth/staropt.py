@@ -6,8 +6,8 @@ Three exact dynamic programs, each with witness reconstruction:
   input size ``n`` over all star-tree degree vectors, via a 1-D DP on
   the leaf-count identity ``2 + sum i*q_i = n`` (each degree class
   ``i`` buys ``i`` extra leaves for ``(i+2) * c[i+1]``);
-  :func:`optimal_degree_vectors` backtracks it, bottom-up, into every
-  optimal degree vector.
+  :func:`optimal_degree_vectors` enumerates every degree vector whose
+  price is that optimum, pruning each prefix by the DP's values.
 * :func:`forest_latency_table` - the least achievable worst-tree
   latency over forests of ``t`` disjoint rooted trees whose combined
   fan-in census is ``u``, tabulated for every census below one of a
@@ -16,10 +16,10 @@ Three exact dynamic programs, each with witness reconstruction:
   Each census gets only the forests some reader asks for, ``t`` in
   1..top(u), where top(u) is the largest ``i + 2`` with ``u + e_i``
   still in the union (1 when there is none).  A census on one class
-  (``u = a * e_k``) finds each split by bisection in O(log a); any
-  other census scans its box, O(top(u) * prod (u_i + 1)), and at
-  ``t = 2`` only the box's first half, since a split and its mirror
-  rate alike.
+  (``u = a * e_k``) reads its forests off the capacity of complete
+  trees, in O(log a); any other census scans its box,
+  O(top(u) * prod (u_i + 1)), and at ``t = 2`` only the box's first
+  half, since a split and its mirror rate alike.
 * :func:`min_star_latency` - the least tree latency among star trees
   with a given degree vector, by scanning balanced two-sided splits
   whose side latencies come from the forest table, and the tree the
@@ -75,14 +75,15 @@ def vectors_below(qmax: Vec) -> Iterator[Vec]:
 class ComplexityTable:
     """``values[i - 2]`` is the least structure complexity for input
     size ``i`` (``i`` in 2..n), times ``scale`` (the scale of
-    :attr:`CostModel.scaled_c`); ``choices[i - 2]`` lists every degree
-    class (1-based) achieving it.  ``ops`` counts DP inner steps."""
+    :attr:`CostModel.scaled_c`); ``price[t - 1]`` is the scaled cost of
+    one class-``t`` node, ``(t + 2) * c[t + 1]``, so a degree vector
+    ``q`` costs ``sum(q_k * price[k])``.  ``ops`` counts DP inner steps."""
 
     n: int
     m: int
     scale: int
     values: tuple[int, ...]
-    choices: tuple[tuple[int, ...], ...]
+    price: tuple[int, ...]
     ops: int
 
     def value(self, i: int | None = None) -> Fraction:
@@ -97,46 +98,66 @@ def min_star_complexity(n: int, cm: CostModel) -> ComplexityTable:
     if n < 2:
         raise ValueError(f"input size must be >= 2, got {n}")
     scale, cost = cm.scaled_c
-    price = [(t + 2) * cost[t + 1] for t in range(cm.m)]  # of one class-t node
+    price = tuple((t + 2) * cost[t + 1] for t in range(1, cm.m))
     values: list[int] = [0]
-    choices: list[tuple[int, ...]] = [()]
     ops = 0
     for i in range(3, n + 1):
-        best: int | None = None
-        argmin: list[int] = []
-        for t in range(1, cm.m):
-            if t > i - 2:
-                break
-            ops += 1
-            cand = values[i - t - 2] + price[t]
-            if best is None or cand < best:
-                best, argmin = cand, [t]
-            elif cand == best:
-                argmin.append(t)
+        classes = min(cm.m - 1, i - 2)
+        ops += classes
+        best = values[i - 3] + price[0]
+        for t in range(2, classes + 1):
+            cand = values[i - t - 2] + price[t - 1]
+            if cand < best:
+                best = cand
         values.append(best)
-        choices.append(tuple(argmin))
-    return ComplexityTable(n, cm.m, scale, tuple(values), tuple(choices), ops)
+    return ComplexityTable(n, cm.m, scale, tuple(values), price, ops)
 
 
 def optimal_degree_vectors(table: ComplexityTable) -> list[Vec]:
-    """Backtrack the complexity DP into every optimal degree vector,
-    sorted.
+    """Every optimal degree vector, sorted: each ``q`` with
+    ``2 + sum t*q_t = n`` whose price is ``values[n - 2]``.
 
-    The optima of each size are filled bottom-up from size 2, as the
-    optima of ``i - t`` plus one class-``t`` node for every minimizing
-    class ``t``; only the last ``m - 1`` sizes are kept, so nothing
-    recurses and memory does not grow with ``n``.
+    A depth-first walk on an explicit stack places the classes smallest
+    first, each count ascending, so the vectors come out in
+    lexicographic order; the last class takes what is left, if it can.
+    A prefix that spent ``spent`` and leaves ``left`` leaves costs at
+    least ``spent + values[left]``, which never falls as a count grows
+    (``values[left] <= values[left - t] + price``), and at least
+    ``spent`` plus ``left`` times the least price per leaf of the
+    classes after it.  Once either bound exceeds the optimum the prefix
+    is dropped, and the first bound ends the class.  A prefix with no
+    leaves left is padded with zeros; one whose next class is above the
+    leaves left is dropped.
     """
-    m = table.m
-    optima: dict[int, set[Vec]] = {2: {(0,) * (m - 1)}}
-    for i in range(3, table.n + 1):
-        optima[i] = {
-            tuple(x + 1 if k == t - 1 else x for k, x in enumerate(q))
-            for t in table.choices[i - 2]
-            for q in optima[i - t]
-        }
-        optima.pop(i - m + 1, None)
-    return sorted(optima[table.n])
+    values, price, m = table.values, table.price, table.m
+    best = values[table.n - 2]
+    # rate[t]: the least price per leaf of classes t..m-1, as (price, leaves)
+    rate = {m: (1, 0)}  # no class: any leaf is too dear
+    for t in range(m - 1, 0, -1):
+        p, s = rate[t + 1]
+        rate[t] = (price[t - 1], t) if price[t - 1] * s <= p * t else (p, s)
+    out: list[Vec] = []
+    stack: list[tuple[Vec, int, int]] = [((), 0, table.n - 2)]
+    while stack:
+        prefix, spent, left = stack.pop()
+        t = len(prefix) + 1  # the class to place next
+        if left == 0:
+            out.append(prefix + (0,) * (m - t))
+        elif t == m - 1:
+            if left % t == 0 and spent + left // t * price[t - 1] == best:
+                out.append(prefix + (left // t,))
+        elif t <= left:
+            p, s = rate[t + 1]
+            step = []
+            for count in range(left // t + 1):
+                rest = left - count * t
+                cost = spent + count * price[t - 1]
+                if cost + values[rest] > best:
+                    break
+                if (best - cost) * s >= rest * p:
+                    step.append((prefix + (count,), cost, rest))
+            stack.extend(reversed(step))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,50 +172,6 @@ def _census_box(u: Sequence[int], strides: Sequence[int]) -> list[int]:
             steps = range(0, (a + 1) * s, s)
             box = [b + j for b in box for j in steps]
     return box
-
-
-def _axis_split(values: dict[int, int], a: int, s: int, rest: int) -> tuple[int, int, int]:
-    """The best split of a forest on one class, ``u = a * e_k``, by
-    bisection: its value, the first tree's census index and the number
-    of candidates probed.
-
-    The first tree holds ``b`` of the ``a`` nodes.  ``F(b) = values[b * s]``
-    rates it alone and ``G(a - b) = values[rest + (a - b) * s]`` the rest
-    of the forest.  Both are non-decreasing in their node count: in an
-    optimal forest some node has only leaves as operands, and turning it
-    into a leaf removes one node and raises no latency.  So ``F`` rises
-    and ``G(a - b)`` falls with ``b``, and ``max(F, G)`` first falls, then
-    rises.  ``b0``, the least ``b`` with ``F(b) >= G(a - b)``, or the
-    least ``b`` with ``G(a - b)`` at the value left of ``b0``, is the
-    smallest minimizing split, as the box scan picks it.
-    """
-    lo, hi = 0, a  # G(0) = 0 <= F(a): b0 exists
-    probes = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes += 1
-        if values[mid * s] >= values[rest + (a - mid) * s]:
-            hi = mid
-        else:
-            lo = mid + 1
-    best = values[lo * s]
-    if lo == 0:
-        return best, 0, probes + 1
-    left = values[rest + (a - lo + 1) * s]
-    probes += 2  # b0 and b0 - 1
-    if left > best:
-        return best, lo * s, probes
-    # the value left of b0 is no worse: the least b reaching it wins
-    best = left
-    lo, hi = 0, lo - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes += 1
-        if values[rest + (a - mid) * s] <= best:
-            hi = mid
-        else:
-            lo = mid + 1
-    return best, lo * s, probes
 
 
 @dataclass(frozen=True)
@@ -222,9 +199,9 @@ class ForestLatencyTable:
     (:attr:`CostModel.scaled_l`).  ``choices`` holds the witness of a
     cell: the root's fan-in class ``i`` (0-based) when ``t == 1``, the
     first tree's census index when ``t > 1``.  ``ops`` counts the split
-    candidates probed over all cells with ``t > 1``: every first-tree
-    census a box scan rates (half the box at ``t = 2``), and each
-    census a bisection rates."""
+    candidates box scans rate over all cells with ``t > 1``: every
+    first-tree census of the box (half of it at ``t = 2``); a census on
+    one class adds nothing, as its forests are read off in closed form."""
 
     m: int
     radix: Vec
@@ -309,16 +286,26 @@ def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> Forest
     componentwise below the census being filled).  A single tree
     (t = 1) chooses its root fan-in ``i+2`` and recurses on the child
     forest; a larger forest (t > 1) splits off the census of its first
-    tree, the lexicographically smallest on ties.  A census on one class
-    bisects for that split (:func:`_axis_split`), in O(log a) per cell
-    of ``a * e_k``; any other census scans its box, in
-    O(prod (u_i + 1)) per cell, inside ``map``/``max``/``min``.  The box
-    is in ascending index order, so ``u`` minus its ``k``-th census is
-    its ``k``-th from the end; at t = 2 the rest is one tree too, so a
-    split and its mirror rate alike, the first minimizer lies in the
-    first half, and the scan stops there.  All values are ints on the
-    model's integer view of ``l``, so the DP runs on exact integer
-    arithmetic.
+    tree, the lexicographically smallest on ties.
+
+    A census on one class, ``u = a * e_k``, needs no scan.  Its forest
+    of ``t`` trees holds ``a`` nodes of fan-in ``d = k + 2``, each
+    weighing ``w = l[d]``, so its latency is ``w`` times the height of
+    its tallest tree.  A tree of height ``h`` holds any number of nodes
+    up to ``cap(h) = (d**h - 1) / (d - 1)``, a complete tree's, so the
+    value is ``w * h`` for the least ``h`` with ``t * cap(h) >= a``.  The
+    smallest first tree that leaves the other ``t - 1`` trees within
+    height ``h`` takes ``max(0, a - (t - 1) * cap(h))`` nodes, at most
+    ``cap(h)``; with ``w = 0`` every split rates 0 and the first tree is
+    empty.  This costs O(log a) per cell and reads no other cell.
+
+    Any other census scans its box, in O(prod (u_i + 1)) per cell,
+    inside ``map``/``max``/``min``.  The box is in ascending index
+    order, so ``u`` minus its ``k``-th census is its ``k``-th from the
+    end; at t = 2 the rest is one tree too, so a split and its mirror
+    rate alike, the first minimizer lies in the first half, and the
+    scan stops there.  All values are ints on the model's integer view
+    of ``l``, so the DP runs on exact integer arithmetic.
     """
     m = cm.m
     tops = [tuple(q) for q in tops]
@@ -361,13 +348,15 @@ def forest_latency_table(tops: Iterable[Sequence[int]], cm: CostModel) -> Forest
             if u[t - 2] < r and iu + s in region:
                 top = t
                 break
-        if u[pick] * strides[pick] == iu:  # one class
+        if u[pick] * strides[pick] == iu:  # one class: complete trees
+            a, d, w = u[pick], pick + 2, lat[pick + 2]
             for t in range(2, top + 1):
+                h = cap = 0  # the least height h with t * cap(h) >= a
+                while t * cap < a:
+                    h, cap = h + 1, cap * d + 1
                 cell = (t - 1) * size + iu
-                values[cell], choices[cell], probes = _axis_split(
-                    values, u[pick], strides[pick], (t - 2) * size
-                )
-                ops += probes
+                values[cell] = w * h
+                choices[cell] = max(0, a - (t - 1) * cap) * strides[pick] if w else 0
             continue
         if top == 1:
             continue
@@ -546,7 +535,7 @@ class StarSynthesis:
 
 def synthesize_star(n: int, cm: CostModel) -> StarSynthesis:
     """Complexity-optimal structure, then the lowest-latency one among
-    those: backtrack every optimal degree vector, rate each once, by
+    those: enumerate every optimal degree vector, rate each once, by
     :func:`_best_split` on one forest table over all of them, keep the
     best (ties to the smaller vector), and build its structure straight
     from the halves of the split that rated it

@@ -56,6 +56,45 @@ with_extra_operand = partial(_bench_grid.with_extra_operand, Dag)
 with_duplicate_node = partial(_bench_grid.with_duplicate_node, Dag)
 
 
+def reference_degree_vectors(n: int, m: int) -> list[tuple[int, ...]]:
+    """The recursive enumeration ``oracles.enumerate_degree_vectors``
+    replaced, one call per degree class: all q >= 0 with
+    ``2 + sum (k + 1) * q_k == n``, sorted."""
+    out = []
+
+    def fill(k: int, left: int, acc: tuple[int, ...]) -> None:
+        weight = k + 1
+        if k == m - 2:  # the last entry takes what is left, if it can
+            if left % weight == 0:
+                out.append(acc + (left // weight,))
+            return
+        for count in range(left // weight + 1):
+            fill(k + 1, left - weight * count, acc + (count,))
+
+    fill(0, n - 2, ())
+    return sorted(out)
+
+
+def reference_type_vectors(n: int, m: int) -> list[tuple[int, ...]]:
+    """The recursive enumeration ``oracles.enumerate_type_vectors``
+    replaced: all w >= 0 with ``prod (k + 2)^{w_k} == n - 1``, sorted."""
+    out = []
+
+    def fill(k: int, rem: int, acc: tuple[int, ...]) -> None:
+        if k == m - 1:
+            if rem == 1:
+                out.append(acc)
+            return
+        power, count = 1, 0
+        while rem % power == 0:
+            fill(k + 1, rem // power, acc + (count,))
+            count += 1
+            power *= k + 2
+
+    fill(0, n - 1, ())
+    return sorted(set(out))
+
+
 @pytest.fixture
 def cm_unit() -> CostModel:
     """m = 3, every factor 1."""

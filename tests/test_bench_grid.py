@@ -128,3 +128,35 @@ def test_tied_row_records_a_capped_cell_and_goes_on(monkeypatch):
     assert row[0]["error"] == {"type": "CpuCapExceeded", "message": "over the CPU cap of 0.2 s"}
     assert "cpu_s" not in row[0]
     assert row[1]["error"] is None and row[1]["q"]
+
+
+def test_large_row_times_each_synthesis_on_the_grid_model():
+    bench = load_tool()
+    row = bench.run_large_row(mpsynth, n=40)
+    assert [(c["mode"], c["m"], c["n"]) for c in row] == [
+        ("star", 3, 40),
+        ("isom", 2, 40),
+        ("isom", 3, 40),
+    ]
+    isom = mpsynth.synthesize_min_latency
+    for cell, synthesize in zip(row, (mpsynth.synthesize_star, isom, isom)):
+        assert cell["error"] is None and cell["cpu_s"] >= 0
+        cm = mpsynth.CostModel.from_factors(cell["m"], *bench.cost_factors(cell["m"]))
+        syn = synthesize(40, cm)
+        assert cell["nodes"] == syn.structure.node_count
+        assert cell["latency"] == mpsynth.format_rational(syn.latency)
+    assert bench.LARGE_N == 100_000
+
+
+def test_large_row_records_a_capped_cell_and_goes_on(monkeypatch):
+    bench = load_tool()
+
+    def spin(n, cm):
+        while True:  # until the CPU cap stops it
+            pass
+
+    monkeypatch.setattr(mpsynth, "synthesize_star", spin)
+    star, *isom = bench.run_large_row(mpsynth, n=40, cap=0.2)
+    assert star["error"] == {"type": "CpuCapExceeded", "message": "over the CPU cap of 0.2 s"}
+    assert "cpu_s" not in star
+    assert all(cell["error"] is None and cell["nodes"] for cell in isom)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,48 @@ def test_verify_bad_arguments_are_usage_errors(costs_file, capsys, argv, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": message}
+
+
+@pytest.mark.parametrize("m", [1100, 1500])
+def test_verify_takes_more_degree_classes_than_the_recursion_limit(tmp_path, capsys, m):
+    # the degree and type vector enumerations recursed once per class,
+    # and verify ended in "internal error: RecursionError"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"m": m, "c": [1] * (m - 1), "l": [1] * (m - 1)}))
+    assert main(["verify", "10", "--costs", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["ok"] is True
+
+
+@pytest.mark.parametrize("n", [10**9, 10**21], ids=["1e9", "1e21"])
+@pytest.mark.parametrize(
+    "command",
+    [["synthesize", "star"], ["synthesize", "isom"], ["verify"]],
+    ids=["star", "isom", "verify"],
+)
+def test_a_size_of_1e9_or_more_is_refused_before_anything_is_built(
+    monkeypatch, costs_file, capsys, command, n
+):
+    # the tables grow with n and ended in "internal error: MemoryError";
+    # the size is refused before any of them is made (the synthesizers
+    # are stubbed, so a regression cannot take the host's memory)
+    def unreachable(*args):
+        raise AssertionError("a refused size reached synthesis")
+
+    for name in ("synthesize_star", "synthesize_min_latency", "verify_report"):
+        monkeypatch.setattr(cli, name, unreachable)
+    tracemalloc.start()
+    try:
+        assert main([*command, str(n), "--costs", str(costs_file)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    what = "verify" if command == ["verify"] else "synthesis"
+    assert json.loads(captured.err) == {"error": f"{what} needs n < 10**9, got {n}"}
 
 
 def test_undocumented_exception_is_a_json_error(monkeypatch, costs_file, capsys):

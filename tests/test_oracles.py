@@ -5,6 +5,7 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -31,9 +32,11 @@ from mpsynth.structure import Dag, validate
 from conftest import (
     count_rooted_trees,
     leaf_count,
+    reference_degree_vectors,
     reference_min_labeling_complexity,
     reference_star_tree_latency,
     reference_star_trees,
+    reference_type_vectors,
     star_tree_from_degree_vector,
     star_tree_shape_code,
     star_tree_shape_codes_via_labeled_skeletons,
@@ -67,6 +70,30 @@ def test_type_vectors_examples():
     assert enumerate_type_vectors(5, 4) == [(0, 0, 1), (2, 0, 0)]
     assert enumerate_type_vectors(8, 3) == []
     assert enumerate_type_vectors(2, 3) == [(0, 0)]
+
+
+def test_vector_enumerations_match_the_recursive_references():
+    for m in range(2, 7):
+        for n in range(2, 40):
+            assert enumerate_degree_vectors(n, m) == reference_degree_vectors(n, m), (n, m)
+            assert enumerate_type_vectors(n, m) == reference_type_vectors(n, m), (n, m)
+
+
+def test_vector_enumerations_take_more_classes_than_the_recursion_limit():
+    # one recursive call per class raised RecursionError from m of about 1000
+    m = 1500
+    degree = enumerate_degree_vectors(8, m)
+    assert len(degree) == oracles.count_degree_vectors(8, m) == 11  # partitions of 6
+    assert degree == sorted(degree) and {len(q) for q in degree} == {m - 1}
+    assert degree[-1] == (6,) + (0,) * (m - 2)
+    # one type vector per factorization of n - 1 = 36 into factors >= 2,
+    # the order of the factors aside: 36, 2*18, 3*12, 4*9, 6*6, 2*2*9,
+    # 2*3*6, 3*3*4 and 2*2*3*3
+    shapes = enumerate_type_vectors(37, m)
+    assert shapes == sorted(shapes) and len(shapes) == len(set(shapes)) == 9
+    assert all(
+        prod((k + 2) ** wk for k, wk in enumerate(w)) == 36 and len(w) == m - 1 for w in shapes
+    )
 
 
 # ---------------------------------------------------------------------------

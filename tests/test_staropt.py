@@ -116,48 +116,32 @@ def test_integer_complexity_dp_matches_fraction_reference():
         assert all(isinstance(v, int) for v in table.values)
 
 
-def reference_optimal_degree_vectors(table) -> list[tuple[int, ...]]:
-    """The recursive backtrack, once per size, that the bottom-up loop
-    replaced: the reference for small n."""
-    memo = {2: {(0,) * (table.m - 1)}}
-
-    def expand(i: int) -> set[tuple[int, ...]]:
-        if i not in memo:
-            out = set()
-            for t in table.choices[i - 2]:
-                for q in expand(i - t):
-                    out.add(tuple(x + 1 if k == t - 1 else x for k, x in enumerate(q)))
-            memo[i] = out
-        return memo[i]
-
-    return sorted(expand(table.n))
-
-
-def smallest_class_vector(table) -> tuple[int, ...]:
-    """The one optimum found by always taking the smallest minimizing class."""
-    q = [0] * (table.m - 1)
-    i = table.n
-    while i > 2:
-        t = table.choices[i - 2][0]
-        q[t - 1] += 1
-        i -= t
-    return tuple(q)
-
-
 def test_backtrack_matches_recursive_reference():
+    # every optimal degree vector against the brute force: each degree
+    # vector of the size whose complexity, sum (k+3) * q_k * c[k+2] on the
+    # model's integer view of c, is the least, in order
     rng = random.Random(2024)
     ties = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]  # every class ties
     grid = [(random_monotone_model(m, rng), range(2, 201)) for m in (2, 3, 4) for _ in range(2)]
     grid += [(CostModel.from_factors(3, [1, 1], [1, 1]), range(2, 201))]
     grid += [(CostModel.from_factors(m, ties[: m - 1], [1] * (m - 1)), range(2, 41)) for m in (3, 4)]
     grid += [(CostModel.from_factors(6, ties, [1] * 5), range(2, 25))]
+    # m = 1500: a class of size k prices 3k, so all 385 partitions of 18 tie
+    wide = [Fraction(3 * (f - 1), f + 1) for f in range(2, 1501)]
+    grid += [(CostModel.from_factors(1500, wide, [1] * 1499), [20])]
     for cm, sizes in grid:
-        full = min_star_complexity(sizes[-1], cm)
-        for n in sizes:  # the table of size n is a prefix of the full one
-            table = replace(full, n=n, values=full.values[: n - 1], choices=full.choices[: n - 1])
-            optima = optimal_degree_vectors(table)
-            assert optima == reference_optimal_degree_vectors(table), (n, cm.c)
-            assert smallest_class_vector(table) in optima
+        cost = cm.scaled_c[1]
+        for n in sizes:
+            rated = [
+                (sum((k + 3) * a * cost[k + 2] for k, a in enumerate(q) if a), q)
+                for q in enumerate_degree_vectors(n, cm.m)
+            ]
+            least = min(value for value, _ in rated)
+            brute = [q for value, q in rated if value == least]
+            table = min_star_complexity(n, cm)
+            assert optimal_degree_vectors(table) == brute, (n, cm.c)
+            assert n == 2 or star_complexity(brute[0], cm) == table.value()
+    assert len(brute) == 385
 
 
 def test_backtrack_runs_without_recursion():
@@ -345,9 +329,9 @@ def assert_cells_match_reference(table, tops, q, cm):
 
 
 def box_scan_forest_table(tops, cm):
-    """Reference: the integer forest table as it ran before censuses on
-    one class bisected their splits, every cell with t > 1 scanning
-    its whole box.  Returned as a table of the same layout."""
+    """Reference: the integer forest table with every cell of t > 1,
+    censuses on one class included, scanning its whole box.  Returned
+    as a table of the same layout."""
     table = forest_latency_table(tops, cm)
     m, size, strides, lat = cm.m, table.size, table.strides, table.lat
     values = {(t - 1) * size: 0 for t in range(1, m + 1)}
@@ -570,18 +554,9 @@ def test_every_cell_a_reader_asks_for_is_held(monkeypatch):
         assert read_values <= set(table.values) and read_choices <= set(table.choices)
 
 
-def test_ops_count_the_candidates_probed(monkeypatch):
+def test_ops_count_the_candidates_probed():
     # a box scan probes half the box at t = 2 and all of it at t = 3..top(u);
-    # a one-class census counts what its bisections report
-    probes = []
-    axis_split = staropt._axis_split
-
-    def counted(*args):
-        out = axis_split(*args)
-        probes.append(out[2])
-        return out
-
-    monkeypatch.setattr(staropt, "_axis_split", counted)
+    # a census on one class is read off in closed form and adds nothing
     factors = [1, Fraction(3, 2), Fraction(9, 5), 2, Fraction(15, 7)]
     for cm, n in [
         (CostModel.from_factors(4, [1, Fraction(3, 2), 2], factors[1:4]), 13),
@@ -589,14 +564,17 @@ def test_ops_count_the_candidates_probed(monkeypatch):
         (CostModel.from_factors(3, factors[:2], factors[:2]), 33),
     ]:
         tops = optimal_degree_vectors(min_star_complexity(n, cm))
-        probes.clear()
         table = forest_latency_table(tops, cm)
-        scanned = 0
+        scanned = axis_cells = 0
         for u, top in region_tops(tops, cm.m).items():
-            if sum(1 for a in u if a) > 1 and top > 1:
+            classes = sum(1 for a in u if a)
+            if classes > 1 and top > 1:
                 box = len(list(vectors_below(u)))
                 scanned += (box + 1) // 2 + (top - 2) * box
-        assert probes and table.ops == sum(probes) + scanned
+            elif classes == 1:
+                axis_cells += top - 1
+        assert axis_cells and table.ops == scanned
+    assert forest_latency_table([(0, 300)], cm).ops == 0
 
 
 def test_one_class_table_does_not_grow_with_m():

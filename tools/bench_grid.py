@@ -44,6 +44,13 @@ their boxes.  CPU seconds only, and each cell runs under a CPU cap of
 ``TIED_CAP_S`` seconds (``cpu_capped``, a profiling interval timer): a
 cell over the cap is recorded as an error entry and the row goes on.
 
+A ``large`` row times :func:`mpsynth.synthesize_star` (m = 3) and
+:func:`mpsynth.synthesize_min_latency` (m = 2 and 3) at n = ``LARGE_N``
+= 10^5 on the grid's cost model (``LARGE_CELLS``).  CPU seconds of the
+synthesis only, each cell under a CPU cap of ``LARGE_CAP_S`` seconds as
+in the ``tied`` row; no later stage runs, as checking a structure of
+that size takes more memory than the synthesis.
+
 A ``broken`` row times :func:`mpsynth.validate` on two broken variants
 of the loaded star structure, for m = 3 and n in {64, 256, 1024, 4096}:
 ``extra_operand`` (x3 added as an operand of x1's first computation
@@ -88,6 +95,11 @@ TIED_CELLS = (
     (6, (1, "3/2", "9/5", 2, "15/7"), (1, "3/2", "9/5", 2, "15/7"), (16, 24, 32)),
 )
 TIED_CAP_S = 60
+# (mode, m) at LARGE_N, on the grid's cost model; the star cell is the
+# single-fan-in optimum c = (1, 2), l = (1, 1)
+LARGE_CELLS = (("star", 3), ("isom", 2), ("isom", 3))
+LARGE_N = 100_000
+LARGE_CAP_S = 60
 
 
 class CpuCapExceeded(Exception):
@@ -271,6 +283,30 @@ def run_tied_row(mpsynth, cells=TIED_CELLS, cap=TIED_CAP_S) -> list[dict]:
     return row
 
 
+def run_large_row(mpsynth, cells=LARGE_CELLS, n=LARGE_N, cap=LARGE_CAP_S) -> list[dict]:
+    row = []
+    for mode, m in cells:
+        cm = mpsynth.CostModel.from_factors(m, *cost_factors(m))
+        synthesize = mpsynth.synthesize_star if mode == "star" else mpsynth.synthesize_min_latency
+        cell: dict = {"mode": mode, "n": n, "m": m, "error": None}
+        try:
+            gc.collect()
+            timed = lambda: best_cpu(synthesize, lambda: (n, cm))
+            syn, seconds = cpu_capped(timed, cap)
+            cell.update(
+                cpu_s=round(seconds, 6),
+                nodes=syn.structure.node_count,
+                latency=mpsynth.format_rational(syn.latency),
+            )
+            del syn  # one structure of this size alive at a time
+        except Exception as exc:  # a capped cell is data, not the end of the row
+            cell["error"] = {"type": type(exc).__name__, "message": str(exc)[:200]}
+        row.append(cell)
+        status = cell["error"]["type"] if cell["error"] else "ok"
+        print(f"large {mode} m={m} n={n}: {cell.get('cpu_s', 0.0):.3f} s {status}", file=sys.stderr)
+    return row
+
+
 def with_extra_operand(Dag, dag):
     """``dag`` with x3 added as an operand of x1's first computation
     parent: every output whose ancestor graph holds that node reaches x3
@@ -336,6 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     verify = run_verify_row(mpsynth)
     broken = run_broken_row(mpsynth)
     tied = run_tied_row(mpsynth)
+    large = run_large_row(mpsynth)
     record = {
         "tag": args.tag,
         "mpsynth_version": mpsynth.__version__,
@@ -358,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
         ],
         "tied_clock": f"cpu_s as above, each cell under a CPU cap of {TIED_CAP_S} s",
         "tied": tied,
+        "large_cost_model": "c[k] = k - 1, l[k] = 1 for k = 2..m",
+        "large_clock": f"cpu_s as above, each cell under a CPU cap of {LARGE_CAP_S} s",
+        "large": large,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
